@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -207,6 +208,10 @@ def _parse_sizes(spec: str, n: int):
         if kind != "geometric":
             raise ValueError(f"unknown size progression {kind!r}")
         f = float(factor)
+        if not (math.isfinite(f) and f > 1.0):
+            raise ValueError(f"geometric factor must be finite and > 1, got {factor!r}")
+        if lo < 1:
+            raise ValueError(f"geometric sizes must start at 1 or more, got {lo}")
         sizes, cur = [], float(lo)
         while round(cur) <= hi:
             q = int(round(cur))
@@ -232,7 +237,8 @@ def cmd_sweep(args) -> int:
             elapsed = time.perf_counter() - t0
             rows.append((q, trial, h_val, elapsed))
             per_size.append(h_val)
-        print(f"size={q} mean_H={np.mean(per_size)!r} std_H={np.std(per_size)!r}")
+        print(f"size={q} mean_H={float(np.mean(per_size))!r} "
+              f"std_H={float(np.std(per_size))!r}")
     with open(args.report, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["size", "trial", "H", "seconds"])

@@ -94,26 +94,43 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class WeightedCoreset:
+    """Indices into an instance and one weight per index.
+
+    The weight sum and whether the coreset is the identity (indices 0..q-1,
+    unit weights) are computed once here.  The coreset is frozen and its
+    arrays are made read-only, as RlmInstance does with X and y, so neither
+    can go stale.
+    """
+
     indices: np.ndarray
     weights: np.ndarray
+    is_identity: bool = field(init=False, repr=False, compare=False)
+    _weight_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         w = np.asarray(self.weights, dtype=float)
         if idx.shape != w.shape or idx.ndim != 1:
             raise ValueError("indices and weights must be 1-d of equal length")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
+        idx.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "is_identity", bool(
+            np.all(w == 1.0) and np.array_equal(idx, np.arange(len(idx)))))
+        # fsum: exactly rounded, so the sum-equals-n invariant survives float
+        object.__setattr__(self, "_weight_sum", math.fsum(w))
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
     def weight_sum(self) -> float:
-        # fsum: exactly rounded, so the sum-equals-n invariant survives float
-        return math.fsum(self.weights)
+        return self._weight_sum
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ class TrainConfig:
             raise ValueError("tolerances and step sizes must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
 
 
 @dataclass
@@ -74,37 +78,64 @@ def _identity_coreset(n: int) -> WeightedCoreset:
     return WeightedCoreset(indices=np.arange(n), weights=np.ones(n))
 
 
-def _reg_value_grad(inst: RlmInstance, beta: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Value and (sub)gradient of lambda * r(R * beta)."""
+def _is_full(inst: RlmInstance, cs: WeightedCoreset) -> bool:
+    """True when cs is the identity coreset of inst: every row, weight 1."""
+    return cs.is_identity and cs.size == inst.n
+
+
+def _rows(inst: RlmInstance, cs: WeightedCoreset) -> Tuple[np.ndarray, np.ndarray]:
+    """The coreset's rows of X and y: the instance's own arrays on full
+    data, a gather of the q rows otherwise."""
+    if _is_full(inst, cs):
+        return inst.X, inst.y
+    return inst.X[cs.indices], inst.y[cs.indices]
+
+
+def _loss_slope(kind: LossKind, z: np.ndarray) -> np.ndarray:
+    """Derivative of the loss at margin z."""
+    if kind is LossKind.LOGISTIC:
+        # sigmoid(z) without overflow: exp of a nonpositive argument only
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return (z > -1.0).astype(float)  # 0 at the hinge kink
+
+
+def _reg_value(inst: RlmInstance, beta: np.ndarray) -> float:
+    """Value of lambda * r(R * beta)."""
     lam, R = inst.lam, inst.R
     if inst.reg is RegularizerKind.L2_SQUARED:
-        return lam * R * R * float(beta @ beta), 2.0 * lam * R * R * beta
+        return lam * R * R * float(beta @ beta)
+    if inst.reg is RegularizerKind.L2:
+        return lam * R * float(np.linalg.norm(beta))
+    return lam * R * float(np.sum(np.abs(beta)))
+
+
+def _reg_grad(inst: RlmInstance, beta: np.ndarray) -> np.ndarray:
+    """(Sub)gradient of lambda * r(R * beta)."""
+    lam, R = inst.lam, inst.R
+    if inst.reg is RegularizerKind.L2_SQUARED:
+        return 2.0 * lam * R * R * beta
     if inst.reg is RegularizerKind.L2:
         norm = float(np.linalg.norm(beta))
-        grad = lam * R * beta / norm if norm > 0 else np.zeros_like(beta)
-        return lam * R * norm, grad
-    return lam * R * float(np.sum(np.abs(beta))), lam * R * np.sign(beta)
+        return lam * R * beta / norm if norm > 0 else np.zeros_like(beta)
+    return lam * R * np.sign(beta)
 
 
 def weighted_objective_grad(
-    inst: RlmInstance, cs: WeightedCoreset, beta: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Objective sum_C u_i f_i(beta) and its (sub)gradient."""
-    X = inst.X[cs.indices]
-    y = inst.y[cs.indices]
+    inst: RlmInstance, cs: WeightedCoreset, beta: np.ndarray, grad: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
+    """Objective sum_C u_i f_i(beta) and its (sub)gradient.  With
+    grad=False the gradient is not computed and None is returned in its
+    place; the value is the same float either way."""
+    X, y = _rows(inst, cs)
     u = cs.weights
     z = -y * (X @ beta)
-    losses = loss_eval(inst.loss, z)
-    if inst.loss is LossKind.LOGISTIC:
-        # sigmoid(z) without overflow: exp of a nonpositive argument only
-        e = np.exp(-np.abs(z))
-        dz = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    else:
-        dz = (z > -1.0).astype(float)  # 0 at the hinge kink
-    loss_grad = -((u * dz * y) @ X)
-    reg_val, reg_grad = _reg_value_grad(inst, beta)
     share = cs.weight_sum() / inst.n
-    return float(u @ losses) + share * reg_val, loss_grad + share * reg_grad
+    f = float(u @ loss_eval(inst.loss, z)) + share * _reg_value(inst, beta)
+    if not grad:
+        return f, None
+    loss_grad = -((u * _loss_slope(inst.loss, z) * y) @ X)
+    return f, loss_grad + share * _reg_grad(inst, beta)
 
 
 def gradient(inst: RlmInstance, cs: Optional[WeightedCoreset], h: Hypothesis) -> np.ndarray:
@@ -124,20 +155,26 @@ def train(
     records the objective evaluated on the full instance."""
     if cs is None:
         cs = _identity_coreset(inst.n)
+    full_cs = cs if _is_full(inst, cs) else _identity_coreset(inst.n)
     if cfg.method is TrainMethod.SGD:
-        return _train_sgd(inst, cs, cfg)
-    return _train_gd(inst, cs, cfg)
+        return _train_sgd(inst, cs, full_cs, cfg)
+    return _train_gd(inst, cs, full_cs, cfg)
 
 
-def _trace_point(inst, full_cs, beta, trace, clock):
-    f_full, _ = weighted_objective_grad(inst, full_cs, beta)
+def _trace_point(inst, full_cs, beta, trace, clock, f_full=None):
+    """Record the full objective at beta; f_full is that value when the
+    caller has already computed it."""
+    if f_full is None:
+        f_full, _ = weighted_objective_grad(inst, full_cs, beta, grad=False)
     trace.append(clock, f_full)
 
 
-def _train_gd(inst, cs, cfg):
+def _train_gd(inst, cs, full_cs, cfg):
     beta = np.zeros(inst.d)
     trace = TrainTrace()
-    full_cs = _identity_coreset(inst.n)
+    # on full data every value computed on cs is the full objective the
+    # trace records, so the trace reuses it instead of evaluating again
+    full = cs is full_cs
     smooth = _is_smooth(inst)
     clock = 0.0
     best_beta, best_f = beta.copy(), np.inf
@@ -152,36 +189,37 @@ def _train_gd(inst, cs, cfg):
             best_f, best_beta = f, beta.copy()
         if gnorm <= cfg.grad_tol:
             clock += time.perf_counter() - t0
-            _trace_point(inst, full_cs, beta, trace, clock)
+            _trace_point(inst, full_cs, beta, trace, clock, f if full else None)
             break
+        f_next = None
         if smooth:
             step *= 2.0  # warm start from the last accepted step
             while True:
                 cand = beta - step * g
-                f_new, _ = weighted_objective_grad(inst, cs, cand)
+                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False)
                 if f_new <= f - cfg.armijo_c * step * gnorm * gnorm:
                     break
                 step *= cfg.armijo_shrink
                 if step < 1e-20:
                     raise NonFiniteError("Armijo backtracking underflow")
             beta = cand
+            if full:
+                f_next = f_new
         else:
             beta = beta - cfg.step_init / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
         clock += time.perf_counter() - t0
-        _trace_point(inst, full_cs, beta, trace, clock)
+        _trace_point(inst, full_cs, beta, trace, clock, f_next)
     result = beta if smooth else best_beta
     return Hypothesis(beta=result), trace
 
 
-def _train_sgd(inst, cs, cfg):
+def _train_sgd(inst, cs, full_cs, cfg):
     rng = np.random.default_rng(cfg.seed)
-    X = inst.X[cs.indices]
-    y = inst.y[cs.indices]
+    X, y = _rows(inst, cs)
     u = cs.weights
     m = len(y)
     beta = np.zeros(inst.d)
     trace = TrainTrace()
-    full_cs = _identity_coreset(inst.n)
     clock = 0.0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -190,14 +228,11 @@ def _train_sgd(inst, cs, cfg):
             batch = order[lo : lo + cfg.batch_size]
             Xb, yb, ub = X[batch], y[batch], u[batch]
             z = -yb * (Xb @ beta)
-            if inst.loss is LossKind.LOGISTIC:
-                dz = 1.0 / (1.0 + np.exp(-z))
-            else:
-                dz = (z > -1.0).astype(float)
+            dz = _loss_slope(inst.loss, z)
             # mean-objective gradient: per-point loss terms plus the 1/n
             # regularizer share, so the step scale is independent of n
             g = -((ub * dz * yb) @ Xb) / float(np.sum(ub))
-            g = g + _reg_value_grad(inst, beta)[1] / inst.n
+            g = g + _reg_grad(inst, beta) / inst.n
             beta = beta - cfg.learning_rate * g
         if not np.all(np.isfinite(beta)):
             raise NonFiniteError(f"SGD diverged in epoch {epoch}")
@@ -211,8 +246,8 @@ def relative_suboptimality(
 ) -> float:
     """F(beta_C)/F(beta_full) - 1 on the full instance."""
     full_cs = _identity_coreset(inst.n)
-    f_c, _ = weighted_objective_grad(inst, full_cs, beta_coreset.beta)
-    f_f, _ = weighted_objective_grad(inst, full_cs, beta_full.beta)
+    f_c, _ = weighted_objective_grad(inst, full_cs, beta_coreset.beta, grad=False)
+    f_f, _ = weighted_objective_grad(inst, full_cs, beta_full.beta, grad=False)
     if f_f <= 0:
         raise ZeroDivisionError("full-data optimum objective is zero")
     return f_c / f_f - 1.0

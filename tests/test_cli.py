@@ -82,6 +82,18 @@ class TestVerify:
                     "--coreset", str(out)])
         assert code == 3
 
+    def test_nan_weight_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "cs.json"
+        run(["sample", *SYNTH, "--size", "10", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        doc["weights"][3] = float("nan")
+        out.write_text(json.dumps(doc))
+        code = run(["verify", *SYNTH, "--coreset", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "max_H" not in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_unknown_spec_is_input_error(self, tmp_path):
         out = tmp_path / "cs.json"
         run(["sample", *SYNTH, "--size", "10", "--output", str(out)])
@@ -109,6 +121,28 @@ class TestSweep:
         assert sizes[-1] <= 100
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
         assert cli._parse_sizes("10,20,30", 100) == [10, 20, 30]
+
+    @pytest.mark.parametrize("spec", [
+        "10..n:geometric:1", "10..n:geometric:0.5", "10..n:geometric:nan",
+        "10..n:geometric:inf", "0..n:geometric:2",
+    ])
+    def test_geometric_spec_that_never_advances(self, spec):
+        with pytest.raises(ValueError):
+            cli._parse_sizes(spec, 50)
+
+    def test_geometric_factor_one_exits_2(self, tmp_path):
+        code = run(["sweep", *SYNTH, "--sizes", "10..n:geometric:1",
+                    "--report", str(tmp_path / "sweep.csv")])
+        assert code == 2
+
+    def test_stdout_prints_plain_floats(self, tmp_path, capsys):
+        code = run(["sweep", *SYNTH, "--sizes", "20", "--trials", "2",
+                    "--report", str(tmp_path / "sweep.csv")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "np.float64" not in out
+        fields = dict(tok.split("=", 1) for tok in out.split())
+        assert float(fields["mean_H"]) >= 0.0 and float(fields["std_H"]) >= 0.0
 
 
 class TestAdversary:
@@ -168,6 +202,14 @@ class TestTrainBench:
         assert code == 0
         with open(trace) as fh:
             assert len(list(csv.reader(fh))) == 1 + 3  # one row per epoch
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("flag", ["--max-iters", "--epochs"])
+    def test_zero_iterations_exit_2(self, command, flag, capsys):
+        code = run([command, *SYNTH, flag, "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "at least 1" in err
 
     def test_bench(self, tmp_path, capsys):
         code = run(["bench", *SYNTH, "--epochs", "2", "--size", "50",

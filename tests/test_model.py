@@ -117,6 +117,33 @@ class TestTypes:
         with pytest.raises(ValueError):
             WeightedCoreset(indices=np.array([0]), weights=np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coreset_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedCoreset(indices=np.arange(3), weights=np.array([1.0, bad, 1.0]))
+
+    def test_weight_sum_is_fsum(self, rng):
+        for q in (1, 7, 1000):
+            cs = WeightedCoreset(indices=rng.integers(0, 50, size=q),
+                                 weights=rng.uniform(0.0, 1e3, size=q))
+            assert cs.weight_sum() == math.fsum(cs.weights)
+
+    def test_coreset_arrays_are_read_only(self):
+        cs = WeightedCoreset(indices=np.arange(4), weights=np.ones(4))
+        with pytest.raises(ValueError):
+            cs.weights[0] = 5.0
+        with pytest.raises(ValueError):
+            cs.indices[0] = 3
+        assert cs.weight_sum() == 4.0 and cs.is_identity
+
+    def test_identity_detection(self):
+        assert WeightedCoreset(indices=np.arange(6), weights=np.ones(6)).is_identity
+        assert WeightedCoreset(indices=[], weights=[]).is_identity
+        shuffled = np.roll(np.arange(6), 2)
+        assert not WeightedCoreset(indices=shuffled, weights=np.ones(6)).is_identity
+        assert not WeightedCoreset(indices=np.arange(6),
+                                   weights=np.full(6, 2.0)).is_identity
+
 
 class TestObjectives:
     def test_point_loss_examples(self):

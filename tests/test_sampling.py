@@ -190,3 +190,10 @@ def test_identity_holds_for_weighted_draws(rng):
     cs = uniform_sample(100, 10, seed=0)
     assert isinstance(cs, WeightedCoreset)
     assert cs.indices.dtype == np.int64
+
+
+def test_identity_coreset_detected(rng):
+    inst = random_instance(rng, n=30)
+    for q in (30, 31, 1000):
+        assert uniform_sample(inst, q, seed=q).is_identity
+    assert not uniform_sample(inst, 29, seed=0).is_identity

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import ALL_PAIRS, random_instance
 from rlm_coreset.model import (
     Hypothesis,
     LossKind,
@@ -14,6 +16,7 @@ from rlm_coreset.sampling import uniform_sample
 from rlm_coreset.solver import (
     TrainConfig,
     TrainMethod,
+    _rows,
     gradient,
     relative_suboptimality,
     train,
@@ -77,6 +80,48 @@ class TestGradient:
         g1 = gradient(inst, identity_cs(20), h)
         g3 = gradient(inst, cs, h)
         assert g3 == pytest.approx(3 * g1, rel=1e-12)
+
+
+class TestValueOnly:
+    @pytest.mark.parametrize("loss,reg", ALL_PAIRS)
+    def test_value_only_equals_value_with_gradient(self, rng, loss, reg):
+        inst = random_instance(rng, n=40, loss=loss, reg=reg)
+        for cs in (identity_cs(40), uniform_sample(inst, 15, seed=1)):
+            for beta in (np.zeros(3), *rng.standard_normal((5, 3))):
+                f, _ = weighted_objective_grad(inst, cs, beta)
+                f_only, g = weighted_objective_grad(inst, cs, beta, grad=False)
+                assert f_only == f and g is None
+
+    def test_full_data_read_in_place(self, rng):
+        inst = random_instance(rng, n=20)
+        X, y = _rows(inst, identity_cs(20))
+        assert X is inst.X and y is inst.y
+        X, y = _rows(inst, WeightedCoreset(indices=[3, 3, 0], weights=np.ones(3)))
+        assert np.array_equal(X, inst.X[[3, 3, 0]])
+        # a prefix of the rows with unit weights is not the full instance
+        X, _ = _rows(inst, identity_cs(10))
+        assert X.shape == (10, 3) and X is not inst.X
+
+    @pytest.mark.parametrize("q", [None, 40])
+    def test_trace_is_full_objective_at_each_iterate(self, rng, q):
+        inst = random_instance(rng, n=120)
+        cs = None if q is None else uniform_sample(inst, q, seed=3)
+        iters = 12
+        _, trace = train(inst, TrainConfig(max_iters=iters, grad_tol=1e-12), cs)
+        assert len(trace.objectives) == iters
+        full = identity_cs(inst.n)
+        for i, f in enumerate(trace.objectives):
+            # a smooth GD run returns its last iterate
+            beta_i, _ = train(inst, TrainConfig(max_iters=i + 1, grad_tol=1e-12), cs)
+            assert f == weighted_objective_grad(inst, full, beta_i.beta)[0]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["max_iters", "epochs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestTrainFullBatch:
@@ -147,6 +192,19 @@ class TestTrainSgd:
         a, _ = train(inst, TrainConfig(method=TrainMethod.SGD, epochs=3, seed=1))
         b, _ = train(inst, TrainConfig(method=TrainMethod.SGD, epochs=3, seed=2))
         assert not np.array_equal(a.beta, b.beta)
+
+    def test_large_margins_do_not_overflow(self):
+        # the first step takes beta to 1, so both margins are -1e3
+        inst = RlmInstance(X=np.array([[1e3], [-1e3]]), y=np.array([1.0, -1.0]),
+                           loss=LossKind.LOGISTIC, reg=RegularizerKind.L2_SQUARED,
+                           kappa=0.5, lambda_scale=1e-9)
+        cfg = TrainConfig(method=TrainMethod.SGD, epochs=3, batch_size=2,
+                          learning_rate=2e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta_hat, trace = train(inst, cfg)
+        assert beta_hat.beta[0] == pytest.approx(1.0, rel=1e-4)
+        assert all(np.isfinite(trace.objectives))
 
     def test_makes_progress(self, rng):
         from rlm_coreset.data_io import gen_synthetic
