@@ -26,7 +26,8 @@ from .model import (
     loss_eval,
 )
 
-_BLOCK = 1 << 20
+_BLOCK = 1 << 20  # angles per summed block
+_PIECE = 1 << 15  # angles evaluated at once while a block is filled (cache-sized)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +181,24 @@ class Chunk:
 def find_chunk(n: int, k: int, coreset_indices) -> Chunk:
     """First (smallest window start, circular scan from 0) window of n//(2k)
     consecutive indices disjoint from the coreset; the chunk is its middle
-    n//(4k) indices."""
+    n//(4k) indices.
+
+    The first free window starts at 0 or just after an occupied index, so
+    only those candidates are tested, each by binary search over the sorted
+    occupied indices: O(k log k) time and O(k) memory, whatever n is."""
+    if k < 1:
+        raise InvalidParameterError(f"k must be at least 1, got {k}")
     window = n // (2 * k)
     if window < 2:
         raise NoChunkFoundError(f"window n//(2k) = {window} too short")
     length = max(n // (4 * k), 1)
-    occupied = np.zeros(n, dtype=np.int64)
-    occupied[np.asarray(list(coreset_indices), dtype=np.int64) % n] = 1
-    # circular window sums via a prefix sum over the doubled array
-    ext = np.concatenate([occupied, occupied[: window - 1]])
-    csum = np.concatenate([[0], np.cumsum(ext)])
-    window_sums = csum[window:] - csum[:-window]
-    free = np.flatnonzero(window_sums == 0)
+    occupied = np.unique(np.asarray(list(coreset_indices), dtype=np.int64) % n)
+    starts = np.concatenate([[0], occupied[occupied < n - 1] + 1])
+    ends = starts + window  # exclusive; past n the window wraps to [0, ends - n)
+    hits = (np.searchsorted(occupied, np.minimum(ends, n))
+            - np.searchsorted(occupied, starts)
+            + np.searchsorted(occupied, np.maximum(ends - n, 0)))
+    free = starts[hits == 0]
     if len(free) == 0:
         raise NoChunkFoundError("every window of length n//(2k) hits the coreset")
     window_start = int(free[0])
@@ -227,14 +234,16 @@ def point_line_distance(theta_i, theta):
 
 
 def _circle_loss_sum(inst: CircleInstance, h: Hypothesis) -> float:
-    """Sum of per-point losses over all n angles, streamed in blocks."""
-    bx, by = h.beta
+    """Sum of per-point losses over all n angles, streamed in blocks; each
+    block is filled in cache-sized pieces and then summed as one array."""
     total = 0.0
+    block = np.empty(min(_BLOCK, inst.n))
     for lo in range(0, inst.n, _BLOCK):
         hi = min(lo + _BLOCK, inst.n)
-        theta = 2.0 * np.pi * np.arange(lo, hi, dtype=float) / inst.n
-        z = -(bx * np.cos(theta) + by * np.sin(theta) + h.bias)
-        total += float(np.sum(loss_eval(inst.loss, z)))
+        for a in range(lo, hi, _PIECE):
+            b = min(a + _PIECE, hi)
+            block[a - lo:b - lo] = _circle_losses_at(inst, np.arange(a, b), h)
+        total += float(np.sum(block[:hi - lo]))
     return total
 
 
@@ -245,24 +254,41 @@ def _circle_losses_at(inst: CircleInstance, idx, h: Hypothesis) -> np.ndarray:
     return loss_eval(inst.loss, z)
 
 
-def circle_H(inst: CircleInstance, indices, weights, h: Hypothesis) -> float:
-    """Exact H on the lifted circle instance (regularizer 2*lambda*||h||^2)."""
+def _circle_sums(inst: CircleInstance, indices, weights, h: Hypothesis):
+    """The two loss sums every circle evaluator reads: the streamed sum over
+    all n angles and the weighted sum over the coreset."""
     weights = np.asarray(weights, dtype=float)
-    reg = 2.0 * inst.lam * h.norm() ** 2
-    full = _circle_loss_sum(inst, h) + reg
     coreset = float(np.dot(weights, _circle_losses_at(inst, indices, h)))
-    coreset += float(np.sum(weights)) / inst.n * reg
+    return _circle_loss_sum(inst, h), coreset
+
+
+def circle_H(inst: CircleInstance, indices, weights, h: Hypothesis,
+             sums=None) -> float:
+    """Exact H on the lifted circle instance (regularizer 2*lambda*||h||^2).
+    ``sums`` is the pair (loss sum over all n angles, weighted coreset loss)
+    when the caller has it already; otherwise it is computed here."""
+    loss_sum, coreset = _circle_sums(inst, indices, weights, h) if sums is None else sums
+    reg = 2.0 * inst.lam * h.norm() ** 2
+    full = loss_sum + reg
+    coreset += float(np.sum(np.asarray(weights, dtype=float))) / inst.n * reg
     return abs(full - coreset) / full
 
 
-def lemma_ratios(inst: CircleInstance, indices, weights, h: Hypothesis):
+def lemma_ratios(inst: CircleInstance, indices, weights, h: Hypothesis, sums=None):
     """The two vanishing ratios from the lower-bound argument:
-    r1 = lambda*||h||^2 / sum of losses, r2 = weighted coreset loss share."""
-    weights = np.asarray(weights, dtype=float)
-    loss_sum = _circle_loss_sum(inst, h)
+    r1 = lambda*||h||^2 / sum of losses, r2 = weighted coreset loss share.
+    ``sums`` is as for ``circle_H``."""
+    loss_sum, coreset = _circle_sums(inst, indices, weights, h) if sums is None else sums
     r1 = inst.lam * h.norm() ** 2 / loss_sum
-    r2 = float(np.dot(weights, _circle_losses_at(inst, indices, h))) / loss_sum
+    r2 = coreset / loss_sum
     return r1, r2
+
+
+def circle_witness(inst: CircleInstance, indices, weights, h: Hypothesis):
+    """(H, r1, r2) of ``circle_H`` and ``lemma_ratios`` from one streamed pass."""
+    sums = _circle_sums(inst, indices, weights, h)
+    return (circle_H(inst, indices, weights, h, sums),
+            *lemma_ratios(inst, indices, weights, h, sums))
 
 
 def materialize_circle(inst: CircleInstance) -> RlmInstance:

@@ -119,12 +119,31 @@ def _coreset_payload(args, inst, cs, q, mode=sampling.SampleMode.IID_WITH_REPLAC
 
 
 def _coreset_from_doc(doc, inst) -> WeightedCoreset:
+    """The coreset a document records, refused unless it fits the instance:
+    the same n and, where recorded, the same loss, regularizer, kappa,
+    lambda and R, with every index in [0, n)."""
+    missing = [key for key in ("n", "indices", "weights") if key not in doc]
+    if missing:
+        raise SchemaMismatchError(f"coreset document has no {', '.join(missing)}")
     if doc["n"] != inst.n:
         raise InvalidParameterError(
             f"coreset was built for n={doc['n']} but dataset has n={inst.n}"
         )
+    # floats round-trip JSON exactly, so a recorded setting must match bit for bit
+    settings = {"loss": inst.loss.value, "reg": inst.reg.value, "kappa": inst.kappa,
+                "lambda": inst.lam, "R": inst.R}
+    for key, value in settings.items():
+        if key in doc and doc[key] != value:
+            raise SchemaMismatchError(
+                f"coreset was built with {key}={doc[key]!r} but the instance has {value!r}"
+            )
+    indices = np.asarray(doc["indices"])
+    if indices.ndim != 1 or (indices.size and indices.dtype.kind != "i"):
+        raise SchemaMismatchError("coreset indices must be a list of integers")
+    if indices.size and (indices.min() < 0 or indices.max() >= inst.n):
+        raise SchemaMismatchError(f"coreset indices must lie in [0, {inst.n})")
     return WeightedCoreset(
-        indices=np.asarray(doc["indices"], dtype=np.int64),
+        indices=indices,
         weights=np.asarray(doc["weights"], dtype=float),
     )
 
@@ -274,6 +293,8 @@ def cmd_adversary(args) -> int:
             2,
             int(round(args.c * args.n ** (0.2 - args.gamma) / inst.lam ** 0.2)),
         )
+        if k < 1:
+            raise InvalidParameterError(f"--k must be at least 1, got {k}")
         indices = (np.arange(k) * (args.n // k)) % args.n
         weights = np.full(k, args.n / k)
         chunk = adversary.find_chunk(args.n, k, indices)
@@ -281,8 +302,7 @@ def cmd_adversary(args) -> int:
             adversary.default_beta_norm(args.n, args.gamma, k, inst.lam)
         )
         h = adversary.chunk_hypothesis(chunk, norm)
-        h_val = adversary.circle_H(inst, indices, weights, h)
-        r1, r2 = adversary.lemma_ratios(inst, indices, weights, h)
+        h_val, r1, r2 = adversary.circle_witness(inst, indices, weights, h)
         report = {
             "args": _flag_dict(args),
             "instance": "circle",

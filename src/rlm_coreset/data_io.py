@@ -67,6 +67,8 @@ def load_svmlight(path) -> Tuple[np.ndarray, np.ndarray, int]:
                 d = max(d, idx)
             rows.append(entries)
             labels.append(-1.0 if label <= 0.0 else 1.0)
+    if not rows:
+        raise ParseError("no data rows")
     X = np.zeros((len(rows), d))
     for i, entries in enumerate(rows):
         for idx, val in entries:
@@ -100,6 +102,8 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
                 raw_labels.append(float(row[label_idx]))
             except ValueError as exc:
                 raise ParseError("non-numeric value", line=lineno) from exc
+    if not rows:
+        raise ParseError("no data rows")
     X = np.asarray(rows)
     y = _map_binary_labels(np.asarray(raw_labels))
     return X, y, X.shape[1]
@@ -134,8 +138,9 @@ def write_coreset(path, payload: dict) -> None:
 
 def read_coreset(path) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("schema") != SCHEMA:
-        raise SchemaMismatchError(f"expected schema {SCHEMA!r}, got {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise SchemaMismatchError(f"expected schema {SCHEMA!r}, got {schema!r}")
     return doc
 
 

@@ -52,7 +52,8 @@ class NonBinaryLabelsError(RlmError):
 
 
 class SchemaMismatchError(RlmError):
-    """A JSON document does not carry the expected schema tag."""
+    """A JSON document lacks the expected schema tag or keys, or does not fit
+    the instance it is used with."""
 
 
 class NonFiniteError(RlmError):

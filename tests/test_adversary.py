@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rlm_coreset.model import (
     LossKind,
     WeightedCoreset,
     approximation_error,
+    loss_eval,
 )
 
 
@@ -122,22 +124,42 @@ class TestFindChunk:
         assert list(rotated.indices) == [i + 1 for i in base.indices]
 
     def test_matches_brute_force_scan(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(32, 200))
-            k = int(rng.integers(2, 5))
-            C = set(int(i) for i in rng.choice(n, size=k, replace=False))
+        cases = [(64, 1, []), (64, 1, [5]), (64, 2, [3, 3, 3]), (20, 4, [0]),
+                 (40, 2, [39, 79, -1]), (30, 16, []),
+                 (16, 2, [3, 7, 11, 14])]  # the first free window starts at n - 1
+        for _ in range(300):
+            n = int(rng.integers(8, 200))
+            k = int(rng.integers(1, 7))
+            size = int(rng.integers(0, 2 * k + 3))
+            # duplicates, negative indices and indices >= n all reduce mod n
+            cases.append((n, k, [int(i) for i in rng.integers(-n, 3 * n, size=size)]))
+        for n, k, C in cases:
             w = n // (2 * k)
-            try:
-                chunk = adv.find_chunk(n, k, C)
-            except NoChunkFoundError:
+            free = [s for s in range(n) if all((c - s) % n >= w for c in C)]
+            if w < 2 or not free:
+                with pytest.raises(NoChunkFoundError):
+                    adv.find_chunk(n, k, C)
                 continue
-            # brute-force first free window
-            expect = None
-            for s in range(n):
-                if all((c - s) % n >= w for c in C):
-                    expect = s
-                    break
-            assert chunk.window_start == expect
+            chunk = adv.find_chunk(n, k, C)
+            assert chunk.window_start == free[0], (n, k, C)
+            assert chunk.window_length == w
+            assert chunk.length == max(n // (4 * k), 1)
+
+    def test_huge_n_needs_memory_of_order_k(self):
+        n = 10**12
+        tracemalloc.start()
+        try:
+            chunk = adv.find_chunk(n, 4, [0, n // 4, n // 2, 3 * n // 4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk.window_start == 1 and chunk.length == n // 16
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(InvalidParameterError):
+            adv.find_chunk(64, k, [0])
 
     def test_guard_zone_disjoint(self):
         n, k = 256, 4
@@ -254,6 +276,30 @@ class TestCircleH:
         cs = WeightedCoreset(indices=C, weights=U)
         expect = brute_force_H(flat, cs, lifted)
         assert adv.circle_H(inst, C, U, h) == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_witness_equals_the_separate_evaluators(self, loss):
+        n, k = 100_003, 4
+        inst = adv.gen_circle(n, 0.3, loss)
+        C = (np.arange(k) * (n // k)) % n
+        U = np.full(k, n / k)
+        h = adv.chunk_hypothesis(adv.find_chunk(n, k, C), 6.0)
+        H, r1, r2 = adv.circle_witness(inst, C, U, h)
+        assert H == adv.circle_H(inst, C, U, h)
+        assert (r1, r2) == adv.lemma_ratios(inst, C, U, h)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_loss_sum_reduces_each_block_as_one_array(self, loss):
+        # filling a block piece by piece must not change a bit of its sum
+        n = adv._BLOCK + 3 * adv._PIECE + 77
+        inst = adv.gen_circle(n, 0.5, loss)
+        h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
+        expect = 0.0
+        for lo in range(0, n, adv._BLOCK):
+            theta = 2.0 * np.pi * np.arange(lo, min(lo + adv._BLOCK, n), dtype=float) / n
+            z = -(h.beta[0] * np.cos(theta) + h.beta[1] * np.sin(theta) + h.bias)
+            expect += float(np.sum(loss_eval(loss, z)))
+        assert adv._circle_loss_sum(inst, h) == expect
 
     def test_observation_margin_sandwich(self):
         n, k = 512, 4

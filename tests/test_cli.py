@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rlm_coreset import cli, data_io
+from rlm_coreset import adversary, cli, data_io
 
 SYNTH = ["--format", "synthetic", "--input", "n=400,d=3,noise=0.1,seed=1"]
 
@@ -102,6 +102,86 @@ class TestVerify:
         assert code == 2
 
 
+class TestCoresetDocument:
+    """A coreset document must fit the instance it is verified or trained on."""
+
+    @pytest.fixture
+    def coreset(self, tmp_path):
+        path = tmp_path / "cs.json"
+        assert run(["sample", *SYNTH, "--size", "10", "--output", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def edit(path, **changes):
+        doc = json.loads(path.read_text())
+        for key, value in changes.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        path.write_text(json.dumps(doc))
+
+    @staticmethod
+    def assert_refused(argv, capsys, message):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and message in captured.err
+
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    @pytest.mark.parametrize("key", ["n", "indices", "weights"])
+    def test_missing_key_exits_2(self, coreset, capsys, command, key):
+        self.edit(coreset, **{key: None})
+        self.assert_refused([command, *SYNTH, "--coreset", str(coreset)], capsys, key)
+
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    @pytest.mark.parametrize("bad", [-1, 400])
+    def test_index_outside_the_dataset_exits_2(self, coreset, capsys, command, bad):
+        indices = json.loads(coreset.read_text())["indices"]
+        self.edit(coreset, indices=[bad] + indices[1:])
+        self.assert_refused([command, *SYNTH, "--coreset", str(coreset)], capsys, "[0, 400)")
+
+    @pytest.mark.parametrize("indices", [[1.5] * 10, [[1]] * 10, [True] * 10])
+    def test_non_integer_indices_exit_2(self, coreset, capsys, indices):
+        self.edit(coreset, indices=indices)
+        self.assert_refused(["verify", *SYNTH, "--coreset", str(coreset)], capsys, "integers")
+
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    @pytest.mark.parametrize("flags, key", [
+        (["--loss", "hinge"], "loss"),
+        (["--reg", "l1"], "reg"),
+        (["--kappa", "0.9"], "kappa"),
+        (["--lambda-scale", "2"], "lambda"),
+    ])
+    def test_other_settings_exit_2(self, coreset, capsys, command, flags, key):
+        self.assert_refused([command, *SYNTH, *flags, "--coreset", str(coreset)],
+                            capsys, key)
+
+    def test_other_data_of_the_same_size_exits_2(self, coreset, capsys):
+        other = ["--format", "synthetic", "--input", "n=400,d=3,noise=0.1,seed=2"]
+        self.assert_refused(["verify", *other, "--coreset", str(coreset)], capsys, "R=")
+
+    def test_settings_not_recorded_are_not_checked(self, coreset):
+        self.edit(coreset, loss=None, reg=None, kappa=None, R=None, **{"lambda": None})
+        assert run(["verify", *SYNTH, "--coreset", str(coreset)]) == 0
+        assert run(["train", *SYNTH, "--coreset", str(coreset), "--max-iters", "5"]) == 0
+
+
+class TestEmptyInputs:
+    @pytest.mark.parametrize("fmt, text", [
+        ("svmlight", ""), ("svmlight", "# comment only\n\n"), ("csv", "f1,f2,label\n"),
+    ])
+    def test_no_data_rows_exits_2(self, tmp_path, capsys, fmt, text):
+        data = tmp_path / "data"
+        data.write_text(text)
+        code = run(["sample", "--format", fmt, "--input", str(data), "--size", "2",
+                    "--output", str(tmp_path / "cs.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "no data rows" in err
+
+
 class TestSweep:
     def test_csv_output(self, tmp_path):
         report = tmp_path / "sweep.csv"
@@ -169,6 +249,27 @@ class TestAdversary:
         code = run(["adversary", "--kind", "circle", "--n", "64",
                     "--k", "32"])
         assert code == 3
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_exits_3(self, capsys, k):
+        code = run(["adversary", "--kind", "circle", "--n", "1000", "--k", k])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1 and "at least 1" in err
+
+    def test_circle_report_is_the_witness(self, tmp_path):
+        report = tmp_path / "adv.json"
+        assert run(["adversary", "--kind", "circle", "--n", "100000", "--k", "3",
+                    "--report", str(report)]) == 0
+        doc = data_io.read_report(report)
+        n, k = 100000, 3
+        inst = adversary.gen_circle(n)
+        C, U = (np.arange(k) * (n // k)) % n, np.full(k, n / k)
+        chunk = adversary.find_chunk(n, k, C)
+        h = adversary.chunk_hypothesis(chunk, doc["beta_norm"])
+        assert doc["chunk"]["window_start"] == chunk.window_start
+        assert doc["H"] == adversary.circle_H(inst, C, U, h)
+        assert (doc["r1"], doc["r2"]) == adversary.lemma_ratios(inst, C, U, h)
 
     def test_degenerate_two_cluster_exits_3(self):
         code = run(["adversary", "--kind", "two-cluster", "--n", "10",

@@ -88,6 +88,22 @@ class TestCsv:
             data_io.load_csv(f)
 
 
+class TestEmptyFiles:
+    @pytest.mark.parametrize("text", ["", "# comment only\n\n   \n"])
+    def test_svmlight_without_rows(self, tmp_path, text):
+        f = tmp_path / "d.svm"
+        f.write_text(text)
+        with pytest.raises(ParseError, match="no data rows"):
+            data_io.load_svmlight(f)
+
+    @pytest.mark.parametrize("text", ["f1,f2,label\n", "f1,f2,label\n\n\n"])
+    def test_csv_with_header_only(self, tmp_path, text):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match="no data rows"):
+            data_io.load_csv(f)
+
+
 class TestSynthetic:
     def test_noiseless_is_separable(self):
         X, y, w = data_io.gen_synthetic(500, 4, seed=1)
@@ -131,6 +147,12 @@ class TestJsonRoundTrip:
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/9", "n": 1}')
+        with pytest.raises(SchemaMismatchError):
+            data_io.read_coreset(path)
+
+    def test_document_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
         with pytest.raises(SchemaMismatchError):
             data_io.read_coreset(path)
 
