@@ -108,8 +108,8 @@ def _coreset_payload(args, inst, cs, q, mode=sampling.SampleMode.IID_WITH_REPLAC
         "seed": args.seed,
         "rng": sampling.RNG_ALGORITHM,
         "mode": mode.value,
-        "indices": [int(i) for i in cs.indices],
-        "weights": [float(w) for w in cs.weights],
+        "indices": cs.indices.tolist(),
+        "weights": cs.weights.tolist(),
         "R": inst.R,
         "lambda": inst.lam,
         "kappa": inst.kappa,
@@ -169,6 +169,23 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _betas_from_doc(doc, d: int) -> np.ndarray:
+    """The (k, d) probe coefficients of a betas document, refused unless it is
+    an object whose "betas" is a non-empty list of length-d numeric lists."""
+    betas = doc.get("betas") if isinstance(doc, dict) else None
+    try:
+        arr = np.asarray(betas) if isinstance(betas, list) else None
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != d \
+            or arr.dtype.kind not in "iuf":
+        raise SchemaMismatchError(
+            f'a betas file must hold {{"betas": [[...], ...]}}, a non-empty list '
+            f"of lists of {d} numbers"
+        )
+    return arr.astype(float)
+
+
 def _probe_hypotheses(spec: str, inst, cs, seed: int):
     """Expand one --betas spec into a list of hypotheses."""
     if spec == "trained":
@@ -176,8 +193,9 @@ def _probe_hypotheses(spec: str, inst, cs, seed: int):
         beta_hat, _ = solver.train(inst, cfg, cs)
         return [beta_hat]
     if spec.startswith("file:"):
-        doc = json.loads(open(spec[5:], encoding="utf-8").read())
-        return [Hypothesis(beta=np.asarray(b, dtype=float)) for b in doc["betas"]]
+        with open(spec[5:], encoding="utf-8") as fh:
+            betas = _betas_from_doc(json.load(fh), inst.d)
+        return [Hypothesis(beta=b) for b in betas]
     if spec.startswith("random:"):
         parts = spec.split(":")
         k = int(parts[1])

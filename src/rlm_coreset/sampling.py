@@ -94,7 +94,8 @@ class ReservoirSampler:
 
     def push(self, x, y) -> None:
         x = np.asarray(x, dtype=float)
-        self._radius = max(self._radius, float(np.linalg.norm(x)))
+        # the 2-norm as np.linalg.norm computes it for a 1-D vector, without its overhead
+        self._radius = max(self._radius, math.sqrt(x.dot(x)))
         i = self._seen
         self._seen += 1
         if i < self.q:

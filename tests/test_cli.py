@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rlm_coreset import adversary, cli, data_io
+import rlm_coreset
+from rlm_coreset import adversary, cli, data_io, sampling
 
 SYNTH = ["--format", "synthetic", "--input", "n=400,d=3,noise=0.1,seed=1"]
 
@@ -102,6 +107,60 @@ class TestVerify:
         assert code == 2
 
 
+class TestBetasFile:
+    """A --betas file must hold {"betas": [[d numbers], ...]}."""
+
+    @pytest.fixture
+    def coreset(self, tmp_path):
+        path = tmp_path / "cs.json"
+        assert run(["sample", *SYNTH, "--size", "10", "--output", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("doc", [
+        [[0.0, 0.0, 0.0]],                        # not an object
+        {"other": 1},                             # no betas
+        {"betas": "x"},
+        {"betas": []},
+        {"betas": [1.0, 2.0, 3.0]},               # one level too few
+        {"betas": [[1.0, 2.0]]},                  # wrong length
+        {"betas": [[1.0, 2.0, 3.0], [1.0, 2.0]]},  # ragged
+        {"betas": [["a", "b", "c"]]},
+        {"betas": [[1.0, None, 3.0]]},
+        {"betas": [[[1.0], [2.0], [3.0]]]},
+        {"betas": [[True, False, True]]},
+    ])
+    def test_malformed_document_exits_2(self, tmp_path, coreset, capsys, doc):
+        bfile = tmp_path / "betas.json"
+        bfile.write_text(json.dumps(doc))
+        code = run(["verify", *SYNTH, "--coreset", str(coreset), "--betas", f"file:{bfile}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "betas" in captured.err and "matmul" not in captured.err
+
+    def test_integer_coefficients_are_accepted(self, tmp_path, coreset):
+        bfile = tmp_path / "betas.json"
+        bfile.write_text(json.dumps({"betas": [[1, 0, -2], [0.5, 1, 0]]}))
+        assert run(["verify", *SYNTH, "--coreset", str(coreset), "--betas", f"file:{bfile}"]) == 0
+
+
+class TestCoresetPayload:
+    def test_json_bytes_equal_per_element_conversion(self, tmp_path):
+        out = tmp_path / "cs.json"
+        assert run(["sample", *SYNTH, "--size", "37", "--seed", "3", "--output", str(out)]) == 0
+        args = cli.build_parser().parse_args(["sample", *SYNTH, "--size", "37", "--seed", "3",
+                                              "--output", str(out)])
+        inst = cli._load_instance(args)
+        cs = sampling.uniform_sample(inst, 37, 3)
+        payload = cli._coreset_payload(args, inst, cs, 37)
+        payload["indices"] = [int(i) for i in cs.indices]
+        payload["weights"] = [float(w) for w in cs.weights]
+        expected = tmp_path / "expected.json"
+        data_io.write_coreset(expected, payload)
+        assert out.read_bytes() == expected.read_bytes()
+
+
 class TestCoresetDocument:
     """A coreset document must fit the instance it is verified or trained on."""
 
@@ -180,6 +239,44 @@ class TestEmptyInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "no data rows" in err
+
+
+    def test_blank_first_line_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("\nf1,label\n1,0\n")
+        code = run(["sample", "--format", "csv", "--input", str(data), "--size", "2",
+                    "--output", str(tmp_path / "cs.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "line 1: empty header" in err
+
+    @pytest.mark.parametrize("text", ["f1,f2,label\n", "f1,f2,label\n\n"])
+    def test_header_only_csv_prints_no_warning(self, tmp_path, text):
+        # loadtxt warns on empty input; the warning must not reach the user
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(rlm_coreset.__file__).parents[1]),
+                   PYTHONWARNINGS="always")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rlm_coreset.cli", "sample", "--format", "csv",
+             "--input", str(data), "--size", "2", "--output", str(tmp_path / "cs.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.strip().splitlines()) == 1 and "no data rows" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+
+class TestNewlyRefusedCells:
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+    def test_csv_cell_exits_2_with_its_line(self, tmp_path, capsys, cell):
+        data = tmp_path / "data.csv"
+        data.write_text(f"f1,label\n1,0\n2,1\n{cell},0\n", encoding="utf-8")
+        code = run(["sample", "--format", "csv", "--input", str(data), "--size", "2",
+                    "--output", str(tmp_path / "cs.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "line 4:" in err
 
 
 class TestSweep:

@@ -117,6 +117,11 @@ class TestReservoir:
         _, _, _, R, _ = stream_sample(pts, q=1, seed=0)
         assert R == 5.0
 
+    def test_running_radius_equals_numpy_norm(self, rng):
+        X = rng.standard_normal((500, 10)) * rng.uniform(0.1, 10.0, size=(500, 1))
+        _, _, _, R, _ = stream_sample(zip(X, np.ones(500)), q=20, seed=1)
+        assert R == max(np.linalg.norm(x) for x in X)
+
     def test_empty_stream(self):
         with pytest.raises(StreamTooShortError):
             stream_sample([], q=3, seed=0)
