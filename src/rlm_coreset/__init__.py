@@ -4,7 +4,6 @@ from .errors import (
     DegenerateInstanceError,
     EmptyDatasetError,
     InvalidParameterError,
-    InvalidWeightsError,
     LabelError,
     NoChunkFoundError,
     NonBinaryLabelsError,
@@ -17,7 +16,6 @@ from .errors import (
 )
 from .model import (
     Hypothesis,
-    LabeledPoint,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -27,8 +25,6 @@ from .model import (
     coreset_objective,
     full_objective,
     loss_eval,
-    point_loss,
-    point_objective,
     reg_eval,
     softplus,
 )
@@ -36,8 +32,6 @@ from .sampling import (
     RNG_ALGORITHM,
     ReservoirSampler,
     SampleMode,
-    SamplerConfig,
-    sensitivity_sample,
     stream_sample,
     uniform_sample,
 )

@@ -126,10 +126,6 @@ class CircleInstance:
     loss: LossKind
     lam: float
 
-    @property
-    def radius_bound(self) -> float:
-        return math.sqrt(2.0)
-
 
 def gen_circle(
     n: int, kappa: float = 0.5, loss: LossKind = LossKind.LOGISTIC
@@ -165,11 +161,6 @@ class Chunk:
     @property
     def center_angle(self) -> float:
         return 2.0 * math.pi * (self.start + (self.length - 1) / 2.0) / self.n
-
-    @property
-    def theta(self) -> float:
-        """Nominal angular half-width pi/(4k)."""
-        return math.pi / (4.0 * self.k)
 
     @property
     def boundary_angle(self) -> float:

@@ -81,6 +81,16 @@ def _add_dataset_args(p):
     p.add_argument("--lambda-scale", type=float, default=1.0)
 
 
+def _add_solver_args(p):
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--grad-tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trace", default=None)
+
+
 def _load_instance(args) -> RlmInstance:
     if args.format == "synthetic":
         spec = dict(kv.split("=", 1) for kv in args.input.split(",") if kv)
@@ -202,6 +212,10 @@ def _probe_hypotheses(spec: str, inst, cs, seed: int):
         max_norm = float(parts[2]) if len(parts) > 2 else (
             100.0 / inst.R if inst.R > 0 else 100.0
         )
+        if k < 1 or not (0.0 < max_norm < math.inf):
+            raise ValueError(
+                f"--betas {spec!r} needs K >= 1 and a finite positive max-norm"
+            )
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((k, inst.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -262,6 +276,8 @@ def _parse_sizes(spec: str, n: int):
 def cmd_sweep(args) -> int:
     inst = _load_instance(args)
     sizes = _parse_sizes(args.sizes, inst.n)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rows = []
     for q in sizes:
         per_size = []
@@ -285,6 +301,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    if not (0.0 < args.gamma < 1.0):
+        raise InvalidParameterError(f"gamma must lie in (0, 1), got {args.gamma!r}")
     if args.kind == "two-cluster":
         inst = adversary.gen_two_cluster(
             args.n, args.kappa, args.gamma, _LOSSES[args.loss]
@@ -347,13 +365,13 @@ def _write_trace(path, trace: solver.TrainTrace) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "seconds", "objective"])
-        for it, sec, obj in trace.rows():
+        for it, (sec, obj) in enumerate(zip(trace.seconds, trace.objectives)):
             writer.writerow([it, repr(sec), repr(obj)])
 
 
-def _train_config(args) -> solver.TrainConfig:
+def _train_config(args, method: solver.TrainMethod) -> solver.TrainConfig:
     return solver.TrainConfig(
-        method=solver.TrainMethod(args.method),
+        method=method,
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
@@ -368,7 +386,8 @@ def cmd_train(args) -> int:
     cs = None
     if args.coreset:
         cs = _coreset_from_doc(data_io.read_coreset(args.coreset), inst)
-    beta_hat, trace = solver.train(inst, _train_config(args), cs)
+    cfg = _train_config(args, solver.TrainMethod(args.method))
+    beta_hat, trace = solver.train(inst, cfg, cs)
     if args.trace:
         _write_trace(args.trace, trace)
     print(f"final_objective={trace.objectives[-1]!r} "
@@ -378,20 +397,10 @@ def cmd_train(args) -> int:
 
 def cmd_bench(args) -> int:
     inst = _load_instance(args)
-    q = args.size if args.size else int(round(20 * np.sqrt(inst.n)))
+    q = args.size if args.size is not None else int(round(20 * np.sqrt(inst.n)))
     cs = sampling.uniform_sample(inst, q, args.seed)
-
-    sgd_cfg = solver.TrainConfig(
-        method=solver.TrainMethod.SGD, epochs=args.epochs,
-        batch_size=args.batch_size, learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
-    gd_cfg = solver.TrainConfig(
-        method=solver.TrainMethod.FULL_BATCH, max_iters=args.max_iters,
-        grad_tol=args.grad_tol, seed=args.seed,
-    )
-    beta_sgd, trace_sgd = solver.train(inst, sgd_cfg)
-    beta_gd, trace_gd = solver.train(inst, gd_cfg, cs)
+    _, trace_sgd = solver.train(inst, _train_config(args, solver.TrainMethod.SGD))
+    _, trace_gd = solver.train(inst, _train_config(args, solver.TrainMethod.FULL_BATCH), cs)
     if args.trace:
         _write_trace(args.trace + ".full_sgd.csv", trace_sgd)
         _write_trace(args.trace + ".coreset_gd.csv", trace_gd)
@@ -455,21 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_adversary)
 
-    for name, fn in (("train", cmd_train), ("bench", cmd_bench)):
-        p = sub.add_parser(name)
-        _add_dataset_args(p)
-        p.add_argument("--method", choices=["gd", "sgd"], default="gd")
-        p.add_argument("--coreset", default=None)
-        p.add_argument("--size", type=int, default=None,
-                       help="bench: coreset size (default 20*sqrt(n))")
-        p.add_argument("--epochs", type=int, default=20)
-        p.add_argument("--batch-size", type=int, default=32)
-        p.add_argument("--learning-rate", type=float, default=0.1)
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--grad-tol", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trace", default=None)
-        p.set_defaults(func=fn)
+    p = sub.add_parser("train", help="train on the full data or on a coreset")
+    _add_dataset_args(p)
+    p.add_argument("--method", choices=["gd", "sgd"], default="gd")
+    p.add_argument("--coreset", default=None)
+    _add_solver_args(p)
+    p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("bench", help="time full-data SGD against coreset GD")
+    _add_dataset_args(p)
+    p.add_argument("--size", type=int, default=None,
+                   help="coreset size (default 20*sqrt(n))")
+    _add_solver_args(p)
+    p.set_defaults(func=cmd_bench)
 
     return parser
 

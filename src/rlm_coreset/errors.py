@@ -13,10 +13,6 @@ class InvalidParameterError(RlmError):
     """A numeric parameter is outside its valid range."""
 
 
-class InvalidWeightsError(RlmError):
-    """Sampling weights/bounds must all be strictly positive."""
-
-
 class EmptyDatasetError(RlmError):
     """An operation requires at least one data point."""
 

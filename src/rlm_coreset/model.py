@@ -1,11 +1,14 @@
-"""Core domain types and exact evaluation of losses, objectives, and the
-relative coreset approximation error H.
+"""Core domain types, the one objective kernel, and the relative coreset
+approximation error H.
 
 The objective being approximated is
 
     F(beta) = sum_i loss(-y_i beta.x_i) + lambda * reg(R * beta)
 
 with the per-point share f_i(beta) = loss_i(beta) + lambda*reg(R*beta)/n.
+Its value and (sub)gradient on full data or on a weighted coreset are
+computed in one place, ``weighted_objective_grad``; the solver and every
+evaluator here call it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +54,15 @@ def loss_eval(kind: LossKind, z):
     return np.maximum(0.0, 1.0 + z)
 
 
+def loss_slope(kind: LossKind, z: np.ndarray) -> np.ndarray:
+    """Derivative of the loss at margin z (0 at the hinge kink)."""
+    if kind is LossKind.LOGISTIC:
+        # sigmoid(z) without overflow: exp of a nonpositive argument only
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return (z > -1.0).astype(float)
+
+
 def reg_eval(kind: RegularizerKind, v) -> float:
     """Evaluate the regularizer r(v) for a coefficient vector v."""
     v = np.asarray(v, dtype=float)
@@ -60,18 +73,16 @@ def reg_eval(kind: RegularizerKind, v) -> float:
     return float(np.dot(v.ravel(), v.ravel()))
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("point coordinates must be finite")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y}")
-        object.__setattr__(self, "x", x)
+def reg_grad(kind: RegularizerKind, v, scale: float = 1.0) -> np.ndarray:
+    """(Sub)gradient of scale * r(v), with scale applied before the division
+    by the norm for the 2-norm."""
+    v = np.asarray(v, dtype=float)
+    if kind is RegularizerKind.L2_SQUARED:
+        return 2.0 * scale * v
+    if kind is RegularizerKind.L2:
+        norm = float(np.linalg.norm(v))
+        return scale * v / norm if norm > 0 else np.zeros_like(v)
+    return scale * np.sign(v)
 
 
 @dataclass(frozen=True)
@@ -160,8 +171,10 @@ class RlmInstance:
             raise ValueError("labels must be in {-1, +1}")
         if not (0.0 < self.kappa < 1.0):
             raise ValueError("kappa must lie in (0, 1)")
-        if self.lambda_scale <= 0:
-            raise ValueError("lambda_scale must be positive")
+        lam = self.lambda_scale * X.shape[0] ** self.kappa
+        if not (self.lambda_scale > 0 and math.isfinite(lam)):
+            raise ValueError(f"lambda_scale must be positive with lambda finite, "
+                             f"got {self.lambda_scale!r}")
         X.setflags(write=False)
         y.setflags(write=False)
         R = float(np.max(np.linalg.norm(X, axis=1))) if X.shape[0] else 0.0
@@ -169,7 +182,7 @@ class RlmInstance:
             warnings.warn("all points at the origin: regularizer has no effect")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "lam", self.lambda_scale * X.shape[0] ** self.kappa)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "R", R)
 
     @property
@@ -180,42 +193,71 @@ class RlmInstance:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def margins(self, h: Hypothesis) -> np.ndarray:
-        """Loss arguments z_i = -y_i (beta.x_i + bias) for every point."""
-        return -self.y * (self.X @ h.beta + h.bias)
-
-    def point_losses(self, h: Hypothesis) -> np.ndarray:
-        return loss_eval(self.loss, self.margins(h))
-
-    def regularizer(self, h: Hypothesis) -> float:
-        """The lambda * r(R*beta) term (bias included in the scaled vector)."""
-        v = self.R * np.append(h.beta, h.bias) if h.bias else self.R * h.beta
-        return self.lam * reg_eval(self.reg, v)
+    @property
+    def reg_scale(self) -> float:
+        """lambda * R**p, p = 2 for the squared 2-norm and 1 otherwise, so that
+        the regularizer term lambda * r(R*beta) is reg_scale * r(beta)."""
+        if self.reg is RegularizerKind.L2_SQUARED:
+            return self.lam * self.R * self.R
+        return self.lam * self.R
 
 
-def point_loss(inst: RlmInstance, i: int, h: Hypothesis) -> float:
-    z = -inst.y[i] * (inst.X[i] @ h.beta + h.bias)
-    return float(loss_eval(inst.loss, z))
+def is_full(inst: RlmInstance, cs: Optional[WeightedCoreset]) -> bool:
+    """True when cs is None or the identity coreset of inst: every row, weight 1."""
+    return cs is None or (cs.is_identity and cs.size == inst.n)
 
 
-def point_objective(inst: RlmInstance, i: int, h: Hypothesis) -> float:
-    """f_i(beta): the loss of point i plus its 1/n share of the regularizer."""
-    return point_loss(inst, i, h) + inst.regularizer(h) / inst.n
+def coreset_rows(
+    inst: RlmInstance, cs: Optional[WeightedCoreset]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The coreset's rows of X and y: the instance's own arrays on full
+    data, a gather of the q rows otherwise."""
+    if is_full(inst, cs):
+        return inst.X, inst.y
+    return inst.X[cs.indices], inst.y[cs.indices]
+
+
+def weighted_objective_grad(
+    inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray, grad: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
+    """Objective sum_C u_i f_i(beta) and its (sub)gradient; with cs None or
+    the identity coreset this is F(beta).  With grad=False the gradient is
+    not computed and None is returned in its place; the value is the same
+    float either way."""
+    X, y = coreset_rows(inst, cs)
+    z = -y * (X @ beta)
+    losses = loss_eval(inst.loss, z)
+    if is_full(inst, cs):
+        # np.sum is a fixed-order pairwise reduction, so results are reproducible
+        u, share, loss_sum = None, 1.0, float(np.sum(losses))
+    else:
+        u, share = cs.weights, cs.weight_sum() / inst.n
+        loss_sum = float(u @ losses)
+    scale = inst.reg_scale
+    f = loss_sum + share * (scale * reg_eval(inst.reg, beta))
+    if not grad:
+        return f, None
+    slope = loss_slope(inst.loss, z)
+    dz = slope * y if u is None else u * slope * y
+    return f, -(dz @ X) + share * reg_grad(inst.reg, beta, scale)
+
+
+def _coefficients(h: Hypothesis) -> np.ndarray:
+    # an RlmInstance has no bias coordinate; a lifted one has it as a column of X
+    if h.bias:
+        raise ValueError("RlmInstance hypotheses carry no bias; fold it into beta")
+    return h.beta
 
 
 def full_objective(inst: RlmInstance, h: Hypothesis) -> float:
-    # np.sum is a fixed-order pairwise reduction, so results are reproducible.
-    return float(np.sum(inst.point_losses(h))) + inst.regularizer(h)
+    return weighted_objective_grad(inst, None, _coefficients(h), grad=False)[0]
 
 
 def coreset_objective(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
     idx = cs.indices
     if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
         raise IndexError("coreset index out of range")
-    z = -inst.y[idx] * (inst.X[idx] @ h.beta + h.bias)
-    losses = loss_eval(inst.loss, z)
-    reg_share = cs.weight_sum() / inst.n * inst.regularizer(h)
-    return float(np.dot(cs.weights, losses)) + reg_share
+    return weighted_objective_grad(inst, cs, _coefficients(h), grad=False)[0]
 
 
 def approximation_error(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:

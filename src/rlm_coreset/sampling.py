@@ -1,5 +1,6 @@
-"""Coreset construction by i.i.d. sensitivity sampling, its uniform
-specialization, and a single-pass reservoir variant for streams.
+"""Coreset construction by uniform i.i.d. sampling, and a single-pass
+reservoir variant for streams.  The sensitivity bound is uniform, so
+sensitivity sampling with it is exactly uniform sampling with weights n/q.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly; the
 algorithm identifier RNG_ALGORITHM is recorded in serialized coresets so
@@ -9,13 +10,12 @@ results can be reproduced elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Tuple
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InvalidWeightsError, StreamTooShortError
+from .errors import EmptyDatasetError, StreamTooShortError
 from .model import RlmInstance, WeightedCoreset
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -24,32 +24,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 class SampleMode(Enum):
     IID_WITH_REPLACEMENT = "iid_with_replacement"
     RESERVOIR = "reservoir"
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int
-    q: int
-    mode: SampleMode = SampleMode.IID_WITH_REPLACEMENT
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be at least 1")
-
-
-def sensitivity_sample(n: int, s_prime, q: int, seed: int) -> WeightedCoreset:
-    """q i.i.d. draws with replacement, point i drawn with probability
-    s'_i/S', each carrying weight S'/(s'_i * q)."""
-    s = np.broadcast_to(np.asarray(s_prime, dtype=float), (n,))
-    if np.any(s <= 0):
-        raise InvalidWeightsError("all sensitivity bounds must be positive")
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    total = float(np.sum(s))
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=q, replace=True, p=s / total)
-    weights = total / (s[idx] * q)
-    return WeightedCoreset(indices=idx, weights=weights)
 
 
 def uniform_sample(inst_or_n, q: int, seed: int) -> WeightedCoreset:

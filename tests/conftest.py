@@ -17,12 +17,18 @@ def random_instance(rng, n=50, d=3, loss=LossKind.LOGISTIC,
     return RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=kappa)
 
 
-def brute_force_H(inst, cs, h):
-    """Direct re-implementation of the relative error definition, point by point."""
+def oracle_point_objectives(inst, h):
+    """f_i(beta) = loss_i(beta) + lambda*r(R*beta)/n for every point, one
+    point at a time."""
     reg_term = inst.lam * reg_eval(inst.reg, inst.R * np.append(h.beta, h.bias)
                                    if h.bias else inst.R * h.beta)
-    f = [float(loss_eval(inst.loss, -inst.y[i] * (inst.X[i] @ h.beta + h.bias)))
-         + reg_term / inst.n for i in range(inst.n)]
+    return [float(loss_eval(inst.loss, -inst.y[i] * (inst.X[i] @ h.beta + h.bias)))
+            + reg_term / inst.n for i in range(inst.n)]
+
+
+def brute_force_H(inst, cs, h):
+    """Direct re-implementation of the relative error definition, point by point."""
+    f = oracle_point_objectives(inst, h)
     full = sum(f)
     core = sum(w * f[i] for i, w in zip(cs.indices, cs.weights))
     return abs(full - core) / full

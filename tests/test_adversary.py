@@ -106,7 +106,6 @@ class TestCircleInstance:
         lifted = np.column_stack([pts, np.ones(16)])
         assert np.allclose(np.linalg.norm(lifted, axis=1), math.sqrt(2))
         inst = adv.gen_circle(16)
-        assert inst.radius_bound == pytest.approx(math.sqrt(2))
         assert adv.materialize_circle(inst).R == pytest.approx(math.sqrt(2))
 
 

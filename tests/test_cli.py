@@ -374,6 +374,55 @@ class TestAdversary:
         assert code == 3
 
 
+class TestNumericArguments:
+    """A numeric argument outside its range is refused with one stderr line,
+    no warning and no traceback."""
+
+    @pytest.fixture
+    def coreset(self, tmp_path):
+        path = tmp_path / "cs.json"
+        assert run(["sample", *SYNTH, "--size", "10", "--output", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", *SYNTH, "--sizes", "20", "--trials", "0", "--report", "{tmp}/s.csv"], 2),
+        (["sample", *SYNTH, "--lambda-scale", "inf", "--output", "{tmp}/o.json"], 2),
+        (["sample", *SYNTH, "--lambda-scale", "nan", "--output", "{tmp}/o.json"], 2),
+        (["adversary", "--kind", "circle", "--n", "1000", "--gamma", "5"], 3),
+        (["adversary", "--kind", "circle", "--n", "1000", "--gamma", "nan"], 3),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:0"], 2),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:0"], 2),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:inf"], 2),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:nan"], 2),
+        (["train", *SYNTH, "--grad-tol", "nan"], 2),
+        (["train", *SYNTH, "--method", "sgd", "--learning-rate", "nan"], 2),
+    ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
+            "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
+            "grad-tol-nan", "learning-rate-nan"])
+    def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
+        capsys.readouterr()
+        argv = [a.format(tmp=tmp_path, coreset=coreset) for a in argv]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert not [w for w in recwarn if issubclass(w.category, Warning)]
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["train", *SYNTH, "--size", "5"],
+        ["bench", *SYNTH, "--coreset", "missing.json"],
+        ["bench", *SYNTH, "--method", "sgd"],
+    ])
+    def test_flag_of_another_subcommand_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestTrainBench:
     def test_train_writes_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"

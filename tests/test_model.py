@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_H, random_instance
+from conftest import ALL_PAIRS, brute_force_H, oracle_point_objectives, random_instance
 from rlm_coreset.errors import ZeroObjectiveError
 from rlm_coreset.model import (
     Hypothesis,
-    LabeledPoint,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -19,9 +18,8 @@ from rlm_coreset.model import (
     coreset_objective,
     full_objective,
     loss_eval,
-    point_loss,
-    point_objective,
     reg_eval,
+    weighted_objective_grad,
 )
 
 
@@ -88,12 +86,6 @@ class TestRegEval:
 
 
 class TestTypes:
-    def test_labeled_point_validation(self):
-        with pytest.raises(ValueError):
-            LabeledPoint(x=np.array([1.0]), y=0)
-        with pytest.raises(ValueError):
-            LabeledPoint(x=np.array([np.inf]), y=1)
-
     def test_instance_lambda_and_R(self):
         inst = two_point_instance()
         assert inst.lam == pytest.approx(math.sqrt(2), rel=1e-12)
@@ -146,32 +138,28 @@ class TestTypes:
 
 
 class TestObjectives:
-    def test_point_loss_examples(self):
-        inst = two_point_instance()
-        h = Hypothesis(beta=np.array([1.0, 0.0]))
-        assert point_loss(inst, 0, h) == pytest.approx(0.31326168751822286, abs=1e-9)
-        hinge = RlmInstance(X=np.array([[1.0, 0.0]]), y=np.array([-1.0]),
-                            loss=LossKind.HINGE, reg=RegularizerKind.L2, kappa=0.5)
-        assert point_loss(hinge, 0, h) == 2.0
-
-    def test_point_objective_example(self):
-        inst = two_point_instance()
-        h = Hypothesis(beta=np.array([1.0, 0.0]))
-        expect = 0.31326168751822286 + math.sqrt(2) / 2
-        assert point_objective(inst, 0, h) == pytest.approx(expect, rel=1e-9)
-
-    def test_point_objective_difference_is_loss_difference(self, rng):
-        inst = random_instance(rng, n=10)
-        h = Hypothesis(beta=rng.standard_normal(3))
-        d_obj = point_objective(inst, 2, h) - point_objective(inst, 7, h)
-        d_loss = point_loss(inst, 2, h) - point_loss(inst, 7, h)
-        assert d_obj == pytest.approx(d_loss, rel=1e-12)
-
     def test_full_objective_example(self):
         inst = two_point_instance()
         h = Hypothesis(beta=np.array([1.0, 0.0]))
         expect = 0.31326168751822286 + 1.3132616875182228 + math.sqrt(2)
         assert full_objective(inst, h) == pytest.approx(expect, rel=1e-9)
+
+    def test_point_objective_example(self):
+        # f_0 is the objective of the unit-weight coreset {0}
+        inst = two_point_instance()
+        h = Hypothesis(beta=np.array([1.0, 0.0]))
+        expect = 0.31326168751822286 + math.sqrt(2) / 2
+        point = WeightedCoreset(indices=[0], weights=[1.0])
+        assert coreset_objective(inst, point, h) == pytest.approx(expect, rel=1e-9)
+
+    def test_point_objective_difference_is_loss_difference(self, rng):
+        # every point carries the same share of the regularizer
+        inst = random_instance(rng, n=10)
+        h = Hypothesis(beta=rng.standard_normal(3))
+        f2, f7 = (coreset_objective(inst, WeightedCoreset(indices=[i], weights=[1.0]), h)
+                  for i in (2, 7))
+        loss2, loss7 = loss_eval(inst.loss, -inst.y[[2, 7]] * (inst.X[[2, 7]] @ h.beta))
+        assert f2 - f7 == pytest.approx(loss2 - loss7, rel=1e-12)
 
     def test_full_objective_at_zero(self, rng):
         inst = random_instance(rng, n=17)
@@ -181,7 +169,7 @@ class TestObjectives:
     def test_full_equals_sum_of_point_objectives(self, rng):
         inst = random_instance(rng, n=23)
         h = Hypothesis(beta=rng.standard_normal(3))
-        total = sum(point_objective(inst, i, h) for i in range(inst.n))
+        total = sum(oracle_point_objectives(inst, h))
         assert full_objective(inst, h) == pytest.approx(total, rel=1e-10)
 
     def test_full_objective_deterministic(self, rng):
@@ -190,10 +178,60 @@ class TestObjectives:
         vals = {full_objective(inst, h) for _ in range(5)}
         assert len(vals) == 1
 
-    def test_index_out_of_range(self, rng):
-        inst = random_instance(rng, n=5)
-        with pytest.raises(IndexError):
-            point_loss(inst, 5, Hypothesis(beta=np.zeros(3)))
+class TestKernel:
+    """weighted_objective_grad, the one implementation of F and its gradient."""
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_value_and_gradient_against_oracles(self, loss, reg, seed):
+        # value against the per-point oracle, gradient against central
+        # differences of the value, on full data and a random weighted coreset
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n=int(rng.integers(2, 40)), loss=loss, reg=reg)
+        beta = rng.standard_normal(3) * rng.uniform(0.1, 3.0)
+        # away from the kinks: r at beta_j = 0 (l1) or beta = 0, hinge at z = -1
+        assume(np.all(np.abs(beta) > 1e-3))
+        assume(np.all(np.abs(1.0 - inst.y * (inst.X @ beta)) > 1e-3))
+        q = int(rng.integers(1, 2 * inst.n))
+        weighted = WeightedCoreset(indices=rng.integers(0, inst.n, size=q),
+                                   weights=rng.uniform(0.1, 5.0, size=q))
+        f_i = oracle_point_objectives(inst, Hypothesis(beta=beta))
+        for cs, expect in (
+            (None, sum(f_i)),
+            (weighted, sum(w * f_i[i] for i, w in zip(weighted.indices, weighted.weights))),
+        ):
+            f, g = weighted_objective_grad(inst, cs, beta)
+            assert f == pytest.approx(expect, rel=1e-12)
+            g_num = np.zeros(3)
+            for j in range(3):
+                step = 1e-6 * (1 + abs(beta[j]))
+                up, dn = beta.copy(), beta.copy()
+                up[j] += step
+                dn[j] -= step
+                g_num[j] = (weighted_objective_grad(inst, cs, up, grad=False)[0]
+                            - weighted_objective_grad(inst, cs, dn, grad=False)[0]) / (2 * step)
+            scale = max(float(np.linalg.norm(g_num)), 1.0)
+            assert float(np.linalg.norm(g - g_num)) / scale <= 1e-5
+
+    def test_identity_coreset_is_full_data(self, rng):
+        inst = random_instance(rng, n=30)
+        ident = WeightedCoreset(indices=np.arange(30), weights=np.ones(30))
+        beta = rng.standard_normal(3)
+        f, g = weighted_objective_grad(inst, None, beta)
+        f_id, g_id = weighted_objective_grad(inst, ident, beta)
+        assert f == f_id and np.array_equal(g, g_id)
+
+    def test_bias_is_refused(self, rng):
+        # an RlmInstance has no bias coordinate; lifted instances fold it into beta
+        inst = random_instance(rng, n=10)
+        h = Hypothesis(beta=rng.standard_normal(3), bias=0.5)
+        cs = WeightedCoreset(indices=[1, 2], weights=[5.0, 5.0])
+        for evaluate in (lambda: full_objective(inst, h),
+                         lambda: coreset_objective(inst, cs, h),
+                         lambda: approximation_error(inst, cs, h)):
+            with pytest.raises(ValueError, match="bias"):
+                evaluate()
 
 
 class TestCoresetObjective:
@@ -216,8 +254,9 @@ class TestCoresetObjective:
         inst = random_instance(rng, n=10)
         h = Hypothesis(beta=rng.standard_normal(3))
         cs = WeightedCoreset(indices=np.array([4]), weights=np.array([3.0]))
-        assert coreset_objective(inst, cs, h) == pytest.approx(
-            3 * point_objective(inst, 4, h), rel=1e-12)
+        f4 = float(loss_eval(inst.loss, -inst.y[4] * (inst.X[4] @ h.beta))) \
+            + inst.lam * reg_eval(inst.reg, inst.R * h.beta) / inst.n
+        assert coreset_objective(inst, cs, h) == pytest.approx(3 * f4, rel=1e-12)
 
     def test_invalid_index(self, rng):
         inst = random_instance(rng, n=10)
@@ -241,7 +280,8 @@ class TestApproximationError:
         cs = WeightedCoreset(indices=np.arange(25), weights=np.ones(25))
         for _ in range(1000):
             h = Hypothesis(beta=rng.standard_normal(3) * rng.uniform(0, 10))
-            assert approximation_error(inst, cs, h) <= 1e-12
+            # the identity coreset is evaluated as the full data, by one kernel
+            assert approximation_error(inst, cs, h) == 0.0
 
     def test_zero_objective_error(self, rng, monkeypatch):
         # F = 0 is unreachable through well-formed instances (hinge needs all

@@ -2,60 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from rlm_coreset.errors import (
-    EmptyDatasetError,
-    InvalidWeightsError,
-    StreamTooShortError,
-)
+from rlm_coreset.errors import EmptyDatasetError, StreamTooShortError
 from rlm_coreset.model import WeightedCoreset, approximation_error, check_weight_sum
-from rlm_coreset.sampling import (
-    ReservoirSampler,
-    SamplerConfig,
-    sensitivity_sample,
-    stream_sample,
-    uniform_sample,
-)
-
-
-class TestSensitivitySample:
-    def test_uniform_bounds_reduce_to_uniform_weights(self):
-        cs = sensitivity_sample(100, 0.3, q=10, seed=7)
-        assert np.allclose(cs.weights, 100 / 10)
-        assert cs.weight_sum() == pytest.approx(100.0)
-
-    def test_single_point(self):
-        cs = sensitivity_sample(1, np.array([0.5]), q=5, seed=0)
-        assert np.all(cs.indices == 0)
-        assert np.allclose(cs.weights, 0.2)
-        assert cs.weight_sum() == pytest.approx(1.0)
-
-    def test_weighted_identity(self, rng):
-        s = rng.uniform(0.01, 1.0, size=50)
-        cs = sensitivity_sample(50, s, q=200, seed=3)
-        # sum over draws of u_i * s'_i recovers S' exactly
-        assert float(np.sum(cs.weights * s[cs.indices])) == pytest.approx(
-            float(np.sum(s)), rel=1e-12)
-
-    def test_rejects_nonpositive_bounds(self):
-        with pytest.raises(InvalidWeightsError):
-            sensitivity_sample(3, np.array([0.5, 0.0, 0.5]), q=2, seed=0)
-
-    def test_deterministic(self, rng):
-        s = rng.uniform(0.1, 1.0, size=30)
-        a = sensitivity_sample(30, s, q=10, seed=42)
-        b = sensitivity_sample(30, s, q=10, seed=42)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_nonuniform_frequencies(self):
-        # one point with 9x the bound of the others should be drawn ~9x as often
-        s = np.array([9.0] + [1.0] * 9)
-        counts = np.zeros(10)
-        cs = sensitivity_sample(10, s, q=20000, seed=11)
-        counts = np.bincount(cs.indices, minlength=10)
-        p0 = 9.0 / 18.0
-        sigma = np.sqrt(20000 * p0 * (1 - p0))
-        assert abs(counts[0] - 20000 * p0) <= 4 * sigma
+from rlm_coreset.sampling import ReservoirSampler, stream_sample, uniform_sample
 
 
 class TestUniformSample:
@@ -177,15 +126,9 @@ class TestReservoir:
 
 
 class TestSamplerConfig:
-    def test_rejects_zero_q(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=0, q=0)
-
     def test_invalid_q_everywhere(self):
         with pytest.raises(ValueError):
             uniform_sample(10, 0, seed=0)
-        with pytest.raises(ValueError):
-            sensitivity_sample(10, 0.5, 0, seed=0)
         with pytest.raises(ValueError):
             ReservoirSampler(q=0, seed=0)
 
