@@ -40,26 +40,47 @@ def vc_bound(d: int) -> int:
     return d + 1
 
 
-def softplus(z):
-    """Numerically stable log(1 + exp(z)); works on scalars and arrays."""
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """exp(-|z|) in one new array: the one exponential that softplus and the
+    sigmoid share, and never of a positive argument, so it cannot overflow."""
+    e = np.abs(z, out=np.empty(np.shape(z)))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def softplus(z, e=None):
+    """Numerically stable log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|));
+    works on scalars and arrays.  e, when given, is exp(-|z|) for an array z
+    and is overwritten with the result."""
     z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    if z.ndim == 0:  # the scalars of adversary.two_cluster_H and sensitivity
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    if e is None:
+        e = _exp_neg_abs(z)
+    np.log1p(e, out=e)
+    e += np.maximum(z, 0.0)
+    return e
 
 
-def loss_eval(kind: LossKind, z):
-    """Evaluate the loss at margin z. Vectorized over z."""
+def loss_eval(kind: LossKind, z, e=None):
+    """Evaluate the loss at margin z. Vectorized over z; e is passed on to
+    softplus."""
     z = np.asarray(z, dtype=float)
     if kind is LossKind.LOGISTIC:
-        return softplus(z)
+        return softplus(z, e)
     return np.maximum(0.0, 1.0 + z)
 
 
-def loss_slope(kind: LossKind, z: np.ndarray) -> np.ndarray:
-    """Derivative of the loss at margin z (0 at the hinge kink)."""
+def loss_slope(kind: LossKind, z: np.ndarray, e=None) -> np.ndarray:
+    """Derivative of the loss at margin z (0 at the hinge kink).  For the
+    logistic loss e, when given, is exp(-|z|); it is read, not changed."""
     if kind is LossKind.LOGISTIC:
-        # sigmoid(z) without overflow: exp of a nonpositive argument only
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        # sigmoid(z) = 1/(1+e) for z >= 0 and e/(1+e) below: one division
+        if e is None:
+            e = _exp_neg_abs(z)
+        s = np.where(z >= 0, 1.0, e)
+        s /= 1.0 + e
+        return s
     return (z > -1.0).astype(float)
 
 
@@ -226,7 +247,10 @@ def weighted_objective_grad(
     float either way."""
     X, y = coreset_rows(inst, cs)
     z = -y * (X @ beta)
-    losses = loss_eval(inst.loss, z)
+    # the logistic value and slope share one exp(-|z|); the value consumes it
+    e = _exp_neg_abs(z) if inst.loss is LossKind.LOGISTIC else None
+    slope = loss_slope(inst.loss, z, e) if grad else None
+    losses = loss_eval(inst.loss, z, e)
     if is_full(inst, cs):
         # np.sum is a fixed-order pairwise reduction, so results are reproducible
         u, share, loss_sum = None, 1.0, float(np.sum(losses))
@@ -237,7 +261,6 @@ def weighted_objective_grad(
     f = loss_sum + share * (scale * reg_eval(inst.reg, beta))
     if not grad:
         return f, None
-    slope = loss_slope(inst.loss, z)
     dz = slope * y if u is None else u * slope * y
     return f, -(dz @ X) + share * reg_grad(inst.reg, beta, scale)
 

@@ -69,10 +69,16 @@ class TrainConfig:
 @dataclass
 class TrainTrace:
     """Per-iteration record of (optimizer wall-clock seconds, full-dataset
-    objective).  Objective evaluation time is excluded from the clock."""
+    objective).  Objective evaluation time is excluded from the clock.
+
+    stop_reason says why the run ended: ``converged`` (the gradient norm met
+    grad_tol, or beta = 0 is the optimum at the 2-norm's kink), ``stalled``
+    (GD reached a fixed point: every further iteration would return the
+    same beta) or ``max_iters`` (the iteration or epoch budget ran out)."""
 
     seconds: List[float] = field(default_factory=list)
     objectives: List[float] = field(default_factory=list)
+    stop_reason: str = "max_iters"
 
     def append(self, t: float, f: float) -> None:
         self.seconds.append(t)
@@ -114,6 +120,15 @@ def _trace_point(inst, full_cs, beta, trace, clock, f_full=None):
     trace.append(clock, f_full)
 
 
+def _kink_bound(inst, cs) -> float:
+    """For the (non-squared) 2-norm, the radius (sum u / n) * lambda * R of
+    the weighted regularizer's subdifferential at beta = 0: beta = 0 is
+    optimal when the loss gradient there is no longer.  0 otherwise."""
+    if inst.reg is not RegularizerKind.L2:
+        return 0.0
+    return (cs.weight_sum() / inst.n) * inst.reg_scale
+
+
 def _train_gd(inst, cs, full_cs, cfg):
     beta = np.zeros(inst.d)
     trace = TrainTrace()
@@ -121,39 +136,62 @@ def _train_gd(inst, cs, full_cs, cfg):
     # trace records, so the trace reuses it instead of evaluating again
     full = cs is full_cs
     smooth = _is_smooth(inst)
+    kink = _kink_bound(inst, cs) if smooth else 0.0
     clock = 0.0
     best_beta, best_f = beta.copy(), np.inf
     step = STEP_INIT
+    # a full-data subgradient iterate whose trace value is the f that the
+    # next iteration computes with its gradient
+    pending = False
     for it in range(cfg.max_iters):
         t0 = time.perf_counter()
         f, g = weighted_objective_grad(inst, cs, beta)
+        if pending:
+            _trace_point(inst, full_cs, beta, trace, clock, f)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
             raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
         gnorm = float(np.linalg.norm(g))
         if f < best_f:
             best_f, best_beta = f, beta.copy()
-        if gnorm <= cfg.grad_tol:
+        # at iteration 0 beta = 0 and the regularizer's gradient there is 0,
+        # so g is the loss gradient and the kink test is the optimality test
+        if gnorm <= cfg.grad_tol or (it == 0 and gnorm <= kink):
             clock += time.perf_counter() - t0
             _trace_point(inst, full_cs, beta, trace, clock, f if full else None)
+            trace.stop_reason = "converged"
             break
         f_next = None
+        stalled = False
         if smooth:
             step *= 2.0  # warm start from the last accepted step
+            backtracked = False
             while True:
                 cand = beta - step * g
                 f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False)
                 if f_new <= f - ARMIJO_C * step * gnorm * gnorm:
                     break
                 step *= ARMIJO_SHRINK
+                backtracked = True
                 if step < 1e-20:
                     raise NonFiniteError("Armijo backtracking underflow")
+            # the next iteration would see the same (beta, f, g), reject the
+            # same doubled step and accept this one again, forever
+            stalled = backtracked and cand.tobytes() == beta.tobytes()
             beta = cand
             if full:
                 f_next = f_new
         else:
             beta = beta - STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
+            pending = full
         clock += time.perf_counter() - t0
-        _trace_point(inst, full_cs, beta, trace, clock, f_next)
+        if not pending:
+            _trace_point(inst, full_cs, beta, trace, clock, f_next)
+        if stalled:
+            trace.stop_reason = "stalled"
+            break
+    else:
+        if pending:
+            _trace_point(inst, full_cs, beta, trace, clock)
     result = beta if smooth else best_beta
     return Hypothesis(beta=result), trace
 
@@ -169,16 +207,19 @@ def _train_sgd(inst, cs, full_cs, cfg):
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(m)
-        for lo in range(0, m, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            Xb, yb, ub = X[batch], y[batch], u[batch]
-            z = -yb * (Xb @ beta)
-            dz = loss_slope(inst.loss, z)
-            # mean-objective gradient: per-point loss terms plus the 1/n
-            # regularizer share, so the step scale is independent of n
-            g = -((ub * dz * yb) @ Xb) / float(np.sum(ub))
-            g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
-            beta = beta - cfg.learning_rate * g
+        # a diverging run overflows inside the epoch; the check below
+        # reports it as one error instead of numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, m, cfg.batch_size):
+                batch = order[lo : lo + cfg.batch_size]
+                Xb, yb, ub = X[batch], y[batch], u[batch]
+                z = -yb * (Xb @ beta)
+                dz = loss_slope(inst.loss, z)
+                # mean-objective gradient: per-point loss terms plus the 1/n
+                # regularizer share, so the step scale is independent of n
+                g = -((ub * dz * yb) @ Xb) / float(np.sum(ub))
+                g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
+                beta = beta - cfg.learning_rate * g
         if not np.all(np.isfinite(beta)):
             raise NonFiniteError(f"SGD diverged in epoch {epoch}")
         clock += time.perf_counter() - t0

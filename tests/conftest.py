@@ -3,9 +3,18 @@ import csv
 import numpy as np
 import pytest
 
-from rlm_coreset import data_io
-from rlm_coreset.errors import LabelError, ParseError
-from rlm_coreset.model import LossKind, RegularizerKind, RlmInstance, loss_eval, reg_eval
+from rlm_coreset import data_io, solver
+from rlm_coreset.errors import LabelError, NonFiniteError, ParseError
+from rlm_coreset.model import (
+    LossKind,
+    RegularizerKind,
+    RlmInstance,
+    WeightedCoreset,
+    is_full,
+    loss_eval,
+    reg_eval,
+    weighted_objective_grad,
+)
 
 ALL_PAIRS = [(loss, reg) for loss in LossKind for reg in RegularizerKind]
 
@@ -100,6 +109,64 @@ def oracle_load_csv(path, label_column=None):
     X = np.asarray(rows)
     y = data_io._map_binary_labels(np.asarray(raw_labels))
     return X, y, X.shape[1]
+
+
+def oracle_softplus(z):
+    """Logistic loss value in its two-exponential form: the reference the
+    in-place softplus must match bit for bit."""
+    z = np.asarray(z, dtype=float)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def oracle_sigmoid(z):
+    """Logistic loss slope in its two-division form: the reference the
+    one-division sigmoid must match bit for bit."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def oracle_train_gd(inst, cfg, cs=None):
+    """Full-batch GD that always runs to grad_tol or max_iters, with a
+    separate full-data evaluation for every trace point: the reference whose
+    final beta the stopping solver must match bit for bit and whose trace
+    its trace must be a prefix of.  Returns (beta, objectives)."""
+    n = inst.n
+    if cs is None:
+        cs = WeightedCoreset(indices=np.arange(n), weights=np.ones(n))
+    full_cs = cs if is_full(inst, cs) else WeightedCoreset(indices=np.arange(n),
+                                                           weights=np.ones(n))
+    full = cs is full_cs
+    smooth = inst.loss is LossKind.LOGISTIC and inst.reg is not RegularizerKind.L1
+    beta = np.zeros(inst.d)
+    objectives = []
+    best_beta, best_f = beta.copy(), np.inf
+    step = solver.STEP_INIT
+    for it in range(cfg.max_iters):
+        f, g = weighted_objective_grad(inst, cs, beta)
+        if not (np.isfinite(f) and np.all(np.isfinite(g))):
+            raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
+        gnorm = float(np.linalg.norm(g))
+        if f < best_f:
+            best_f, best_beta = f, beta.copy()
+        if gnorm <= cfg.grad_tol:
+            objectives.append(f if full else
+                              weighted_objective_grad(inst, full_cs, beta, grad=False)[0])
+            break
+        if smooth:
+            step *= 2.0
+            while True:
+                cand = beta - step * g
+                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False)
+                if f_new <= f - solver.ARMIJO_C * step * gnorm * gnorm:
+                    break
+                step *= solver.ARMIJO_SHRINK
+                if step < 1e-20:
+                    raise NonFiniteError("Armijo backtracking underflow")
+            beta = cand
+        else:
+            beta = beta - solver.STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
+        objectives.append(weighted_objective_grad(inst, full_cs, beta, grad=False)[0])
+    return (beta if smooth else best_beta), objectives
 
 
 @pytest.fixture

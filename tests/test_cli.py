@@ -396,9 +396,10 @@ class TestNumericArguments:
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:nan"], 2),
         (["train", *SYNTH, "--grad-tol", "nan"], 2),
         (["train", *SYNTH, "--method", "sgd", "--learning-rate", "nan"], 2),
+        (["train", *SYNTH, "--method", "sgd", "--learning-rate", "1e300"], 4),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
-            "grad-tol-nan", "learning-rate-nan"])
+            "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         capsys.readouterr()
         argv = [a.format(tmp=tmp_path, coreset=coreset) for a in argv]
@@ -449,6 +450,22 @@ class TestTrainBench:
         assert code == 0
         with open(trace) as fh:
             assert len(list(csv.reader(fh))) == 1 + 3  # one row per epoch
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_optimum_at_the_2_norm_kink_prints_f_of_zero(self, tmp_path, capsys, seed):
+        # noisy labels and q = 40: beta = 0 is the coreset optimum for the
+        # plain 2-norm, where GD once ended in an Armijo underflow (exit 4)
+        data = ["--format", "synthetic", "--input", f"n=400,d=3,noise=0.5,seed={seed}",
+                "--reg", "l2"]
+        out = tmp_path / "cs.json"
+        assert run(["sample", *data, "--size", "40", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["train", *data, "--coreset", str(out)]) == 0
+        X, y, _ = data_io.gen_synthetic(n=400, d=3, noise=0.5, seed=seed)
+        inst = rlm_coreset.RlmInstance(X=X, y=y, loss=rlm_coreset.LossKind.LOGISTIC,
+                                       reg=rlm_coreset.RegularizerKind.L2, kappa=0.5)
+        f0 = rlm_coreset.full_objective(inst, rlm_coreset.Hypothesis(beta=np.zeros(3)))
+        assert capsys.readouterr().out == f"final_objective={f0!r} beta_norm=0.0\n"
 
     @pytest.mark.parametrize("command", ["train", "bench"])
     @pytest.mark.parametrize("flag", ["--max-iters", "--epochs"])

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import ALL_PAIRS, brute_force_H, oracle_point_objectives, random_instance
+from conftest import (
+    ALL_PAIRS,
+    brute_force_H,
+    oracle_point_objectives,
+    oracle_sigmoid,
+    oracle_softplus,
+    random_instance,
+)
+from rlm_coreset import model
 from rlm_coreset.errors import ZeroObjectiveError
 from rlm_coreset.model import (
     Hypothesis,
@@ -18,6 +27,7 @@ from rlm_coreset.model import (
     coreset_objective,
     full_objective,
     loss_eval,
+    loss_slope,
     reg_eval,
     weighted_objective_grad,
 )
@@ -62,6 +72,43 @@ class TestLossEval:
         for kind in LossKind:
             vlo, vhi = float(loss_eval(kind, lo)), float(loss_eval(kind, hi))
             assert 0.0 <= vlo <= vhi
+
+
+# margins up to |z| = 800, past where exp(-|z|) underflows, with both zeros
+MARGINS = st.one_of(st.floats(-800, 800), st.sampled_from([0.0, -0.0, 800.0, -800.0]))
+
+
+class TestLogisticKernel:
+    """softplus and the sigmoid share one exp(-|z|) and compute in place; the
+    floats must be the two-exponential, two-division forms' to the bit."""
+
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=20),
+                      elements=MARGINS))
+    @settings(max_examples=300)
+    def test_value_and_slope_bytes_equal_the_reference(self, z):
+        value = np.asarray(loss_eval(LossKind.LOGISTIC, z))
+        slope = np.asarray(loss_slope(LossKind.LOGISTIC, z))
+        assert value.tobytes() == np.asarray(oracle_softplus(z)).tobytes()
+        assert slope.tobytes() == np.asarray(oracle_sigmoid(z)).tobytes()
+        assert value.shape == slope.shape == z.shape
+        if z.ndim:
+            # the kernel's path: the slope reads e, then the value consumes it
+            e = model._exp_neg_abs(z)
+            assert loss_slope(LossKind.LOGISTIC, z, e).tobytes() == slope.tobytes()
+            assert loss_eval(LossKind.LOGISTIC, z, e).tobytes() == value.tobytes()
+
+    @given(st.floats(-800, 800))
+    def test_scalar_softplus_is_a_numpy_scalar(self, z):
+        value = loss_eval(LossKind.LOGISTIC, z)
+        assert np.ndim(value) == 0
+        assert float(value) == float(oracle_softplus(z))
+
+    def test_input_is_not_modified(self):
+        z = np.array([-3.0, 0.0, 2.5])
+        before = z.copy()
+        loss_eval(LossKind.LOGISTIC, z)
+        loss_slope(LossKind.LOGISTIC, z)
+        assert np.array_equal(z, before)
 
 
 class TestRegEval:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ALL_PAIRS, random_instance
+from conftest import ALL_PAIRS, oracle_train_gd, random_instance
 from rlm_coreset import solver
 from rlm_coreset.data_io import gen_synthetic
 from rlm_coreset.model import (
@@ -118,7 +118,7 @@ class TestValueOnly:
         monkeypatch.setattr(solver, "_trace_point", recording)
         # labels from a hyperplane, as the CLI's synthetic data: with random
         # labels the logistic/l2 optimum on a coreset is beta = 0, where GD
-        # stops with an Armijo underflow (a known solver defect)
+        # stops at iteration 0 by the kink rule (see TestStopRule)
         X, y, _ = gen_synthetic(120, 3, noise=0.1, seed=7)
         for loss, reg in ALL_PAIRS:
             inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
@@ -130,6 +130,94 @@ class TestValueOnly:
                 assert len(trace.objectives) == len(iterates) > 0
                 for beta, f in zip(iterates, trace.objectives):
                     assert f == full_objective(inst, Hypothesis(beta=beta))
+
+
+def stop_rule_cases():
+    """Every loss x regularizer pair on full data, a weighted coreset and the
+    identity coreset, on hyperplane labels, where beta = 0 is not optimal."""
+    X, y, _ = gen_synthetic(200, 3, noise=0.1, seed=7)
+    for loss, reg in ALL_PAIRS:
+        inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
+        for name, cs in (("full", None), ("weighted", uniform_sample(inst, 40, seed=3)),
+                         ("identity", identity_cs(inst.n))):
+            yield pytest.param(inst, cs, id=f"{loss.value}-{reg.value}-{name}")
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("max_iters", [1, 2, 40, 500])
+    @pytest.mark.parametrize("inst, cs", list(stop_rule_cases()))
+    def test_same_beta_and_a_prefix_of_the_trace(self, inst, cs, max_iters):
+        cfg = TrainConfig(max_iters=max_iters)
+        # not the kink case: the loss gradient at 0 is outside the bound
+        g0 = weighted_objective_grad(inst, cs, np.zeros(inst.d))[1]
+        assert float(np.linalg.norm(g0)) > solver._kink_bound(
+            inst, cs if cs is not None else identity_cs(inst.n))
+        beta_ref, trace_ref = oracle_train_gd(inst, cfg, cs)
+        beta_hat, trace = train(inst, cfg, cs)
+        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert 0 < len(trace.objectives) <= len(trace_ref)
+        assert trace.objectives == trace_ref[:len(trace.objectives)]
+        assert len(trace.seconds) == len(trace.objectives)
+        if inst.loss is LossKind.HINGE or inst.reg is RegularizerKind.L1:
+            # the subgradient branch never stalls: its trace is the whole one
+            assert trace.objectives == trace_ref
+        if len(trace.objectives) < len(trace_ref):
+            assert trace.stop_reason == "stalled"
+            # only a tail that repeats the final value goes
+            assert set(trace_ref[len(trace.objectives) - 1:]) == {trace.objectives[-1]}
+
+    @pytest.mark.parametrize("q, iters", [(50, 15), (200, 56)])
+    def test_stalled_on_the_sweep_inputs(self, q, iters):
+        # the benchmark sweep's inputs: n=1000, d=10, data and sampling seed 0
+        X, y, _ = gen_synthetic(1000, 10, noise=0.1, seed=0)
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                           reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        cs = uniform_sample(inst, q, 0)
+        beta_hat, trace = train(inst, TrainConfig(), cs)
+        assert trace.stop_reason == "stalled" and len(trace.objectives) == iters
+        beta_ref, trace_ref = oracle_train_gd(inst, TrainConfig(), cs)
+        assert len(trace_ref) == 500
+        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert trace.objectives == trace_ref[:iters]
+
+    def test_converged(self, rng):
+        inst = random_instance(rng, n=100)
+        cfg = TrainConfig(grad_tol=1e-5, max_iters=2000)
+        beta_hat, trace = train(inst, cfg)
+        assert trace.stop_reason == "converged"
+        beta_ref, trace_ref = oracle_train_gd(inst, cfg)
+        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert trace.objectives == trace_ref
+
+    @pytest.mark.parametrize("method", list(TrainMethod))
+    def test_max_iters(self, rng, method):
+        inst = random_instance(rng, n=100)
+        _, trace = train(inst, TrainConfig(method=method, max_iters=3, epochs=3))
+        assert trace.stop_reason == "max_iters" and len(trace.objectives) == 3
+
+    def test_kink_optimum_returns_zero(self, rng):
+        # random labels: the logistic loss gradient at 0 is within the 2-norm's
+        # subdifferential radius (sum u / n) * lambda * R, so beta = 0 is optimal
+        inst = random_instance(rng, n=400, reg=RegularizerKind.L2)
+        for cs in (None, uniform_sample(inst, 40, seed=1)):
+            w = identity_cs(inst.n) if cs is None else cs
+            g0 = weighted_objective_grad(inst, w, np.zeros(3))[1]
+            assert 0 < float(np.linalg.norm(g0)) <= solver._kink_bound(inst, w)
+            beta_hat, trace = train(inst, TrainConfig(), cs)
+            assert not beta_hat.beta.any() and trace.stop_reason == "converged"
+            zero = full_objective(inst, Hypothesis(beta=np.zeros(3)))
+            assert trace.objectives == [zero]
+
+    def test_kink_rule_is_smooth_branch_only(self, rng):
+        # hinge with the 2-norm takes subgradient steps from 0 although its
+        # gradient there is within the bound the smooth branch tests
+        inst = random_instance(rng, n=400, loss=LossKind.HINGE, reg=RegularizerKind.L2)
+        g0 = weighted_objective_grad(inst, None, np.zeros(3))[1]
+        assert float(np.linalg.norm(g0)) <= solver._kink_bound(inst, identity_cs(inst.n))
+        cfg = TrainConfig(max_iters=5)
+        _, trace = train(inst, cfg)
+        assert trace.stop_reason == "max_iters"
+        assert trace.objectives == oracle_train_gd(inst, cfg)[1]
 
 
 class TestTrainConfig:
