@@ -50,11 +50,9 @@ def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
 
 def softplus(z, e=None):
     """Numerically stable log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|));
-    works on scalars and arrays.  e, when given, is exp(-|z|) for an array z
-    and is overwritten with the result."""
+    works on scalars (a 0-d array comes back) and arrays.  e, when given, is
+    exp(-|z|) and is overwritten with the result."""
     z = np.asarray(z, dtype=float)
-    if z.ndim == 0:  # the scalars of adversary.two_cluster_H and sensitivity
-        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     if e is None:
         e = _exp_neg_abs(z)
     np.log1p(e, out=e)

@@ -91,14 +91,13 @@ class TestLogisticKernel:
         assert value.tobytes() == np.asarray(oracle_softplus(z)).tobytes()
         assert slope.tobytes() == np.asarray(oracle_sigmoid(z)).tobytes()
         assert value.shape == slope.shape == z.shape
-        if z.ndim:
-            # the kernel's path: the slope reads e, then the value consumes it
-            e = model._exp_neg_abs(z)
-            assert loss_slope(LossKind.LOGISTIC, z, e).tobytes() == slope.tobytes()
-            assert loss_eval(LossKind.LOGISTIC, z, e).tobytes() == value.tobytes()
+        # the kernel's path: the slope reads e, then the value consumes it
+        e = model._exp_neg_abs(z)
+        assert loss_slope(LossKind.LOGISTIC, z, e).tobytes() == slope.tobytes()
+        assert loss_eval(LossKind.LOGISTIC, z, e).tobytes() == value.tobytes()
 
     @given(st.floats(-800, 800))
-    def test_scalar_softplus_is_a_numpy_scalar(self, z):
+    def test_scalar_softplus_is_zero_dimensional(self, z):
         value = loss_eval(LossKind.LOGISTIC, z)
         assert np.ndim(value) == 0
         assert float(value) == float(oracle_softplus(z))
