@@ -30,7 +30,6 @@ from .model import (
 )
 from .sampling import (
     RNG_ALGORITHM,
-    ReservoirSampler,
     SampleMode,
     stream_sample,
     uniform_sample,

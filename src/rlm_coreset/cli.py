@@ -47,6 +47,7 @@ EXIT_NUMERIC = 4
 _INPUT_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
+    MemoryError,
     ParseError,
     LabelError,
     NonBinaryLabelsError,
@@ -276,6 +277,8 @@ def _parse_sizes(spec: str, n: int):
 def cmd_sweep(args) -> int:
     inst = _load_instance(args)
     sizes = _parse_sizes(args.sizes, inst.n)
+    if not sizes:
+        raise ValueError(f"--sizes {args.sizes!r} gives no sizes")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rows = []
@@ -334,7 +337,7 @@ def cmd_adversary(args) -> int:
         indices = (np.arange(k) * (args.n // k)) % args.n
         weights = np.full(k, args.n / k)
         chunk = adversary.find_chunk(args.n, k, indices)
-        norm = args.norm_override if args.norm_override else (
+        norm = args.norm_override if args.norm_override is not None else (
             adversary.default_beta_norm(args.n, args.gamma, k, inst.lam)
         )
         h = adversary.chunk_hypothesis(chunk, norm)

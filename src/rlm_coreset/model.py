@@ -104,6 +104,12 @@ def reg_grad(kind: RegularizerKind, v, scale: float = 1.0) -> np.ndarray:
     return scale * np.sign(v)
 
 
+def max_row_norm(X: np.ndarray) -> float:
+    """The largest row 2-norm of a 2-D array, 0.0 when it has no rows: the
+    radius R of an instance and of a streamed reservoir."""
+    return float(np.max(np.linalg.norm(X, axis=1))) if X.shape[0] else 0.0
+
+
 @dataclass(frozen=True)
 class Hypothesis:
     """Coefficient vector, with an optional bias used by lifted (circle) instances."""
@@ -196,7 +202,7 @@ class RlmInstance:
                              f"got {self.lambda_scale!r}")
         X.setflags(write=False)
         y.setflags(write=False)
-        R = float(np.max(np.linalg.norm(X, axis=1))) if X.shape[0] else 0.0
+        R = max_row_norm(X)
         if R == 0.0 and X.shape[0]:
             warnings.warn("all points at the origin: regularizer has no effect")
         object.__setattr__(self, "X", X)

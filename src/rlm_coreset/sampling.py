@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Tuple
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyDatasetError, StreamTooShortError
-from .model import RlmInstance, WeightedCoreset
+from .model import RlmInstance, WeightedCoreset, max_row_norm
 
 RNG_ALGORITHM = "numpy-pcg64"
+# pairs the reservoir reads and converts at a time
+STREAM_BLOCK = 1024
 
 
 class SampleMode(Enum):
@@ -49,57 +52,48 @@ def uniform_sample(inst_or_n, q: int, seed: int) -> WeightedCoreset:
     return WeightedCoreset(indices=idx, weights=weights)
 
 
-class ReservoirSampler:
-    """Single-pass uniform without-replacement sampler with O(q) memory.
-
-    Stateful and single-owner; feed items with push() and call finalize()
-    once the stream ends.  Also tracks the running maximum point norm R.
-    """
-
-    def __init__(self, q: int, seed: int):
-        if q < 1:
-            raise ValueError("q must be at least 1")
-        self.q = q
-        self._rng = np.random.default_rng(seed)
-        self._points: list[np.ndarray] = []
-        self._labels: list[float] = []
-        self._seen = 0
-        self._radius = 0.0
-
-    def push(self, x, y) -> None:
-        x = np.asarray(x, dtype=float)
-        # the 2-norm as np.linalg.norm computes it for a 1-D vector, without its overhead
-        self._radius = max(self._radius, math.sqrt(x.dot(x)))
-        i = self._seen
-        self._seen += 1
-        if i < self.q:
-            self._points.append(x)
-            self._labels.append(float(y))
-            return
-        j = int(self._rng.integers(0, i + 1))
-        if j < self.q:
-            self._points[j] = x
-            self._labels[j] = float(y)
-
-    def finalize(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-        """Returns (points, labels, weights, R, n); weights are n/q once the
-        stream length n is known (1 when the whole stream was retained)."""
-        if self._seen == 0:
-            raise StreamTooShortError("empty stream")
-        kept = len(self._points)
-        w = np.ones(kept) if self._seen <= self.q else np.full(kept, self._seen / self.q)
-        return (
-            np.vstack(self._points),
-            np.asarray(self._labels),
-            w,
-            self._radius,
-            self._seen,
-        )
-
-
 def stream_sample(stream: Iterable, q: int, seed: int):
-    """Run the reservoir over an iterable of (x, y) pairs."""
-    sampler = ReservoirSampler(q, seed)
-    for x, y in stream:
-        sampler.push(x, y)
-    return sampler.finalize()
+    """Single-pass uniform without-replacement reservoir of q (x, y) pairs in
+    O(q*d) memory.  Row i >= q replaces slot rng.integers(0, i+1) when that
+    is below q; one call draws a block's slots, the same draws and generator
+    state as one call per row, and a slot drawn twice keeps the later row.
+    Returns (points, labels, weights, R, n): weights n/q (1 when all n <= q
+    rows are kept) and R as RlmInstance computes it; a non-finite point is
+    refused as RlmInstance refuses it."""
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    rng = np.random.default_rng(seed)
+    pairs = iter(stream)
+    head_X, head_y = [], []  # the first min(q, n) rows, block by block
+    points = labels = None
+    n, R = 0, 0.0
+    while block := list(islice(pairs, STREAM_BLOCK)):
+        xs, ys = zip(*block)
+        X = np.array(xs, dtype=float).reshape(len(block), -1)
+        y = np.array(ys, dtype=float).reshape(len(block))
+        if not np.all(np.isfinite(X)):
+            raise ValueError("points must be finite")
+        if head_X and X.shape[1] != head_X[0].shape[1]:
+            raise ValueError(f"stream rows have {head_X[0].shape[1]} and {X.shape[1]} features")
+        R = max(R, max_row_norm(X))
+        lo, n = n, n + len(block)
+        if lo < q:
+            head_X.append(X[:q - lo])
+            head_y.append(y[:q - lo])
+            if n < q:
+                continue
+            points, labels = np.concatenate(head_X), np.concatenate(head_y)
+        first = max(lo, q)
+        j = rng.integers(0, np.arange(first, n) + 1)
+        hit = np.flatnonzero(j < q)[::-1]
+        # the last row of the block to draw a slot is the one that keeps it
+        slots, last = np.unique(j[hit], return_index=True)
+        rows = hit[last] + (first - lo)
+        points[slots] = X[rows]
+        labels[slots] = y[rows]
+    if n == 0:
+        raise StreamTooShortError("empty stream")
+    if points is None:
+        points, labels = np.concatenate(head_X), np.concatenate(head_y)
+    weights = np.ones(n) if n <= q else np.full(q, n / q)
+    return points, labels, weights, R, n

@@ -1,10 +1,11 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from rlm_coreset import data_io, solver
-from rlm_coreset.errors import LabelError, NonFiniteError, ParseError
+from rlm_coreset.errors import LabelError, NonFiniteError, ParseError, StreamTooShortError
 from rlm_coreset.model import (
     LossKind,
     RegularizerKind,
@@ -167,6 +168,36 @@ def oracle_train_gd(inst, cfg, cs=None):
             beta = beta - solver.STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
         objectives.append(weighted_objective_grad(inst, full_cs, beta, grad=False)[0])
     return (beta if smooth else best_beta), objectives
+
+
+def oracle_stream_sample(stream, q, seed):
+    """Per-row reservoir, one scalar rng.integers call per row past the q-th,
+    with the radius as the 1-D norm sqrt(x.x): the reference whose points,
+    labels, weights and n the block reservoir must match byte for byte.
+    Returns (points, labels, weights, R, n)."""
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    rng = np.random.default_rng(seed)
+    points, labels = [], []
+    seen, radius = 0, 0.0
+    for x, y in stream:
+        x = np.asarray(x, dtype=float)
+        radius = max(radius, math.sqrt(x.dot(x)))
+        i = seen
+        seen += 1
+        if i < q:
+            points.append(x)
+            labels.append(float(y))
+            continue
+        j = int(rng.integers(0, i + 1))
+        if j < q:
+            points[j] = x
+            labels[j] = float(y)
+    if seen == 0:
+        raise StreamTooShortError("empty stream")
+    kept = len(points)
+    w = np.ones(kept) if seen <= q else np.full(kept, seen / q)
+    return np.vstack(points), np.asarray(labels), w, radius, seen
 
 
 @pytest.fixture

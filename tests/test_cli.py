@@ -279,6 +279,23 @@ class TestNewlyRefusedCells:
         assert len(err.strip().splitlines()) == 1 and "line 4:" in err
 
 
+class TestNonFiniteData:
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "f1,f2,label\n1,nan,0\n2,3,1\n"),
+        ("csv", "f1,f2,label\n1,2,0\n2,inf,1\n"),
+        ("csv", "f1,f2,label\n1,2,0\n1e999,3,1\n"),
+        ("svmlight", "1 1:nan 2:1\n-1 1:2\n"),
+    ], ids=["csv-nan", "csv-inf", "csv-1e999", "svmlight-nan"])
+    def test_non_finite_point_exits_2(self, tmp_path, capsys, fmt, text):
+        data = tmp_path / "data"
+        data.write_text(text)
+        code = run(["sample", "--format", fmt, "--input", str(data), "--size", "1",
+                    "--output", str(tmp_path / "cs.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "input error: points must be finite\n"
+
+
 class TestSweep:
     def test_csv_output(self, tmp_path):
         report = tmp_path / "sweep.csv"
@@ -397,9 +414,15 @@ class TestNumericArguments:
         (["train", *SYNTH, "--grad-tol", "nan"], 2),
         (["train", *SYNTH, "--method", "sgd", "--learning-rate", "nan"], 2),
         (["train", *SYNTH, "--method", "sgd", "--learning-rate", "1e300"], 4),
+        (["adversary", "--kind", "circle", "--n", "1000", "--norm-override", "0"], 3),
+        (["sweep", *SYNTH, "--sizes", ",", "--report", "{tmp}/s.csv"], 2),
+        # numpy refuses the 71 PiB array before touching any memory
+        (["sample", "--format", "synthetic", "--input", "n=1000000000000000,d=10",
+          "--size", "3", "--output", "{tmp}/o.json"], 2),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
-            "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300"])
+            "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
+            "sweep-no-sizes", "synthetic-too-large"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         capsys.readouterr()
         argv = [a.format(tmp=tmp_path, coreset=coreset) for a in argv]

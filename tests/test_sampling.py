@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import oracle_stream_sample, random_instance
 from rlm_coreset.errors import EmptyDatasetError, StreamTooShortError
-from rlm_coreset.model import WeightedCoreset, approximation_error, check_weight_sum
-from rlm_coreset.sampling import ReservoirSampler, stream_sample, uniform_sample
+from rlm_coreset.model import (
+    LossKind,
+    RegularizerKind,
+    RlmInstance,
+    WeightedCoreset,
+    approximation_error,
+    check_weight_sum,
+)
+from rlm_coreset.sampling import STREAM_BLOCK, stream_sample, uniform_sample
 
 
 class TestUniformSample:
@@ -69,7 +76,7 @@ class TestReservoir:
     def test_running_radius_equals_numpy_norm(self, rng):
         X = rng.standard_normal((500, 10)) * rng.uniform(0.1, 10.0, size=(500, 1))
         _, _, _, R, _ = stream_sample(zip(X, np.ones(500)), q=20, seed=1)
-        assert R == max(np.linalg.norm(x) for x in X)
+        assert R == np.max(np.linalg.norm(X, axis=1))
 
     def test_empty_stream(self):
         with pytest.raises(StreamTooShortError):
@@ -118,11 +125,74 @@ class TestReservoir:
         assert np.array_equal(a[0], b[0])
 
     def test_handoff_between_pushes(self):
-        sampler = ReservoirSampler(q=2, seed=0)
-        for i in range(10):
-            sampler.push(np.array([float(i)]), 1.0)
-        X, y, w, R, n = sampler.finalize()
+        pts = ((np.array([float(i)]), 1.0) for i in range(10))
+        X, y, w, R, n = stream_sample(pts, q=2, seed=0)
         assert n == 10 and len(y) == 2 and R == 9.0
+
+
+def _stream_data(n, d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    return X, rng.choice([-1.0, 1.0], size=n)
+
+
+class TestBlockReservoir:
+    """The block reservoir against the per-row oracle: the same bytes for
+    points, labels, weights and n, and the instance's R."""
+
+    @pytest.mark.parametrize("n, q, d", [
+        (5, 10, 3),             # n < q: everything kept
+        (10, 10, 3),            # n = q
+        (3000, 1, 1),           # q = 1: one slot drawn many times per block
+        (3000, 1, 10),
+        (STREAM_BLOCK - 1, 50, 10),
+        (STREAM_BLOCK, 50, 10),
+        (STREAM_BLOCK + 1, 50, 1),
+        (STREAM_BLOCK + 1, STREAM_BLOCK, 10),   # the head fills the first block exactly
+        (2 * STREAM_BLOCK + 1, 1500, 10),       # the head ends inside the second block
+        (12000, 2000, 10),                      # several blocks past the head
+        (12000, 700, 1),
+    ])
+    def test_matches_the_per_row_reservoir(self, n, q, d):
+        X, y = _stream_data(n, d, seed=n + q + d)
+        want = oracle_stream_sample(zip(X, y), q, seed=n * q)
+        got = stream_sample(zip(X, y), q, seed=n * q)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got[4] == want[4] == n
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                           reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        assert got[3] == inst.R
+
+    def test_rows_given_as_lists(self):
+        X, y = _stream_data(STREAM_BLOCK + 7, 4, seed=3)
+        want = oracle_stream_sample(zip(X, y), 9, seed=5)
+        got = stream_sample(zip(X.tolist(), y.tolist()), 9, seed=5)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_radius_is_the_instance_radius(self):
+        # the per-row 1-D norm differs from the instance's by an ulp on some
+        # of these datasets; the reservoir's R is the instance's on all
+        for seed in range(40):
+            X, y = _stream_data(2000, 10, seed)
+            inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                               reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+            assert stream_sample(zip(X, y), 25, seed)[3] == inst.R
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 7, STREAM_BLOCK + 3])
+    def test_non_finite_point_is_refused(self, bad, row):
+        X, y = _stream_data(STREAM_BLOCK + 10, 3, seed=1)
+        X[row, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            stream_sample(zip(X, y), 5, seed=0)
+
+    def test_rows_of_another_width_are_refused(self):
+        rows = [(np.zeros(3), 1.0)] * STREAM_BLOCK + [(np.zeros(1), 1.0)]
+        with pytest.raises(ValueError, match="3 and 1 features"):
+            stream_sample(rows, 2, seed=0)
 
 
 class TestSamplerConfig:
@@ -130,7 +200,7 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             uniform_sample(10, 0, seed=0)
         with pytest.raises(ValueError):
-            ReservoirSampler(q=0, seed=0)
+            stream_sample([(np.zeros(2), 1.0)], q=0, seed=0)
 
 
 def test_identity_holds_for_weighted_draws(rng):
