@@ -209,8 +209,9 @@ def default_beta_norm(n: int, gamma: float, k: int, lam: float) -> float:
 def chunk_hypothesis(chunk: Chunk, target_norm: float) -> Hypothesis:
     """Hypothesis whose decision line passes through the two points adjacent
     to the chunk, misclassifying exactly the chunk side of that line."""
-    if target_norm <= 0:
-        raise InvalidParameterError("target_norm must be positive")
+    if not (0.0 < target_norm < math.inf):
+        raise InvalidParameterError(
+            f"target_norm must be positive and finite, got {target_norm!r}")
     m = chunk.center_angle
     phi = chunk.boundary_angle
     raw = np.array([-math.cos(m), -math.sin(m), math.cos(phi)])

@@ -30,12 +30,12 @@ from .errors import (
     ZeroObjectiveError,
 )
 from .model import (
-    Hypothesis,
     LossKind,
     RegularizerKind,
     RlmInstance,
     WeightedCoreset,
     approximation_error,
+    approximation_errors,
     check_weight_sum,
 )
 
@@ -197,16 +197,15 @@ def _betas_from_doc(doc, d: int) -> np.ndarray:
     return arr.astype(float)
 
 
-def _probe_hypotheses(spec: str, inst, cs, seed: int):
-    """Expand one --betas spec into a list of hypotheses."""
+def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
+    """Expand one --betas spec into a (k, d) array of probe coefficients."""
     if spec == "trained":
         cfg = solver.TrainConfig(seed=seed)
         beta_hat, _ = solver.train(inst, cfg, cs)
-        return [beta_hat]
+        return beta_hat.beta[None, :]
     if spec.startswith("file:"):
         with open(spec[5:], encoding="utf-8") as fh:
-            betas = _betas_from_doc(json.load(fh), inst.d)
-        return [Hypothesis(beta=b) for b in betas]
+            return _betas_from_doc(json.load(fh), inst.d)
     if spec.startswith("random:"):
         parts = spec.split(":")
         k = int(parts[1])
@@ -221,7 +220,7 @@ def _probe_hypotheses(spec: str, inst, cs, seed: int):
         dirs = rng.standard_normal((k, inst.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         norms = np.geomspace(1e-2, max_norm, k)
-        return [Hypothesis(beta=n * v) for n, v in zip(norms, dirs)]
+        return norms[:, None] * dirs
     raise ValueError(f"unknown --betas spec {spec!r}")
 
 
@@ -229,18 +228,18 @@ def cmd_verify(args) -> int:
     inst = _load_instance(args)
     doc = data_io.read_coreset(args.coreset)
     cs = _coreset_from_doc(doc, inst)
-    hs = []
-    for spec in args.betas:
-        hs.extend(_probe_hypotheses(spec, inst, cs, args.seed))
-    errors = [approximation_error(inst, cs, h) for h in hs]
+    betas = np.concatenate([_probe_betas(spec, inst, cs, args.seed) for spec in args.betas])
+    errors = approximation_errors(inst, cs, betas)
     weight_ok = check_weight_sum(cs, inst.n, args.epsilon)
     report = {
         "args": _flag_dict(args),
         "n": inst.n,
         "coreset_size": cs.size,
         "num_probes": len(errors),
-        "max_H": max(errors),
+        "max_H": float(np.max(errors)),
         "mean_H": float(np.mean(errors)),
+        "argmax_probe": int(np.argmax(errors)),
+        "H_quartiles": np.quantile(errors, [0.0, 0.25, 0.5, 0.75, 1.0]).tolist(),
         "weight_sum": cs.weight_sum(),
         "weight_sum_ok": bool(weight_ok),
     }

@@ -7,8 +7,10 @@ The objective being approximated is
 
 with the per-point share f_i(beta) = loss_i(beta) + lambda*reg(R*beta)/n.
 Its value and (sub)gradient on full data or on a weighted coreset are
-computed in one place, ``weighted_objective_grad``; the solver and every
-evaluator here call it.
+computed in one place, ``weighted_objective_grad``; the solver and the
+per-probe evaluators call it.  ``block_objectives`` evaluates a block of
+probes at once from the same loss and regularizer terms, in cache-sized
+tiles of X.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ZeroObjectiveError
+from .errors import InvalidParameterError, ZeroObjectiveError
 
 
 class LossKind(Enum):
@@ -195,7 +197,7 @@ class RlmInstance:
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
         if not (0.0 < self.kappa < 1.0):
-            raise ValueError("kappa must lie in (0, 1)")
+            raise InvalidParameterError(f"kappa must lie in (0, 1), got {self.kappa!r}")
         lam = self.lambda_scale * X.shape[0] ** self.kappa
         if not (self.lambda_scale > 0 and math.isfinite(lam)):
             raise ValueError(f"lambda_scale must be positive with lambda finite, "
@@ -276,14 +278,18 @@ def _coefficients(h: Hypothesis) -> np.ndarray:
     return h.beta
 
 
+def _check_indices(inst: RlmInstance, cs: WeightedCoreset) -> None:
+    idx = cs.indices
+    if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
+        raise IndexError("coreset index out of range")
+
+
 def full_objective(inst: RlmInstance, h: Hypothesis) -> float:
     return weighted_objective_grad(inst, None, _coefficients(h), grad=False)[0]
 
 
 def coreset_objective(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
-    idx = cs.indices
-    if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
-        raise IndexError("coreset index out of range")
+    _check_indices(inst, cs)
     return weighted_objective_grad(inst, cs, _coefficients(h), grad=False)[0]
 
 
@@ -297,10 +303,71 @@ def approximation_error(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -
     return abs(full - coreset_objective(inst, cs, h)) / full
 
 
+# tile of the block evaluator: ROW_TILE rows of X against PROBE_TILE probes,
+# a (PROBE_TILE, ROW_TILE) block of margins that stays in cache
+ROW_TILE = 1024
+PROBE_TILE = 64
+
+
+def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
+                     u: Optional[np.ndarray], neg_B: np.ndarray) -> np.ndarray:
+    """Per-probe sums of the losses at margins -y_i x_i.beta, weighted by u
+    when given; X is read once, one row tile at a time, against every probe
+    tile.  neg_B holds the probes negated, so that X @ neg_B.T * y is the
+    margin with no n-sized copy of -y."""
+    sums = np.zeros(neg_B.shape[0])
+    for lo in range(0, X.shape[0], ROW_TILE):
+        Xt, yt = X[lo:lo + ROW_TILE], y[lo:lo + ROW_TILE]
+        ut = None if u is None else u[lo:lo + ROW_TILE]
+        for p in range(0, neg_B.shape[0], PROBE_TILE):
+            z = neg_B[p:p + PROBE_TILE] @ Xt.T
+            z *= yt
+            losses = loss_eval(loss, z)
+            sums[p:p + PROBE_TILE] += losses.sum(axis=1) if ut is None else losses @ ut
+    return sums
+
+
+def block_objectives(
+    inst: RlmInstance, cs: WeightedCoreset, B
+) -> Tuple[np.ndarray, np.ndarray]:
+    """F and the coreset objective F_C at every row of the (k, d) probe array
+    B, in one tiled pass over X and one over the coreset rows, gathered once.
+    The regularizer term of each probe is the float weighted_objective_grad
+    adds; only the order in which the loss sums are added differs from it.
+    For the identity coreset F_C is F itself."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[1] != inst.d:
+        raise ValueError(f"probes must be a (k, {inst.d}) array, got shape {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("hypothesis components must be finite")
+    _check_indices(inst, cs)
+    scale = inst.reg_scale
+    reg = np.array([scale * reg_eval(inst.reg, beta) for beta in B])
+    neg_B = -B
+    full = _tiled_loss_sums(inst.loss, inst.X, inst.y, None, neg_B) + reg
+    if is_full(inst, cs):
+        return full, full
+    Xc, yc = coreset_rows(inst, cs)
+    core = _tiled_loss_sums(inst.loss, Xc, yc, cs.weights, neg_B) \
+        + (cs.weight_sum() / inst.n) * reg
+    return full, core
+
+
+def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarray:
+    """H(beta) for every row of the (k, d) probe array B: approximation_error
+    for a block of probes, evaluated by block_objectives."""
+    full, core = block_objectives(inst, cs, B)
+    if np.any(full <= 0.0):
+        raise ZeroObjectiveError(
+            "full objective is zero at this hypothesis; H is undefined"
+        )
+    return np.abs(full - core) / full
+
+
 def check_weight_sum(cs: WeightedCoreset, n: int, eps: float) -> bool:
     """Necessary condition for an eps-coreset when loss(0) != 0:
     the weights must sum to n up to relative error eps."""
     if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+        raise InvalidParameterError(f"eps must lie in (0, 1), got {eps!r}")
     total = cs.weight_sum()
     return (1.0 - eps) * n <= total <= (1.0 + eps) * n

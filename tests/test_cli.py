@@ -73,11 +73,26 @@ class TestVerify:
     def test_beta_file_probe(self, tmp_path):
         out = tmp_path / "cs.json"
         run(["sample", *SYNTH, "--size", "400", "--output", str(out)])
-        bfile = tmp_path / "betas.json"
-        bfile.write_text(json.dumps({"betas": [[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]]}))
-        code = run(["verify", *SYNTH, "--coreset", str(out),
-                    "--betas", f"file:{bfile}"])
-        assert code == 0
+        betas = [[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [3.0, 2.0, -1.0], [0.1, 0.2, 0.3],
+                 [-2.0, 0.5, 1.5]]
+        bfile, report = tmp_path / "betas.json", tmp_path / "rep.json"
+        bfile.write_text(json.dumps({"betas": betas}))
+        argv = ["verify", *SYNTH, "--coreset", str(out), "--betas", f"file:{bfile}"]
+        assert run([*argv, "--report", str(report)]) == 0
+        doc = data_io.read_report(report)
+        # the per-probe reference: one approximation_error per hypothesis
+        args = cli.build_parser().parse_args(argv)
+        inst = cli._load_instance(args)
+        cs = cli._coreset_from_doc(data_io.read_coreset(out), inst)
+        want = [rlm_coreset.approximation_error(inst, cs, rlm_coreset.Hypothesis(beta=b))
+                for b in betas]
+        assert doc["num_probes"] == len(betas)
+        assert doc["argmax_probe"] == int(np.argmax(want))
+        quartiles = doc["H_quartiles"]
+        assert len(quartiles) == 5 and all(type(v) is float for v in quartiles)
+        np.testing.assert_allclose(quartiles, np.quantile(want, [0, 0.25, 0.5, 0.75, 1]),
+                                   rtol=1e-8)
+        assert quartiles == sorted(quartiles) and quartiles[-1] == doc["max_H"]
 
     def test_mismatched_dataset_is_domain_error(self, tmp_path):
         out = tmp_path / "cs.json"
@@ -419,11 +434,26 @@ class TestNumericArguments:
         # numpy refuses the 71 PiB array before touching any memory
         (["sample", "--format", "synthetic", "--input", "n=1000000000000000,d=10",
           "--size", "3", "--output", "{tmp}/o.json"], 2),
+        # one range, one exit code, whichever subcommand or layer refuses it
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--epsilon", "2"], 3),
+        (["sample", *SYNTH, "--epsilon", "2", "--output", "{tmp}/o.json"], 3),
+        (["sample", *SYNTH, "--kappa", "1.5", "--size", "3", "--output", "{tmp}/o.json"], 3),
+        (["verify", *SYNTH, "--kappa", "1.5", "--coreset", "{coreset}"], 3),
+        (["adversary", "--kind", "two-cluster", "--n", "1000", "--kappa", "1.5"], 3),
+        (["adversary", "--kind", "circle", "--n", "1000", "--norm-override", "nan"], 3),
+        (["adversary", "--kind", "circle", "--n", "1000", "--norm-override", "inf"], 3),
+        # a probe file the JSON reader accepts but no hypothesis may hold
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "file:{tmp}/nan.json"], 2),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "file:{tmp}/inf.json"], 2),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
-            "sweep-no-sizes", "synthetic-too-large"])
+            "sweep-no-sizes", "synthetic-too-large", "verify-epsilon-2", "sample-epsilon-2",
+            "sample-kappa-1.5", "verify-kappa-1.5", "two-cluster-kappa-1.5",
+            "norm-override-nan", "norm-override-inf", "betas-file-nan", "betas-file-inf"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
+        (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
+        (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')
         capsys.readouterr()
         argv = [a.format(tmp=tmp_path, coreset=coreset) for a in argv]
         assert run(argv) == code

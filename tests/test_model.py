@@ -23,6 +23,8 @@ from rlm_coreset.model import (
     RlmInstance,
     WeightedCoreset,
     approximation_error,
+    approximation_errors,
+    block_objectives,
     check_weight_sum,
     coreset_objective,
     full_objective,
@@ -339,6 +341,90 @@ class TestApproximationError:
                             lambda *_args: 0.0)
         with pytest.raises(ZeroObjectiveError):
             approximation_error(inst, cs, Hypothesis(beta=np.array([2.0, 0, 0])))
+
+
+class TestBlockEvaluator:
+    """approximation_errors against the per-probe reference.  F and F_C are
+    compared, not H: H = |F - F_C| / F amplifies the last-digit differences
+    of another summation order by cancellation."""
+
+    @staticmethod
+    def probes(rng, k, d):
+        # norms from 1e-2 to 30, so hinge margins fall on both sides of the kink
+        dirs = rng.standard_normal((k, d))
+        return np.geomspace(1e-2, 30.0, k)[:, None] * dirs / np.linalg.norm(
+            dirs, axis=1, keepdims=True)
+
+    @staticmethod
+    def assert_matches_reference(inst, cs, B):
+        full, core = block_objectives(inst, cs, B)
+        hs = [Hypothesis(beta=b) for b in B]
+        np.testing.assert_allclose(full, [full_objective(inst, h) for h in hs],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(core, [coreset_objective(inst, cs, h) for h in hs],
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_every_loss_and_regularizer(self, rng, loss, reg):
+        inst = random_instance(rng, n=1500, d=4, loss=loss, reg=reg)
+        B = self.probes(rng, 70, 4)
+        weighted = WeightedCoreset(indices=rng.integers(0, 1500, size=1100),
+                                   weights=rng.uniform(0.5, 2.0, size=1100))
+        self.assert_matches_reference(inst, weighted, B)
+        identity = WeightedCoreset(indices=np.arange(1500), weights=np.ones(1500))
+        self.assert_matches_reference(inst, identity, B)
+        assert np.all(approximation_errors(inst, identity, B) == 0.0)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 200])
+    def test_tile_edges(self, rng, n, k):
+        inst = random_instance(rng, n=n, d=3)
+        B = self.probes(rng, k, 3)
+        cs = WeightedCoreset(indices=rng.integers(0, n, size=n),
+                             weights=np.full(n, 1.0))
+        self.assert_matches_reference(inst, cs, B)
+
+    def test_errors_are_the_reference_h(self, rng):
+        inst = random_instance(rng, n=300, d=3)
+        cs = WeightedCoreset(indices=rng.integers(0, 300, size=40),
+                             weights=np.full(40, 7.5))
+        B = self.probes(rng, 20, 3)
+        want = [approximation_error(inst, cs, Hypothesis(beta=b)) for b in B]
+        np.testing.assert_allclose(approximation_errors(inst, cs, B), want,
+                                   rtol=1e-8, atol=0)
+
+    def test_zero_objective_at_any_probe_raises(self, rng, monkeypatch):
+        # F = 0 needs vanishing losses and regularizer; stub the loss sums
+        inst = random_instance(rng, n=5, loss=LossKind.HINGE)
+        cs = WeightedCoreset(indices=np.array([0]), weights=np.array([1.0]))
+        monkeypatch.setattr("rlm_coreset.model._tiled_loss_sums",
+                            lambda loss, X, y, u, neg_B: np.zeros(len(neg_B)))
+        B = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        with pytest.raises(ZeroObjectiveError):
+            approximation_errors(inst, cs, B)
+
+    @pytest.mark.parametrize("bad", [10, -1])  # numpy would wrap -1 silently
+    def test_index_out_of_range(self, rng, bad):
+        inst = random_instance(rng, n=10)
+        cs = WeightedCoreset(indices=np.array([3, bad]), weights=np.ones(2))
+        with pytest.raises(IndexError):
+            approximation_errors(inst, cs, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probe_is_refused(self, rng, bad):
+        inst = random_instance(rng, n=10)
+        cs = WeightedCoreset(indices=np.arange(3), weights=np.ones(3))
+        B = np.zeros((3, 3))
+        B[2, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            approximation_errors(inst, cs, B)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
+    def test_probes_of_another_shape_are_refused(self, rng, shape):
+        inst = random_instance(rng, n=10)
+        cs = WeightedCoreset(indices=np.arange(3), weights=np.ones(3))
+        with pytest.raises(ValueError, match="probes must be"):
+            approximation_errors(inst, cs, np.zeros(shape))
 
 
 class TestWeightSum:
