@@ -51,6 +51,8 @@ class TwoClusterInstance:
 def gen_two_cluster(
     n: int, kappa: float, gamma: float, loss: LossKind = LossKind.LOGISTIC
 ) -> TwoClusterInstance:
+    if n < 1:
+        raise InvalidParameterError(f"n must be at least 1, got {n}")
     if not (0.0 < kappa < 1.0):
         raise InvalidParameterError("kappa must lie in (0, 1)")
     if not (0.0 < gamma < 1.0):

@@ -17,17 +17,11 @@ import numpy as np
 
 from . import adversary, data_io, sampling, sensitivity, solver
 from .errors import (
-    DegenerateInstanceError,
-    EmptyDatasetError,
+    EXIT_INPUT,
+    PREFIXES,
     InvalidParameterError,
-    LabelError,
-    NoChunkFoundError,
-    NonBinaryLabelsError,
-    NonFiniteError,
-    ParseError,
+    RlmError,
     SchemaMismatchError,
-    StreamTooShortError,
-    ZeroObjectiveError,
 )
 from .model import (
     LossKind,
@@ -40,28 +34,6 @@ from .model import (
 )
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DOMAIN = 3
-EXIT_NUMERIC = 4
-
-_INPUT_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    MemoryError,
-    ParseError,
-    LabelError,
-    NonBinaryLabelsError,
-    SchemaMismatchError,
-    ValueError,
-)
-_DOMAIN_ERRORS = (
-    NoChunkFoundError,
-    DegenerateInstanceError,
-    ZeroObjectiveError,
-    InvalidParameterError,
-    EmptyDatasetError,
-    StreamTooShortError,
-)
 
 _LOSSES = {"logistic": LossKind.LOGISTIC, "hinge": LossKind.HINGE}
 _REGS = {
@@ -69,6 +41,8 @@ _REGS = {
     "l2": RegularizerKind.L2,
     "l2sq": RegularizerKind.L2_SQUARED,
 }
+# the keys of a --format synthetic spec and their defaults
+_SYNTHETIC = {"n": 1000, "d": 2, "margin": 0.0, "noise": 0.1, "seed": 0}
 
 
 def _add_dataset_args(p):
@@ -92,16 +66,22 @@ def _add_solver_args(p):
     p.add_argument("--trace", default=None)
 
 
+def _synthetic_spec(text: str) -> dict:
+    """The gen_synthetic arguments of a comma-separated key=value spec, each
+    key one of _SYNTHETIC's and converted to the type of its default."""
+    spec = dict(_SYNTHETIC)
+    for tok in filter(None, text.split(",")):
+        key, sep, value = tok.partition("=")
+        if not sep or key not in _SYNTHETIC:
+            raise ValueError(f"synthetic spec token {tok!r} is not key=value with key "
+                             f"in {', '.join(_SYNTHETIC)}")
+        spec[key] = type(_SYNTHETIC[key])(value)
+    return spec
+
+
 def _load_instance(args) -> RlmInstance:
     if args.format == "synthetic":
-        spec = dict(kv.split("=", 1) for kv in args.input.split(",") if kv)
-        X, y, _ = data_io.gen_synthetic(
-            n=int(spec.get("n", 1000)),
-            d=int(spec.get("d", 2)),
-            margin=float(spec.get("margin", 0.0)),
-            noise=float(spec.get("noise", 0.1)),
-            seed=int(spec.get("seed", 0)),
-        )
+        X, y, _ = data_io.gen_synthetic(**_synthetic_spec(args.input))
     elif args.format == "svmlight":
         X, y, _ = data_io.load_svmlight(args.input)
     else:
@@ -148,32 +128,35 @@ def _coreset_from_doc(doc, inst) -> WeightedCoreset:
             raise SchemaMismatchError(
                 f"coreset was built with {key}={doc[key]!r} but the instance has {value!r}"
             )
-    indices = np.asarray(doc["indices"])
-    if indices.ndim != 1 or (indices.size and indices.dtype.kind != "i"):
-        raise SchemaMismatchError("coreset indices must be a list of integers")
+    indices = _doc_list(doc, "indices", "i", "integers")
     if indices.size and (indices.min() < 0 or indices.max() >= inst.n):
         raise SchemaMismatchError(f"coreset indices must lie in [0, {inst.n})")
-    return WeightedCoreset(
-        indices=indices,
-        weights=np.asarray(doc["weights"], dtype=float),
-    )
+    weights = _doc_list(doc, "weights", "iuf", "numbers")
+    return WeightedCoreset(indices=indices, weights=weights.astype(float))
+
+
+def _doc_list(doc, key: str, kinds: str, what: str) -> np.ndarray:
+    """doc[key] as a 1-d array, refused unless it is a flat list whose
+    elements numpy reads as one of the dtype kinds."""
+    arr = np.asarray(doc[key])
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+        raise SchemaMismatchError(f"coreset {key} must be a list of {what}")
+    return arr
 
 
 def cmd_sample(args) -> int:
     inst = _load_instance(args)
     profile = sensitivity.sensitivity_upper_bound(inst)
     s_total = sensitivity.total_sensitivity_default(inst.n, inst.lam)
+    # computed even under --size, so that --epsilon and --delta are checked
+    q = sensitivity.sample_size(s_total, profile.delta_vc, args.epsilon, args.delta, inst.n)
     if args.size is not None:
         q = args.size
-    else:
-        q = sensitivity.sample_size(
-            s_total, profile.delta_vc, args.epsilon, args.delta, inst.n
+    elif q >= inst.n:
+        print(
+            f"warning: required sample size exceeds n={inst.n}; "
+            "using the full dataset", file=sys.stderr,
         )
-        if q >= inst.n:
-            print(
-                f"warning: required sample size exceeds n={inst.n}; "
-                "using the full dataset", file=sys.stderr,
-            )
     cs = sampling.uniform_sample(inst, q, args.seed)
     data_io.write_coreset(args.output, _coreset_payload(args, inst, cs, q))
     print(f"q={q} S_prime={s_total!r} lambda={inst.lam!r} R={inst.R!r}")
@@ -213,7 +196,7 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
             100.0 / inst.R if inst.R > 0 else 100.0
         )
         if k < 1 or not (0.0 < max_norm < math.inf):
-            raise ValueError(
+            raise InvalidParameterError(
                 f"--betas {spec!r} needs K >= 1 and a finite positive max-norm"
             )
         rng = np.random.default_rng(seed)
@@ -260,9 +243,9 @@ def _parse_sizes(spec: str, n: int):
             raise ValueError(f"unknown size progression {kind!r}")
         f = float(factor)
         if not (math.isfinite(f) and f > 1.0):
-            raise ValueError(f"geometric factor must be finite and > 1, got {factor!r}")
+            raise InvalidParameterError(f"geometric factor must be finite and > 1, got {factor!r}")
         if lo < 1:
-            raise ValueError(f"geometric sizes must start at 1 or more, got {lo}")
+            raise InvalidParameterError(f"geometric sizes must start at 1 or more, got {lo}")
         sizes, cur = [], float(lo)
         while round(cur) <= hi:
             q = int(round(cur))
@@ -279,7 +262,7 @@ def cmd_sweep(args) -> int:
     if not sizes:
         raise ValueError(f"--sizes {args.sizes!r} gives no sizes")
     if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        raise InvalidParameterError(f"--trials must be at least 1, got {args.trials}")
     rows = []
     for q in sizes:
         per_size = []
@@ -305,6 +288,8 @@ def cmd_sweep(args) -> int:
 def cmd_adversary(args) -> int:
     if not (0.0 < args.gamma < 1.0):
         raise InvalidParameterError(f"gamma must lie in (0, 1), got {args.gamma!r}")
+    if not (0.0 < args.c < math.inf):
+        raise InvalidParameterError(f"--c must be positive and finite, got {args.c!r}")
     if args.kind == "two-cluster":
         inst = adversary.gen_two_cluster(
             args.n, args.kappa, args.gamma, _LOSSES[args.loss]
@@ -392,7 +377,7 @@ def cmd_train(args) -> int:
     beta_hat, trace = solver.train(inst, cfg, cs)
     if args.trace:
         _write_trace(args.trace, trace)
-    print(f"final_objective={trace.objectives[-1]!r} "
+    print(f"final_objective={trace.final_objective!r} "
           f"beta_norm={float(np.linalg.norm(beta_hat.beta))!r}")
     return EXIT_OK
 
@@ -407,9 +392,9 @@ def cmd_bench(args) -> int:
         _write_trace(args.trace + ".full_sgd.csv", trace_sgd)
         _write_trace(args.trace + ".coreset_gd.csv", trace_gd)
     print(f"full_sgd: seconds={trace_sgd.seconds[-1]!r} "
-          f"objective={trace_sgd.objectives[-1]!r}")
+          f"objective={trace_sgd.final_objective!r}")
     print(f"coreset_gd(q={q}): seconds={trace_gd.seconds[-1]!r} "
-          f"objective={trace_gd.objectives[-1]!r}")
+          f"objective={trace_gd.final_objective!r}")
     return EXIT_OK
 
 
@@ -490,14 +475,11 @@ def main(argv=None) -> int:
         args.betas = ["random:100"]
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NonFiniteError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except RlmError as exc:
+        print(f"{PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, MemoryError, ValueError) as exc:  # files and text no class covers
+        print(f"{PREFIXES[EXIT_INPUT]}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
+    InvalidParameterError,
     LabelError,
     NonBinaryLabelsError,
     ParseError,
@@ -208,7 +209,7 @@ def gen_synthetic(
     flipped with probability noise; margin > 0 pushes points away from the
     separator along w*.  Returns (X, y, w_star)."""
     if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
+        raise InvalidParameterError("n and d must be at least 1")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)

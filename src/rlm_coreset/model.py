@@ -200,8 +200,8 @@ class RlmInstance:
             raise InvalidParameterError(f"kappa must lie in (0, 1), got {self.kappa!r}")
         lam = self.lambda_scale * X.shape[0] ** self.kappa
         if not (self.lambda_scale > 0 and math.isfinite(lam)):
-            raise ValueError(f"lambda_scale must be positive with lambda finite, "
-                             f"got {self.lambda_scale!r}")
+            raise InvalidParameterError(f"lambda_scale must be positive with lambda "
+                                        f"finite, got {self.lambda_scale!r}")
         X.setflags(write=False)
         y.setflags(write=False)
         R = max_row_norm(X)

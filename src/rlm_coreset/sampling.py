@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyDatasetError, StreamTooShortError
+from .errors import EmptyDatasetError, InvalidParameterError, StreamTooShortError
 from .model import RlmInstance, WeightedCoreset, max_row_norm
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -36,7 +36,7 @@ def uniform_sample(inst_or_n, q: int, seed: int) -> WeightedCoreset:
     if n == 0:
         raise EmptyDatasetError("cannot sample from an empty dataset")
     if q < 1:
-        raise ValueError("q must be at least 1")
+        raise InvalidParameterError("q must be at least 1")
     if q >= n:
         return WeightedCoreset(indices=np.arange(n), weights=np.ones(n))
     rng = np.random.default_rng(seed)
@@ -61,7 +61,7 @@ def stream_sample(stream: Iterable, q: int, seed: int):
     rows are kept) and R as RlmInstance computes it; a non-finite point is
     refused as RlmInstance refuses it."""
     if q < 1:
-        raise ValueError("q must be at least 1")
+        raise InvalidParameterError("q must be at least 1")
     rng = np.random.default_rng(seed)
     pairs = iter(stream)
     head_X, head_y = [], []  # the first min(q, n) rows, block by block

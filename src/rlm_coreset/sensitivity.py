@@ -97,5 +97,7 @@ def sample_size(S_prime: float, delta_vc: int, eps: float, delta: float, n: int)
         raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
     if S_prime <= 1.0:
         raise InvalidParameterError("S_prime must exceed 1")
-    raw = 10.0 * S_prime / eps**2 * (delta_vc * math.log(S_prime) + math.log(1.0 / delta))
-    return min(int(math.ceil(raw)), n)
+    # a tiny eps or delta sends the bound past n, or past the floats, to inf
+    scale = 10.0 * S_prime / eps**2 if eps**2 > 0.0 else math.inf
+    raw = scale * (delta_vc * math.log(S_prime) + math.log(1.0 / delta))
+    return int(math.ceil(raw)) if raw < n else n

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import InvalidParameterError, NonFiniteError
 from .model import (
     Hypothesis,
     LossKind,
@@ -57,13 +57,13 @@ class TrainConfig:
     def __post_init__(self):
         # written so that NaN is refused too
         if not (self.grad_tol > 0 and self.learning_rate > 0):
-            raise ValueError("grad_tol and learning_rate must be positive")
+            raise InvalidParameterError("grad_tol and learning_rate must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise InvalidParameterError("batch_size must be at least 1")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise InvalidParameterError("max_iters must be at least 1")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+            raise InvalidParameterError("epochs must be at least 1")
 
 
 @dataclass
@@ -74,11 +74,14 @@ class TrainTrace:
     stop_reason says why the run ended: ``converged`` (the gradient norm met
     grad_tol, or beta = 0 is the optimum at the 2-norm's kink), ``stalled``
     (GD reached a fixed point: every further iteration would return the
-    same beta) or ``max_iters`` (the iteration or epoch budget ran out)."""
+    same beta) or ``max_iters`` (the iteration or epoch budget ran out).
+    final_objective is the full objective at the returned beta: the last
+    trace value, except for nonsmooth GD, which returns its best iterate."""
 
     seconds: List[float] = field(default_factory=list)
     objectives: List[float] = field(default_factory=list)
     stop_reason: str = "max_iters"
+    final_objective: float = float("nan")
 
     def append(self, t: float, f: float) -> None:
         self.seconds.append(t)
@@ -87,12 +90,6 @@ class TrainTrace:
 
 def _identity_coreset(n: int) -> WeightedCoreset:
     return WeightedCoreset(indices=np.arange(n), weights=np.ones(n))
-
-
-def gradient(inst: RlmInstance, cs: Optional[WeightedCoreset], h: Hypothesis) -> np.ndarray:
-    if cs is None:
-        cs = _identity_coreset(inst.n)
-    return weighted_objective_grad(inst, cs, h.beta)[1]
 
 
 def _is_smooth(inst: RlmInstance) -> bool:
@@ -138,7 +135,7 @@ def _train_gd(inst, cs, full_cs, cfg):
     smooth = _is_smooth(inst)
     kink = _kink_bound(inst, cs) if smooth else 0.0
     clock = 0.0
-    best_beta, best_f = beta.copy(), np.inf
+    best_beta, best_f, best_it = beta.copy(), np.inf, 0
     step = STEP_INIT
     # a full-data subgradient iterate whose trace value is the f that the
     # next iteration computes with its gradient
@@ -152,7 +149,7 @@ def _train_gd(inst, cs, full_cs, cfg):
             raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
         gnorm = float(np.linalg.norm(g))
         if f < best_f:
-            best_f, best_beta = f, beta.copy()
+            best_f, best_beta, best_it = f, beta.copy(), it
         # at iteration 0 beta = 0 and the regularizer's gradient there is 0,
         # so g is the loss gradient and the kink test is the optimality test
         if gnorm <= cfg.grad_tol or (it == 0 and gnorm <= kink):
@@ -192,8 +189,17 @@ def _train_gd(inst, cs, full_cs, cfg):
     else:
         if pending:
             _trace_point(inst, full_cs, beta, trace, clock)
-    result = beta if smooth else best_beta
-    return Hypothesis(beta=result), trace
+    if smooth:
+        trace.final_objective = trace.objectives[-1]
+        return Hypothesis(beta=beta), trace
+    # the trace holds F(beta_1), F(beta_2), ...; on full data best_f is F too
+    if full:
+        trace.final_objective = best_f
+    elif best_it:
+        trace.final_objective = trace.objectives[best_it - 1]
+    else:
+        trace.final_objective, _ = weighted_objective_grad(inst, full_cs, best_beta, grad=False)
+    return Hypothesis(beta=best_beta), trace
 
 
 def _train_sgd(inst, cs, full_cs, cfg):
@@ -224,5 +230,6 @@ def _train_sgd(inst, cs, full_cs, cfg):
             raise NonFiniteError(f"SGD diverged in epoch {epoch}")
         clock += time.perf_counter() - t0
         _trace_point(inst, full_cs, beta, trace, clock)
+    trace.final_objective = trace.objectives[-1]
     return Hypothesis(beta=beta), trace
 

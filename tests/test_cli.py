@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rlm_coreset
-from rlm_coreset import adversary, cli, data_io, sampling
+from rlm_coreset import adversary, cli, data_io, sampling, solver
 
 SYNTH = ["--format", "synthetic", "--input", "n=400,d=3,noise=0.1,seed=1"]
 
@@ -39,6 +39,15 @@ class TestSample:
         doc = data_io.read_coreset(out)
         assert doc["q"] == 400  # formula exceeds n at this scale
         assert "full dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, token", [
+        ("n=400,d=3,noize=0.9", "noize=0.9"), ("n400", "n400"), ("n=400,=3", "=3"),
+    ])
+    def test_synthetic_spec_token_outside_its_keys_exits_2(self, capsys, spec, token):
+        code = run(["train", "--format", "synthetic", "--input", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and repr(token) in err
 
     def test_missing_input_file(self, tmp_path):
         code = run(["sample", "--input", str(tmp_path / "nope.csv"),
@@ -216,10 +225,16 @@ class TestCoresetDocument:
         self.edit(coreset, indices=[bad] + indices[1:])
         self.assert_refused([command, *SYNTH, "--coreset", str(coreset)], capsys, "[0, 400)")
 
-    @pytest.mark.parametrize("indices", [[1.5] * 10, [[1]] * 10, [True] * 10])
-    def test_non_integer_indices_exit_2(self, coreset, capsys, indices):
-        self.edit(coreset, indices=indices)
-        self.assert_refused(["verify", *SYNTH, "--coreset", str(coreset)], capsys, "integers")
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    @pytest.mark.parametrize("key, values", [
+        ("indices", [1.5] * 10), ("indices", [[1]] * 10), ("indices", [True] * 10),
+        ("weights", [{}] * 10), ("weights", [[40.0]] * 10), ("weights", ["40"] * 10),
+        ("weights", [True] * 10),
+    ])
+    def test_entries_of_another_type_exit_2(self, coreset, capsys, command, key, values):
+        self.edit(coreset, **{key: values})
+        self.assert_refused([command, *SYNTH, "--coreset", str(coreset)], capsys,
+                            f"coreset {key} must be a list of")
 
     @pytest.mark.parametrize("command", ["train", "verify"])
     @pytest.mark.parametrize("flags, key", [
@@ -339,10 +354,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             cli._parse_sizes(spec, 50)
 
-    def test_geometric_factor_one_exits_2(self, tmp_path):
+    def test_geometric_factor_one_exits_3(self, tmp_path):
         code = run(["sweep", *SYNTH, "--sizes", "10..n:geometric:1",
                     "--report", str(tmp_path / "sweep.csv")])
-        assert code == 2
+        assert code == 3
 
     def test_stdout_prints_plain_floats(self, tmp_path, capsys):
         code = run(["sweep", *SYNTH, "--sizes", "20", "--trials", "2",
@@ -417,17 +432,17 @@ class TestNumericArguments:
         return str(path)
 
     @pytest.mark.parametrize("argv, code", [
-        (["sweep", *SYNTH, "--sizes", "20", "--trials", "0", "--report", "{tmp}/s.csv"], 2),
-        (["sample", *SYNTH, "--lambda-scale", "inf", "--output", "{tmp}/o.json"], 2),
-        (["sample", *SYNTH, "--lambda-scale", "nan", "--output", "{tmp}/o.json"], 2),
+        (["sweep", *SYNTH, "--sizes", "20", "--trials", "0", "--report", "{tmp}/s.csv"], 3),
+        (["sample", *SYNTH, "--lambda-scale", "inf", "--output", "{tmp}/o.json"], 3),
+        (["sample", *SYNTH, "--lambda-scale", "nan", "--output", "{tmp}/o.json"], 3),
         (["adversary", "--kind", "circle", "--n", "1000", "--gamma", "5"], 3),
         (["adversary", "--kind", "circle", "--n", "1000", "--gamma", "nan"], 3),
-        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:0"], 2),
-        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:0"], 2),
-        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:inf"], 2),
-        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:nan"], 2),
-        (["train", *SYNTH, "--grad-tol", "nan"], 2),
-        (["train", *SYNTH, "--method", "sgd", "--learning-rate", "nan"], 2),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:0"], 3),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:0"], 3),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:inf"], 3),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:nan"], 3),
+        (["train", *SYNTH, "--grad-tol", "nan"], 3),
+        (["train", *SYNTH, "--method", "sgd", "--learning-rate", "nan"], 3),
         (["train", *SYNTH, "--method", "sgd", "--learning-rate", "1e300"], 4),
         (["adversary", "--kind", "circle", "--n", "1000", "--norm-override", "0"], 3),
         (["sweep", *SYNTH, "--sizes", ",", "--report", "{tmp}/s.csv"], 2),
@@ -442,6 +457,15 @@ class TestNumericArguments:
         (["adversary", "--kind", "two-cluster", "--n", "1000", "--kappa", "1.5"], 3),
         (["adversary", "--kind", "circle", "--n", "1000", "--norm-override", "nan"], 3),
         (["adversary", "--kind", "circle", "--n", "1000", "--norm-override", "inf"], 3),
+        (["adversary", "--kind", "circle", "--n", "1000", "--c", "inf"], 3),
+        (["adversary", "--kind", "circle", "--n", "1000", "--c", "0"], 3),
+        (["adversary", "--kind", "two-cluster", "--n", "-5"], 3),
+        # checked even where --size makes them unused
+        (["sample", *SYNTH, "--size", "3", "--epsilon", "2", "--output", "{tmp}/o.json"], 3),
+        (["sample", *SYNTH, "--size", "3", "--delta", "7", "--output", "{tmp}/o.json"], 3),
+        # an operating-system error on a path exits 2, whichever kind it is
+        (["train", "--format", "csv", "--input", "{coreset}/x"], 2),
+        (["sample", *SYNTH, "--size", "3", "--output", "{coreset}/x.json"], 2),
         # a probe file the JSON reader accepts but no hypothesis may hold
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "file:{tmp}/nan.json"], 2),
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "file:{tmp}/inf.json"], 2),
@@ -450,7 +474,9 @@ class TestNumericArguments:
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
             "sweep-no-sizes", "synthetic-too-large", "verify-epsilon-2", "sample-epsilon-2",
             "sample-kappa-1.5", "verify-kappa-1.5", "two-cluster-kappa-1.5",
-            "norm-override-nan", "norm-override-inf", "betas-file-nan", "betas-file-inf"])
+            "norm-override-nan", "norm-override-inf", "c-inf", "c-0", "two-cluster-n-minus-5",
+            "sample-size-epsilon-2", "sample-size-delta-7", "input-not-a-directory",
+            "output-not-a-directory", "betas-file-nan", "betas-file-inf"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')
@@ -520,11 +546,30 @@ class TestTrainBench:
         f0 = rlm_coreset.full_objective(inst, rlm_coreset.Hypothesis(beta=np.zeros(3)))
         assert capsys.readouterr().out == f"final_objective={f0!r} beta_norm=0.0\n"
 
+    @pytest.mark.parametrize("coreset", [False, True])
+    def test_nonsmooth_train_prints_f_of_the_returned_beta(self, tmp_path, capsys, coreset):
+        # subgradient GD returns its best iterate, not its last
+        data = [*SYNTH, "--loss", "hinge", "--reg", "l1"]
+        out = tmp_path / "cs.json"
+        assert run(["sample", *data, "--size", "60", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["train", *data, "--max-iters", "20",
+                    *(["--coreset", str(out)] if coreset else [])]) == 0
+        X, y, _ = data_io.gen_synthetic(n=400, d=3, noise=0.1, seed=1)
+        inst = rlm_coreset.RlmInstance(X=X, y=y, loss=rlm_coreset.LossKind.HINGE,
+                                       reg=rlm_coreset.RegularizerKind.L1, kappa=0.5)
+        cs = rlm_coreset.uniform_sample(inst, 60, 0) if coreset else None
+        beta_hat, trace = solver.train(
+            inst, solver.TrainConfig(max_iters=20), cs)
+        f = rlm_coreset.full_objective(inst, beta_hat)
+        assert capsys.readouterr().out == \
+            f"final_objective={f!r} beta_norm={float(np.linalg.norm(beta_hat.beta))!r}\n"
+
     @pytest.mark.parametrize("command", ["train", "bench"])
     @pytest.mark.parametrize("flag", ["--max-iters", "--epochs"])
-    def test_zero_iterations_exit_2(self, command, flag, capsys):
+    def test_zero_iterations_exit_3(self, command, flag, capsys):
         code = run([command, *SYNTH, flag, "0"])
-        assert code == 2
+        assert code == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "at least 1" in err
 

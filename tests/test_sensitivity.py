@@ -115,6 +115,10 @@ class TestSampleSize:
 
     def test_always_clamped_to_n(self):
         assert sample_size(1e6, 100, 0.01, 0.01, 42) == 42
+        # eps**2 underflows to 0 and 1/delta overflows to inf: still n
+        assert sample_size(100.0, 3, 1e-200, 0.1, 42) == 42
+        assert sample_size(100.0, 3, 1e-160, 0.1, 42) == 42
+        assert sample_size(100.0, 3, 0.5, 5e-324, 42) == 42
 
     def test_invalid_parameters(self):
         for eps, delta in [(0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 1.5)]:

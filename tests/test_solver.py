@@ -6,6 +6,7 @@ import pytest
 from conftest import ALL_PAIRS, oracle_train_gd, random_instance
 from rlm_coreset import solver
 from rlm_coreset.data_io import gen_synthetic
+from rlm_coreset.errors import InvalidParameterError
 from rlm_coreset.model import (
     Hypothesis,
     LossKind,
@@ -19,7 +20,6 @@ from rlm_coreset.sampling import uniform_sample
 from rlm_coreset.solver import (
     TrainConfig,
     TrainMethod,
-    gradient,
     train,
     weighted_objective_grad,
 )
@@ -48,7 +48,7 @@ class TestGradient:
         inst = RlmInstance(X=np.array([[1.0, 0.0]]), y=np.array([1.0]),
                            loss=LossKind.LOGISTIC, reg=RegularizerKind.L2_SQUARED,
                            kappa=0.5)
-        g = gradient(inst, None, Hypothesis(beta=np.zeros(2)))
+        g = weighted_objective_grad(inst, None, np.zeros(2))[1]
         # the regularizer gradient vanishes at 0, so only the loss term remains
         assert g == pytest.approx([-0.5, 0.0], abs=1e-12)
 
@@ -57,7 +57,7 @@ class TestGradient:
                            loss=LossKind.LOGISTIC, reg=RegularizerKind.L2_SQUARED,
                            kappa=0.5, lambda_scale=1.0)
         beta = np.array([1.0, 0.0])
-        g_with = gradient(inst, None, Hypothesis(beta=beta))
+        g_with = weighted_objective_grad(inst, None, beta)[1]
         sig = 1 / (1 + np.exp(1.0))  # sigmoid(-1)
         loss_part = np.array([-sig, 0.0])
         assert g_with - loss_part == pytest.approx([2 * inst.lam, 0.0], rel=1e-12)
@@ -70,16 +70,16 @@ class TestGradient:
             beta = rng.standard_normal(3)
             beta[np.abs(beta) < 1e-3] = 0.5  # stay clear of the L1 kink
             cs = identity_cs(inst.n)
-            g = gradient(inst, cs, Hypothesis(beta=beta))
+            g = weighted_objective_grad(inst, cs, beta)[1]
             g_num = numeric_gradient(inst, cs, beta)
             assert g == pytest.approx(g_num, rel=1e-5, abs=1e-7)
 
     def test_weighted_gradient_scales(self, rng):
         inst = random_instance(rng, n=20)
         cs = WeightedCoreset(indices=np.arange(20), weights=np.full(20, 3.0))
-        h = Hypothesis(beta=rng.standard_normal(3))
-        g1 = gradient(inst, identity_cs(20), h)
-        g3 = gradient(inst, cs, h)
+        beta = rng.standard_normal(3)
+        g1 = weighted_objective_grad(inst, identity_cs(20), beta)[1]
+        g3 = weighted_objective_grad(inst, cs, beta)[1]
         assert g3 == pytest.approx(3 * g1, rel=1e-12)
 
 
@@ -126,7 +126,8 @@ class TestValueOnly:
             for cfg in (TrainConfig(max_iters=12, grad_tol=1e-12),
                         TrainConfig(method=TrainMethod.SGD, epochs=3)):
                 iterates.clear()
-                _, trace = train(inst, cfg, cs)
+                beta_hat, trace = train(inst, cfg, cs)
+                assert trace.final_objective == full_objective(inst, beta_hat)
                 assert len(trace.objectives) == len(iterates) > 0
                 for beta, f in zip(iterates, trace.objectives):
                     assert f == full_objective(inst, Hypothesis(beta=beta))
@@ -155,6 +156,8 @@ class TestStopRule:
         beta_ref, trace_ref = oracle_train_gd(inst, cfg, cs)
         beta_hat, trace = train(inst, cfg, cs)
         assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        # F of the returned beta, which is the last iterate only when smooth
+        assert trace.final_objective == full_objective(inst, beta_hat)
         assert 0 < len(trace.objectives) <= len(trace_ref)
         assert trace.objectives == trace_ref[:len(trace.objectives)]
         assert len(trace.seconds) == len(trace.objectives)
@@ -227,13 +230,13 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field", ["max_iters", "epochs"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_fewer_than_one_iteration(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(InvalidParameterError, match=field):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["grad_tol", "learning_rate"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_rejects_a_tolerance_or_rate_not_positive(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(InvalidParameterError, match=field):
             TrainConfig(**{field: value})
 
 
@@ -260,7 +263,7 @@ class TestTrainFullBatch:
         inst = random_instance(rng, n=100)
         cfg = TrainConfig(grad_tol=1e-5, max_iters=2000)
         beta_hat, _ = train(inst, cfg)
-        g = gradient(inst, None, beta_hat)
+        g = weighted_objective_grad(inst, None, beta_hat.beta)[1]
         assert float(np.linalg.norm(g)) <= 1e-5
 
     def test_objective_monotone_smooth(self, rng):
