@@ -24,10 +24,11 @@ from .model import (
     RegularizerKind,
     RlmInstance,
     loss_eval,
+    ordered_map,
 )
 
-_BLOCK = 1 << 20  # angles per summed block
-_PIECE = 1 << 15  # angles evaluated at once while a block is filled (cache-sized)
+_BLOCK = 1 << 20  # angles per summed block, one task of ordered_map
+_PIECE = 1 << 15  # most angles evaluated at once within a block (cache-sized)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +172,18 @@ class Chunk:
         return math.pi * (self.length + 1) / self.n
 
 
+def chunk_window(n: int, k: int) -> int:
+    """The length n//(2k) of the coreset-free window find_chunk looks for,
+    refused unless k >= 1 and the window holds at least 2 points.  It needs
+    no coreset, so a k too large for n is refused before k indices exist."""
+    if k < 1:
+        raise InvalidParameterError(f"k must be at least 1, got {k}")
+    window = n // (2 * k)
+    if window < 2:
+        raise NoChunkFoundError(f"window n//(2k) = {window} too short")
+    return window
+
+
 def find_chunk(n: int, k: int, coreset_indices) -> Chunk:
     """First (smallest window start, circular scan from 0) window of n//(2k)
     consecutive indices disjoint from the coreset; the chunk is its middle
@@ -179,11 +192,7 @@ def find_chunk(n: int, k: int, coreset_indices) -> Chunk:
     The first free window starts at 0 or just after an occupied index, so
     only those candidates are tested, each by binary search over the sorted
     occupied indices: O(k log k) time and O(k) memory, whatever n is."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be at least 1, got {k}")
-    window = n // (2 * k)
-    if window < 2:
-        raise NoChunkFoundError(f"window n//(2k) = {window} too short")
+    window = chunk_window(n, k)
     length = max(n // (4 * k), 1)
     occupied = np.unique(np.asarray(list(coreset_indices), dtype=np.int64) % n)
     starts = np.concatenate([[0], occupied[occupied < n - 1] + 1])
@@ -228,17 +237,30 @@ def point_line_distance(theta_i, theta):
 
 
 def _circle_loss_sum(inst: CircleInstance, h: Hypothesis) -> float:
-    """Sum of per-point losses over all n angles, streamed in blocks; each
-    block is filled in cache-sized pieces and then summed as one array."""
+    """Sum of per-point losses over all n angles, streamed in blocks of
+    _BLOCK angles, one ordered_map task each; the block sums are added in
+    block order, so the total does not depend on the number of threads."""
+    def block_sum(lo: int) -> float:
+        return _pairwise_loss_sum(inst, h, lo, min(lo + _BLOCK, inst.n))
+
     total = 0.0
-    block = np.empty(min(_BLOCK, inst.n))
-    for lo in range(0, inst.n, _BLOCK):
-        hi = min(lo + _BLOCK, inst.n)
-        for a in range(lo, hi, _PIECE):
-            b = min(a + _PIECE, hi)
-            block[a - lo:b - lo] = _circle_losses_at(inst, np.arange(a, b), h)
-        total += float(np.sum(block[:hi - lo]))
+    for s in ordered_map(block_sum, range(0, inst.n, _BLOCK)):
+        total += s
     return total
+
+
+def _pairwise_loss_sum(inst: CircleInstance, h: Hypothesis, lo: int, hi: int) -> float:
+    """np.sum of the losses at angles lo..hi-1, the same float, without
+    holding them all: the range is halved as numpy's pairwise summation
+    halves an array (the first half's length rounded down to a multiple of
+    8) down to pieces of at most _PIECE angles, which np.sum reduces."""
+    n = hi - lo
+    if n <= _PIECE:
+        return float(np.sum(_circle_losses_at(inst, np.arange(lo, hi), h)))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return (_pairwise_loss_sum(inst, h, lo, lo + n2)
+            + _pairwise_loss_sum(inst, h, lo + n2, hi))
 
 
 def _circle_losses_at(inst: CircleInstance, idx, h: Hypothesis) -> np.ndarray:

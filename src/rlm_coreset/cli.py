@@ -312,12 +312,14 @@ def cmd_adversary(args) -> int:
         }
     else:
         inst = adversary.gen_circle(args.n, args.kappa, _LOSSES[args.loss])
+        # a computed k past n is refused below, so clamping it there keeps
+        # an overflowing --c from reaching int()
         k = args.k if args.k is not None else max(
             2,
-            int(round(args.c * args.n ** (0.2 - args.gamma) / inst.lam ** 0.2)),
+            int(round(min(args.c * args.n ** (0.2 - args.gamma) / inst.lam ** 0.2,
+                          args.n))),
         )
-        if k < 1:
-            raise InvalidParameterError(f"--k must be at least 1, got {k}")
+        adversary.chunk_window(args.n, k)  # before np.arange(k) allocates
         indices = (np.arange(k) * (args.n // k)) % args.n
         weights = np.full(k, args.n / k)
         chunk = adversary.find_chunk(args.n, k, indices)
@@ -474,6 +476,8 @@ def main(argv=None) -> int:
     if getattr(args, "betas", None) is None and args.command == "verify":
         args.betas = ["random:100"]
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise InvalidParameterError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except RlmError as exc:
         print(f"{PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)

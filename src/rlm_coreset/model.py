@@ -10,13 +10,17 @@ Its value and (sub)gradient on full data or on a weighted coreset are
 computed in one place, ``weighted_objective_grad``; the solver and the
 per-probe evaluators call it.  ``block_objectives`` evaluates a block of
 probes at once from the same loss and regularizer terms, in cache-sized
-tiles of X.
+tiles of X, spread over the usable CPUs by ``ordered_map``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
@@ -303,10 +307,62 @@ def approximation_error(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -
     return abs(full - coreset_objective(inst, cs, h)) / full
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the executor but none of its threads, and the
+    # lock in whatever state another thread left it
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def ordered_map(fn, items) -> list:
+    """[fn(item) for item in items], the calls spread over one thread per
+    usable CPU; numpy releases the GIL inside its loops, so they run in
+    parallel.  The results come back in item order, and the first failing
+    item's exception is raised with its own class.  Each call runs in a copy
+    of the caller's context, so an enclosing np.errstate holds inside it.
+    With one item or one usable CPU the calls run here, one after another.
+    fn must not call ordered_map: a task that waits on the pool can starve it.
+    """
+    global _pool
+    items = list(items)
+    workers = _usable_cpus()
+    if len(items) < 2 or workers < 2:
+        return [fn(item) for item in items]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="rlm-coreset")
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:  # after a failure, drop the tasks not yet started
+            f.cancel()
+
+
 # tile of the block evaluator: ROW_TILE rows of X against PROBE_TILE probes,
 # a (PROBE_TILE, ROW_TILE) block of margins that stays in cache
 ROW_TILE = 1024
 PROBE_TILE = 64
+# margins (rows x probes) one ordered_map task evaluates at least: enough to
+# outweigh handing it to a thread
+TASK_MARGINS = 1 << 20
 
 
 def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
@@ -314,16 +370,32 @@ def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
     """Per-probe sums of the losses at margins -y_i x_i.beta, weighted by u
     when given; X is read once, one row tile at a time, against every probe
     tile.  neg_B holds the probes negated, so that X @ neg_B.T * y is the
-    margin with no n-sized copy of -y."""
-    sums = np.zeros(neg_B.shape[0])
-    for lo in range(0, X.shape[0], ROW_TILE):
-        Xt, yt = X[lo:lo + ROW_TILE], y[lo:lo + ROW_TILE]
-        ut = None if u is None else u[lo:lo + ROW_TILE]
-        for p in range(0, neg_B.shape[0], PROBE_TILE):
-            z = neg_B[p:p + PROBE_TILE] @ Xt.T
-            z *= yt
-            losses = loss_eval(loss, z)
-            sums[p:p + PROBE_TILE] += losses.sum(axis=1) if ut is None else losses @ ut
+    margin with no n-sized copy of -y.
+
+    A task of ordered_map is a run of consecutive row tiles of at least
+    TASK_MARGINS margins in all, and returns one row of loss sums per tile.
+    The rows are added in tile order, so the sums are the same floats
+    however many threads ran the tasks."""
+    k = neg_B.shape[0]
+    rows = ROW_TILE * -(-TASK_MARGINS // (ROW_TILE * max(k, 1)))
+
+    def tile_sums(lo: int) -> np.ndarray:
+        starts = range(lo, min(lo + rows, X.shape[0]), ROW_TILE)
+        out = np.empty((len(starts), k))
+        for t, r in enumerate(starts):
+            Xt, yt = X[r:r + ROW_TILE], y[r:r + ROW_TILE]
+            ut = None if u is None else u[r:r + ROW_TILE]
+            for p in range(0, k, PROBE_TILE):
+                z = neg_B[p:p + PROBE_TILE] @ Xt.T
+                z *= yt
+                losses = loss_eval(loss, z)
+                out[t, p:p + PROBE_TILE] = losses.sum(axis=1) if ut is None else losses @ ut
+        return out
+
+    sums = np.zeros(k)
+    for part in ordered_map(tile_sums, range(0, X.shape[0], rows)):
+        for tile in part:
+            sums += tile
     return sums
 
 

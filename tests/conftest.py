@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rlm_coreset import data_io, solver
+from rlm_coreset import data_io, model, solver
 from rlm_coreset.errors import LabelError, NonFiniteError, ParseError, StreamTooShortError
 from rlm_coreset.model import (
     LossKind,
@@ -203,3 +203,31 @@ def oracle_stream_sample(stream, q, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def oracle_tiled_loss_sums(loss, X, y, u, neg_B, rows=1024, probes=64):
+    """model._tiled_loss_sums as one loop in one thread: each tile's loss
+    sums added to the running sums in row-tile order."""
+    sums = np.zeros(neg_B.shape[0])
+    for lo in range(0, X.shape[0], rows):
+        Xt, yt = X[lo:lo + rows], y[lo:lo + rows]
+        ut = None if u is None else u[lo:lo + rows]
+        for p in range(0, neg_B.shape[0], probes):
+            z = neg_B[p:p + probes] @ Xt.T
+            z *= yt
+            losses = loss_eval(loss, z)
+            sums[p:p + probes] += losses.sum(axis=1) if ut is None else losses @ ut
+    return sums
+
+
+@pytest.fixture
+def serial_and_pooled(monkeypatch):
+    """Call fn() once with one usable CPU, where ordered_map runs its tasks
+    in the calling thread, and once with two, where they go to the pool;
+    return both results."""
+    def run(fn):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        serial = fn()
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        return serial, fn()
+    return run

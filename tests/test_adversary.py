@@ -6,6 +6,7 @@ import pytest
 
 from conftest import brute_force_H
 from rlm_coreset import adversary as adv
+from rlm_coreset import model
 from rlm_coreset.errors import (
     DegenerateInstanceError,
     InvalidParameterError,
@@ -299,6 +300,29 @@ class TestCircleH:
             z = -(h.beta[0] * np.cos(theta) + h.beta[1] * np.sin(theta) + h.bias)
             expect += float(np.sum(loss_eval(loss, z)))
         assert adv._circle_loss_sum(inst, h) == expect
+
+    @pytest.mark.parametrize("n", [8, adv._PIECE - 1, adv._PIECE + 1, 2 * adv._BLOCK + 5])
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_loss_sum_is_bytes_equal_on_one_cpu_and_the_pool(self, serial_and_pooled,
+                                                              loss, n):
+        inst = adv.gen_circle(n, 0.5, loss)
+        h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
+        serial, pooled = serial_and_pooled(lambda: adv._circle_loss_sum(inst, h))
+        assert serial.hex() == pooled.hex()
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_loss_sum_holds_no_block(self, monkeypatch, cpus):
+        # a whole block of losses would be 8.4 MB; pieces of _PIECE angles are not
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        inst = adv.gen_circle(2 * adv._BLOCK + 5, 0.5)
+        h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
+        tracemalloc.start()
+        try:
+            adv._circle_loss_sum(inst, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_observation_margin_sandwich(self):
         n, k = 512, 4

@@ -469,6 +469,17 @@ class TestNumericArguments:
         # a probe file the JSON reader accepts but no hypothesis may hold
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "file:{tmp}/nan.json"], 2),
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "file:{tmp}/inf.json"], 2),
+        # a circle k whose window n//(2k) is below 2, refused before k indices exist
+        (["adversary", "--kind", "circle", "--n", "1000", "--c", "1e300"], 3),
+        (["adversary", "--kind", "circle", "--n", "1000", "--k", "1000000000000"], 3),
+        (["adversary", "--kind", "circle", "--n", "10000000", "--gamma", "0.01",
+          "--c", "1.7e308"], 3),
+        # numpy's generators take no negative seed
+        (["sample", *SYNTH, "--seed", "-1", "--output", "{tmp}/o.json"], 3),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--seed", "-1"], 3),
+        (["sweep", *SYNTH, "--sizes", "20", "--seed", "-1", "--report", "{tmp}/s.csv"], 3),
+        (["train", *SYNTH, "--seed", "-1"], 3),
+        (["bench", *SYNTH, "--seed", "-1"], 3),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
@@ -476,7 +487,10 @@ class TestNumericArguments:
             "sample-kappa-1.5", "verify-kappa-1.5", "two-cluster-kappa-1.5",
             "norm-override-nan", "norm-override-inf", "c-inf", "c-0", "two-cluster-n-minus-5",
             "sample-size-epsilon-2", "sample-size-delta-7", "input-not-a-directory",
-            "output-not-a-directory", "betas-file-nan", "betas-file-inf"])
+            "output-not-a-directory", "betas-file-nan", "betas-file-inf", "circle-c-1e300",
+            "circle-k-1e12", "circle-k-overflows-float", "sample-seed-minus-1",
+            "verify-seed-minus-1", "sweep-seed-minus-1", "train-seed-minus-1",
+            "bench-seed-minus-1"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')

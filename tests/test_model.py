@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     oracle_point_objectives,
     oracle_sigmoid,
     oracle_softplus,
+    oracle_tiled_loss_sums,
     random_instance,
 )
 from rlm_coreset import model
@@ -425,6 +427,97 @@ class TestBlockEvaluator:
         cs = WeightedCoreset(indices=np.arange(3), weights=np.ones(3))
         with pytest.raises(ValueError, match="probes must be"):
             approximation_errors(inst, cs, np.zeros(shape))
+
+
+# TestPool's task size: how rows are split into tasks does not depend on it,
+# and the 2**20 margins of model.TASK_MARGINS would need 2**21 rows at k = 1
+SMALL_TASK_MARGINS = 1 << 17
+
+
+def task_rows(k):
+    # rows of one _tiled_loss_sums task: whole row tiles, the task's margins or more
+    return model.ROW_TILE * math.ceil(SMALL_TASK_MARGINS / (model.ROW_TILE * k))
+
+
+@pytest.fixture(scope="module")
+def tall_data():
+    # enough rows for two tasks and one more row at k = 1, in 2 columns
+    rng = np.random.default_rng(2024)
+    n = 2 * task_rows(1) + 1
+    return (rng.standard_normal((n, 2)), rng.choice([-1.0, 1.0], size=n),
+            rng.uniform(0.5, 2.0, size=n), rng.standard_normal((200, 2)) * 3.0)
+
+
+class TestPool:
+    """ordered_map on one CPU and on the pool: the same floats, errors and
+    error state.  Row counts end inside the second task, at its edge and one
+    row past it."""
+
+    ROWS = {"inside": lambda t: t + t // 2 + 3, "edge": lambda t: 2 * t,
+            "past": lambda t: 2 * t + 1}
+
+    @pytest.fixture(autouse=True)
+    def small_tasks(self, monkeypatch):
+        monkeypatch.setattr(model, "TASK_MARGINS", SMALL_TASK_MARGINS)
+
+    @pytest.mark.parametrize("cpus, pooled", [(1, False), (2, True)])
+    def test_tasks_run_on_the_pool_only_with_two_cpus(self, monkeypatch, cpus, pooled):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        me = threading.current_thread()
+        ran_on = model.ordered_map(lambda _: threading.current_thread(), range(6))
+        assert [t is not me for t in ran_on] == [pooled] * 6
+
+    def test_one_item_runs_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        assert model.ordered_map(lambda _: threading.current_thread(), [0]) == \
+            [threading.current_thread()]
+
+    @pytest.mark.parametrize("where", sorted(ROWS))
+    @pytest.mark.parametrize("k", [1, 64, 65, 200])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_tiled_sums_are_bytes_equal(self, serial_and_pooled, tall_data,
+                                        loss, weighted, k, where):
+        X, y, u, B = tall_data
+        n = self.ROWS[where](task_rows(k))
+        args = (loss, X[:n], y[:n], u[:n] if weighted else None, -B[:k])
+        serial, pooled = serial_and_pooled(lambda: model._tiled_loss_sums(*args))
+        assert serial.tobytes() == pooled.tobytes() == oracle_tiled_loss_sums(*args).tobytes()
+
+    @pytest.mark.parametrize("where", sorted(ROWS))
+    @pytest.mark.parametrize("k", [1, 64, 65, 200])
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_errors_are_bytes_equal(self, serial_and_pooled, tall_data, loss, k, where):
+        X, y, u, B = tall_data
+        n = self.ROWS[where](task_rows(k))
+        inst = RlmInstance(X=X[:n], y=y[:n], loss=loss, reg=RegularizerKind.L1, kappa=0.5)
+        # every row once, reversed, so the coreset pass is a gather of n rows too
+        for weights in (u[:n], np.ones(n)):
+            cs = WeightedCoreset(indices=np.arange(n)[::-1], weights=weights)
+            serial, pooled = serial_and_pooled(lambda: approximation_errors(inst, cs, B[:k]))
+            assert serial.tobytes() == pooled.tobytes()
+
+    def test_task_error_keeps_its_class(self, monkeypatch):
+        class TaskError(Exception):
+            pass
+
+        def task(i):
+            if i == 3:
+                raise TaskError(i)
+            return i
+
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        with pytest.raises(TaskError):
+            model.ordered_map(task, range(8))
+
+    def test_callers_errstate_holds_in_the_workers(self, monkeypatch):
+        # margins of 5e307, so every tile's loss sum overflows; two tasks
+        n = 2 * task_rows(64)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        args = (LossKind.HINGE, np.full((n, 2), 0.5), np.ones(n), None,
+                np.tile([1e308, 0.0], (64, 1)))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model._tiled_loss_sums(*args)
 
 
 class TestWeightSum:
