@@ -13,6 +13,7 @@ two-cluster case and a single streamed pass for the circle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,21 @@ from .model import (
     RlmInstance,
     loss_eval,
     ordered_map,
+    pairwise_sum,
 )
 
 _BLOCK = 1 << 20  # angles per summed block, one task of ordered_map
 _PIECE = 1 << 15  # most angles evaluated at once within a block (cache-sized)
+# the circle's indices are int64, and find_chunk adds up to n//2 to one
+_MAX_CIRCLE_N = 1 << 62
+
+
+def _check_n_at_most(n: int, most) -> None:
+    # an int and a float compare exactly, so a huge n is refused here
+    # before float(n) could overflow
+    if n > most:
+        raise InvalidParameterError(
+            f"n must be at most {most!r}, got one of {int(n).bit_length()} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +66,7 @@ def gen_two_cluster(
 ) -> TwoClusterInstance:
     if n < 1:
         raise InvalidParameterError(f"n must be at least 1, got {n}")
+    _check_n_at_most(n, sys.float_info.max)
     if not (0.0 < kappa < 1.0):
         raise InvalidParameterError("kappa must lie in (0, 1)")
     if not (0.0 < gamma < 1.0):
@@ -135,6 +148,7 @@ def gen_circle(
 ) -> CircleInstance:
     if n < 8:
         raise InvalidParameterError("circle instance needs at least 8 points")
+    _check_n_at_most(n, _MAX_CIRCLE_N)
     if not (0.0 < kappa < 1.0):
         raise InvalidParameterError("kappa must lie in (0, 1)")
     return CircleInstance(n=n, kappa=kappa, loss=loss, lam=float(n) ** kappa)
@@ -239,28 +253,19 @@ def point_line_distance(theta_i, theta):
 def _circle_loss_sum(inst: CircleInstance, h: Hypothesis) -> float:
     """Sum of per-point losses over all n angles, streamed in blocks of
     _BLOCK angles, one ordered_map task each; the block sums are added in
-    block order, so the total does not depend on the number of threads."""
+    block order, so the total does not depend on the number of threads.
+    Each block's sum is np.sum of its losses, built by pairwise_sum from
+    pieces of at most _PIECE angles."""
+    def piece_sum(lo: int, hi: int) -> float:
+        return float(np.sum(_circle_losses_at(inst, np.arange(lo, hi), h)))
+
     def block_sum(lo: int) -> float:
-        return _pairwise_loss_sum(inst, h, lo, min(lo + _BLOCK, inst.n))
+        return pairwise_sum(piece_sum, lo, min(lo + _BLOCK, inst.n), _PIECE)
 
     total = 0.0
     for s in ordered_map(block_sum, range(0, inst.n, _BLOCK)):
         total += s
     return total
-
-
-def _pairwise_loss_sum(inst: CircleInstance, h: Hypothesis, lo: int, hi: int) -> float:
-    """np.sum of the losses at angles lo..hi-1, the same float, without
-    holding them all: the range is halved as numpy's pairwise summation
-    halves an array (the first half's length rounded down to a multiple of
-    8) down to pieces of at most _PIECE angles, which np.sum reduces."""
-    n = hi - lo
-    if n <= _PIECE:
-        return float(np.sum(_circle_losses_at(inst, np.arange(lo, hi), h)))
-    n2 = n // 2
-    n2 -= n2 % 8
-    return (_pairwise_loss_sum(inst, h, lo, lo + n2)
-            + _pairwise_loss_sum(inst, h, lo + n2, hi))
 
 
 def _circle_losses_at(inst: CircleInstance, idx, h: Hypothesis) -> np.ndarray:

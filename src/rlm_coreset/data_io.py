@@ -218,8 +218,7 @@ def gen_synthetic(
     if margin > 0:
         X = X + margin * y[:, None] * w[None, :]
     if noise > 0:
-        flip = rng.random(n) < noise
-        y = np.where(flip, -y, y)
+        np.negative(y, out=y, where=rng.random(n) < noise)
     return X, y, w
 
 

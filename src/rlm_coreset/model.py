@@ -8,9 +8,13 @@ The objective being approximated is
 with the per-point share f_i(beta) = loss_i(beta) + lambda*reg(R*beta)/n.
 Its value and (sub)gradient on full data or on a weighted coreset are
 computed in one place, ``weighted_objective_grad``; the solver and the
-per-probe evaluators call it.  ``block_objectives`` evaluates a block of
-probes at once from the same loss and regularizer terms, in cache-sized
-tiles of X, spread over the usable CPUs by ``ordered_map``.
+per-probe evaluators call it.  No pass over X allocates an n x d
+temporary: R and the finiteness check read X in blocks of ROW_BLOCK rows,
+and the full-data loss sum is built from leaves of LEAF_ROWS rows by
+``pairwise_sum``, the same floats as over whole arrays.
+``block_objectives`` evaluates a block of probes at once from the same loss
+and regularizer terms, in cache-sized tiles of X, spread over the usable
+CPUs by ``ordered_map``.
 """
 
 from __future__ import annotations
@@ -110,10 +114,40 @@ def reg_grad(kind: RegularizerKind, v, scale: float = 1.0) -> np.ndarray:
     return scale * np.sign(v)
 
 
+# rows of X per block of the row-norm and finiteness passes: each block's
+# temporaries are ROW_BLOCK x d, never n x d
+ROW_BLOCK = 8192
+# most rows per leaf of the full-data loss sum (at least numpy's pairwise
+# block of 128, below which np.sum stops halving)
+LEAF_ROWS = 1 << 14
+
+
 def max_row_norm(X: np.ndarray) -> float:
     """The largest row 2-norm of a 2-D array, 0.0 when it has no rows: the
-    radius R of an instance and of a streamed reservoir."""
-    return float(np.max(np.linalg.norm(X, axis=1))) if X.shape[0] else 0.0
+    radius R of an instance and of a streamed reservoir.  The norms are
+    np.linalg.norm's, taken ROW_BLOCK rows at a time; a max is exact, so R
+    is the float the whole array gives."""
+    if not X.shape[0]:
+        return 0.0
+    R = np.max(np.linalg.norm(X[:ROW_BLOCK], axis=1))
+    for lo in range(ROW_BLOCK, X.shape[0], ROW_BLOCK):
+        R = np.maximum(R, np.max(np.linalg.norm(X[lo:lo + ROW_BLOCK], axis=1)))
+    return float(R)
+
+
+def pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int) -> float:
+    """np.sum of values lo..hi-1 that are never held at once, the same float:
+    the range is halved as numpy's pairwise summation halves an array (the
+    first half's length rounded down to a multiple of 8) down to pieces of
+    at most leaf values, and leaf_sum(a, b) returns np.sum of values a..b-1.
+    leaf must be at least 128, numpy's smallest halved length."""
+    n = hi - lo
+    if n <= leaf:
+        return leaf_sum(lo, hi)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return (pairwise_sum(leaf_sum, lo, lo + n2, leaf)
+            + pairwise_sum(leaf_sum, lo + n2, hi, leaf))
 
 
 @dataclass(frozen=True)
@@ -196,7 +230,8 @@ class RlmInstance:
         y = np.asarray(self.y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y length mismatch")
-        if not np.all(np.isfinite(X)):
+        if not all(np.isfinite(X[lo:lo + ROW_BLOCK]).all()
+                   for lo in range(0, X.shape[0], ROW_BLOCK)):
             raise ValueError("points must be finite")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
@@ -248,30 +283,66 @@ def coreset_rows(
     return inst.X[cs.indices], inst.y[cs.indices]
 
 
+def margins(inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray) -> np.ndarray:
+    """The margins z = -y * (X @ beta) on the coreset's rows."""
+    return _margins(*coreset_rows(inst, cs), beta)
+
+
+def _margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # one gemv, the product with y and its sign taken in place: rounding is
+    # symmetric, so -(y * p) is the float (-y) * p
+    z = X @ beta
+    z *= y
+    return np.negative(z, out=z)
+
+
+def _loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
+    """The loss sum at margins z (np.sum, or u @ losses with weights u) when
+    value is set, else 0.0; with dz given, the (weighted) slope times y is
+    written into it."""
+    # the logistic value and slope share one exp(-|z|); the value consumes it
+    e = _exp_neg_abs(z) if loss is LossKind.LOGISTIC else None
+    if dz is not None:
+        slope = loss_slope(loss, z, e)
+        np.multiply(slope if u is None else u * slope, y, out=dz)
+    if not value:
+        return 0.0
+    losses = loss_eval(loss, z, e)
+    return float(np.sum(losses) if u is None else u @ losses)
+
+
 def weighted_objective_grad(
-    inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray, grad: bool = True
-) -> Tuple[float, Optional[np.ndarray]]:
+    inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray,
+    grad: bool = True, z: Optional[np.ndarray] = None, value: bool = True,
+) -> Tuple[Optional[float], Optional[np.ndarray]]:
     """Objective sum_C u_i f_i(beta) and its (sub)gradient; with cs None or
     the identity coreset this is F(beta).  With grad=False the gradient is
-    not computed and None is returned in its place; the value is the same
-    float either way."""
+    not computed and None is returned in its place, with value=False the
+    same holds for the objective; each is the same float either way.  z,
+    when given, is margins(inst, cs, beta), which is then not recomputed.
+
+    On full data the losses are taken LEAF_ROWS rows at a time and their
+    np.sum leaves added as np.sum over all n adds them, so no n-sized array
+    but z and the gradient's dz is held, and every float is the one whole
+    arrays give.  The gradient stays one gemv, -(dz @ X): BLAS's order of
+    additions is its own, and a split of it would move the bits."""
     X, y = coreset_rows(inst, cs)
-    z = -y * (X @ beta)
-    # the logistic value and slope share one exp(-|z|); the value consumes it
-    e = _exp_neg_abs(z) if inst.loss is LossKind.LOGISTIC else None
-    slope = loss_slope(inst.loss, z, e) if grad else None
-    losses = loss_eval(inst.loss, z, e)
+    if z is None:
+        z = _margins(X, y, beta)
+    dz = np.empty(len(z)) if grad else None
     if is_full(inst, cs):
-        # np.sum is a fixed-order pairwise reduction, so results are reproducible
-        u, share, loss_sum = None, 1.0, float(np.sum(losses))
+        share = 1.0
+        loss_sum = pairwise_sum(
+            lambda lo, hi: _loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
+                                       None if dz is None else dz[lo:hi], value),
+            0, len(z), LEAF_ROWS)
     else:
-        u, share = cs.weights, cs.weight_sum() / inst.n
-        loss_sum = float(u @ losses)
+        share = cs.weight_sum() / inst.n
+        loss_sum = _loss_terms(inst.loss, z, y, cs.weights, dz, value)
     scale = inst.reg_scale
-    f = loss_sum + share * (scale * reg_eval(inst.reg, beta))
+    f = loss_sum + share * (scale * reg_eval(inst.reg, beta)) if value else None
     if not grad:
         return f, None
-    dz = slope * y if u is None else u * slope * y
     return f, -(dz @ X) + share * reg_grad(inst.reg, beta, scale)
 
 

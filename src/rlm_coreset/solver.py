@@ -27,6 +27,7 @@ from .model import (
     coreset_rows,
     is_full,
     loss_slope,
+    margins,
     reg_grad,
     weighted_objective_grad,
 )
@@ -88,8 +89,19 @@ class TrainTrace:
         self.objectives.append(f)
 
 
-def _identity_coreset(n: int) -> WeightedCoreset:
-    return WeightedCoreset(indices=np.arange(n), weights=np.ones(n))
+@dataclass(frozen=True)
+class _AllRows:
+    """Every row of an n-row instance at weight 1, held as n alone: what
+    full-data training passes where a coreset goes, so that no identity
+    coreset's two n-sized arrays are built.  model.is_full reads it as full
+    data, and its weight sum is n.  Unlike None it has a size, which
+    perfbench's count of evaluated rows reads."""
+
+    size: int
+    is_identity = True
+
+    def weight_sum(self) -> float:
+        return float(self.size)
 
 
 def _is_smooth(inst: RlmInstance) -> bool:
@@ -101,9 +113,9 @@ def train(
 ) -> Tuple[Hypothesis, TrainTrace]:
     """Train beta from 0 on the (weighted) objective; the trace always
     records the objective evaluated on the full instance."""
-    if cs is None:
-        cs = _identity_coreset(inst.n)
-    full_cs = cs if is_full(inst, cs) else _identity_coreset(inst.n)
+    full_cs = _AllRows(inst.n)
+    if is_full(inst, cs):
+        cs = full_cs
     if cfg.method is TrainMethod.SGD:
         return _train_sgd(inst, cs, full_cs, cfg)
     return _train_gd(inst, cs, full_cs, cfg)
@@ -140,9 +152,16 @@ def _train_gd(inst, cs, full_cs, cfg):
     # a full-data subgradient iterate whose trace value is the f that the
     # next iteration computes with its gradient
     pending = False
+    # the margins at beta of the Armijo trial accepted last, whose value f
+    # is known: the gradient is computed from them, then they are dropped
+    z = None
     for it in range(cfg.max_iters):
         t0 = time.perf_counter()
-        f, g = weighted_objective_grad(inst, cs, beta)
+        if z is None:
+            f, g = weighted_objective_grad(inst, cs, beta)
+        else:
+            _, g = weighted_objective_grad(inst, cs, beta, z=z, value=False)
+            z = None
         if pending:
             _trace_point(inst, full_cs, beta, trace, clock, f)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
@@ -164,7 +183,8 @@ def _train_gd(inst, cs, full_cs, cfg):
             backtracked = False
             while True:
                 cand = beta - step * g
-                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False)
+                z = margins(inst, cs, cand)
+                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False, z=z)
                 if f_new <= f - ARMIJO_C * step * gnorm * gnorm:
                     break
                 step *= ARMIJO_SHRINK
@@ -174,7 +194,7 @@ def _train_gd(inst, cs, full_cs, cfg):
             # the next iteration would see the same (beta, f, g), reject the
             # same doubled step and accept this one again, forever
             stalled = backtracked and cand.tobytes() == beta.tobytes()
-            beta = cand
+            beta, f = cand, f_new
             if full:
                 f_next = f_new
         else:
@@ -205,7 +225,8 @@ def _train_gd(inst, cs, full_cs, cfg):
 def _train_sgd(inst, cs, full_cs, cfg):
     rng = np.random.default_rng(cfg.seed)
     X, y = coreset_rows(inst, cs)
-    u = cs.weights
+    # on full data every weight is 1: u * dz is dz and sum(u) the batch size
+    u = None if cs is full_cs else cs.weights
     m = len(y)
     beta = np.zeros(inst.d)
     trace = TrainTrace()
@@ -218,12 +239,19 @@ def _train_sgd(inst, cs, full_cs, cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, m, cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
-                Xb, yb, ub = X[batch], y[batch], u[batch]
+                Xb, yb = X[batch], y[batch]
                 z = -yb * (Xb @ beta)
                 dz = loss_slope(inst.loss, z)
+                if u is None:
+                    dz *= yb
+                    count = float(len(batch))
+                else:
+                    ub = u[batch]
+                    dz = ub * dz * yb
+                    count = float(np.sum(ub))
                 # mean-objective gradient: per-point loss terms plus the 1/n
                 # regularizer share, so the step scale is independent of n
-                g = -((ub * dz * yb) @ Xb) / float(np.sum(ub))
+                g = -(dz @ Xb) / count
                 g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
                 beta = beta - cfg.learning_rate * g
         if not np.all(np.isfinite(beta)):

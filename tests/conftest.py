@@ -14,7 +14,6 @@ from rlm_coreset.model import (
     is_full,
     loss_eval,
     reg_eval,
-    weighted_objective_grad,
 )
 
 ALL_PAIRS = [(loss, reg) for loss in LossKind for reg in RegularizerKind]
@@ -126,6 +125,29 @@ def oracle_sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def oracle_objective_grad(inst, cs, beta, grad=True):
+    """weighted_objective_grad as one formula over whole arrays: every
+    margin, loss and slope held at once, one np.sum (or u @ losses) and one
+    gemv.  The reference the blocked kernel must match bit for bit."""
+    if is_full(inst, cs):
+        X, y, u, share = inst.X, inst.y, None, 1.0
+    else:
+        X, y, u = inst.X[cs.indices], inst.y[cs.indices], cs.weights
+        share = math.fsum(cs.weights) / inst.n
+    z = -y * (X @ beta)
+    if inst.loss is LossKind.LOGISTIC:
+        losses, slope = oracle_softplus(z), oracle_sigmoid(z)
+    else:
+        losses, slope = np.maximum(0.0, 1.0 + z), (z > -1.0).astype(float)
+    loss_sum = float(np.sum(losses)) if u is None else float(u @ losses)
+    scale = inst.reg_scale
+    f = loss_sum + share * (scale * reg_eval(inst.reg, beta))
+    if not grad:
+        return f, None
+    dz = slope * y if u is None else u * slope * y
+    return f, -(dz @ X) + share * model.reg_grad(inst.reg, beta, scale)
+
+
 def oracle_train_gd(inst, cfg, cs=None):
     """Full-batch GD that always runs to grad_tol or max_iters, with a
     separate full-data evaluation for every trace point: the reference whose
@@ -143,7 +165,7 @@ def oracle_train_gd(inst, cfg, cs=None):
     best_beta, best_f = beta.copy(), np.inf
     step = solver.STEP_INIT
     for it in range(cfg.max_iters):
-        f, g = weighted_objective_grad(inst, cs, beta)
+        f, g = oracle_objective_grad(inst, cs, beta)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
             raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
         gnorm = float(np.linalg.norm(g))
@@ -151,13 +173,13 @@ def oracle_train_gd(inst, cfg, cs=None):
             best_f, best_beta = f, beta.copy()
         if gnorm <= cfg.grad_tol:
             objectives.append(f if full else
-                              weighted_objective_grad(inst, full_cs, beta, grad=False)[0])
+                              oracle_objective_grad(inst, full_cs, beta, grad=False)[0])
             break
         if smooth:
             step *= 2.0
             while True:
                 cand = beta - step * g
-                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False)
+                f_new, _ = oracle_objective_grad(inst, cs, cand, grad=False)
                 if f_new <= f - solver.ARMIJO_C * step * gnorm * gnorm:
                     break
                 step *= solver.ARMIJO_SHRINK
@@ -166,7 +188,7 @@ def oracle_train_gd(inst, cfg, cs=None):
             beta = cand
         else:
             beta = beta - solver.STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
-        objectives.append(weighted_objective_grad(inst, full_cs, beta, grad=False)[0])
+        objectives.append(oracle_objective_grad(inst, full_cs, beta, grad=False)[0])
     return (beta if smooth else best_beta), objectives
 
 

@@ -91,11 +91,23 @@ class TestTwoCluster:
         with pytest.raises(InvalidParameterError):
             adv.two_cluster_H(inst, True, 0, 1.0, 1.0)
 
+    def test_n_past_the_largest_float_is_refused(self):
+        # 10**308 converts; 10**309 would overflow float(n)
+        assert adv.gen_two_cluster(10**308, 0.5, 0.4).lam == pytest.approx(1e154)
+        with pytest.raises(InvalidParameterError, match="n must be at most"):
+            adv.gen_two_cluster(10**309, 0.5, 0.4)
+
 
 class TestCircleInstance:
     def test_minimum_size(self):
         with pytest.raises(InvalidParameterError):
             adv.gen_circle(4)
+
+    def test_n_past_the_int64_indices_is_refused(self):
+        assert adv.gen_circle(2**62).n == 2**62
+        for n in (2**62 + 1, 10**400):
+            with pytest.raises(InvalidParameterError, match="n must be at most"):
+                adv.gen_circle(n)
 
     def test_point_zero(self):
         pts = adv.circle_points(8, [0])

@@ -480,6 +480,11 @@ class TestNumericArguments:
         (["sweep", *SYNTH, "--sizes", "20", "--seed", "-1", "--report", "{tmp}/s.csv"], 3),
         (["train", *SYNTH, "--seed", "-1"], 3),
         (["bench", *SYNTH, "--seed", "-1"], 3),
+        # float(n) would overflow: refused before any conversion
+        (["adversary", "--kind", "circle", "--n", "9" * 401], 3),
+        (["adversary", "--kind", "two-cluster", "--n", "9" * 401], 3),
+        # past the circle's int64 indices
+        (["adversary", "--kind", "circle", "--n", "1" + "0" * 19], 3),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
@@ -490,7 +495,8 @@ class TestNumericArguments:
             "output-not-a-directory", "betas-file-nan", "betas-file-inf", "circle-c-1e300",
             "circle-k-1e12", "circle-k-overflows-float", "sample-seed-minus-1",
             "verify-seed-minus-1", "sweep-seed-minus-1", "train-seed-minus-1",
-            "bench-seed-minus-1"])
+            "bench-seed-minus-1", "circle-n-401-digits", "two-cluster-n-401-digits",
+            "circle-n-past-int64"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')

@@ -314,6 +314,15 @@ class TestSynthetic:
         agreement = np.mean(np.sign(X @ w) == y)
         assert abs(agreement - 0.5) < 0.01
 
+    def test_flips_exactly_the_drawn_labels(self):
+        X, y, w = data_io.gen_synthetic(1000, 3, noise=0.3, seed=5)
+        rng = np.random.default_rng(5)
+        rng.standard_normal(3)
+        rng.standard_normal((1000, 3))
+        flip = rng.random(1000) < 0.3
+        clean = np.where(X @ w >= 0, 1.0, -1.0)
+        assert y.tobytes() == np.where(flip, -clean, clean).tobytes()
+
     def test_seeded_identical(self):
         a = data_io.gen_synthetic(100, 3, noise=0.2, seed=9)
         b = data_io.gen_synthetic(100, 3, noise=0.2, seed=9)

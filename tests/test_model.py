@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import (
     ALL_PAIRS,
     brute_force_H,
+    oracle_objective_grad,
     oracle_point_objectives,
     oracle_sigmoid,
     oracle_softplus,
@@ -32,6 +34,7 @@ from rlm_coreset.model import (
     full_objective,
     loss_eval,
     loss_slope,
+    margins,
     reg_eval,
     weighted_objective_grad,
 )
@@ -282,6 +285,93 @@ class TestKernel:
                          lambda: approximation_error(inst, cs, h)):
             with pytest.raises(ValueError, match="bias"):
                 evaluate()
+
+
+def leaf_instance(n, loss, reg, d=4, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = rng.choice([-1.0, 1.0], size=n)
+    return RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
+
+
+def assert_same_bits(got, expect):
+    f, g = got
+    f_ref, g_ref = expect
+    assert (f is None) == (f_ref is None) and (g is None) == (g_ref is None)
+    if f is not None:
+        assert f.hex() == f_ref.hex()
+    if g is not None:
+        assert g.tobytes() == g_ref.tobytes()
+
+
+class TestBlockedKernel:
+    """The kernel's leaf sums and margin reuse give the floats of the
+    one-array formula, oracle_objective_grad."""
+
+    @pytest.mark.parametrize("n", [model.LEAF_ROWS - 1, model.LEAF_ROWS, model.LEAF_ROWS + 1,
+                                   2 * model.LEAF_ROWS + 5, 100_000])
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_bytes_equal_to_the_oracle(self, loss, reg, n):
+        inst = leaf_instance(n, loss, reg)
+        rng = np.random.default_rng(n)
+        weighted = WeightedCoreset(indices=rng.integers(0, n, size=3000),
+                                   weights=rng.uniform(0.1, 5.0, size=3000))
+        for cs in (None, weighted):
+            # beta = 0 puts every margin at a signed zero
+            for beta in (np.zeros(inst.d), 0.7 * rng.standard_normal(inst.d)):
+                z = margins(inst, cs, beta)
+                f, g = oracle_objective_grad(inst, cs, beta)
+                for got in (weighted_objective_grad(inst, cs, beta),
+                            weighted_objective_grad(inst, cs, beta, z=z)):
+                    assert_same_bits(got, (f, g))
+                for got in (weighted_objective_grad(inst, cs, beta, grad=False),
+                            weighted_objective_grad(inst, cs, beta, grad=False, z=z)):
+                    assert_same_bits(got, oracle_objective_grad(inst, cs, beta, grad=False))
+                assert_same_bits(weighted_objective_grad(inst, cs, beta, z=z, value=False),
+                                 (None, g))
+
+    @pytest.mark.parametrize("leaf", [128, 1000])
+    def test_pairwise_sum_is_np_sum(self, rng, leaf):
+        for n in (0, 1, 7, leaf, leaf + 1, 4 * leaf + 13, 50_000):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+            got = model.pairwise_sum(lambda a, b: float(np.sum(values[a:b])), 0, n, leaf)
+            assert got.hex() == float(np.sum(values)).hex()
+
+    @pytest.mark.parametrize("d", [1, 10, 129])
+    @pytest.mark.parametrize("n", [model.ROW_BLOCK - 1, model.ROW_BLOCK, model.ROW_BLOCK + 1])
+    def test_blocked_max_row_norm(self, rng, n, d):
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+        expect = float(np.max(np.linalg.norm(X, axis=1)))
+        assert model.max_row_norm(X).hex() == expect.hex()
+        # the largest row in the last block
+        X[-1] *= 1e4
+        expect = float(np.max(np.linalg.norm(X, axis=1)))
+        assert model.max_row_norm(X).hex() == expect.hex()
+        assert model.max_row_norm(X[:0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_in_the_last_block(self, bad):
+        X = np.ones((model.ROW_BLOCK + 1, 2))
+        X[-1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RlmInstance(X=X, y=np.ones(len(X)), loss=LossKind.LOGISTIC,
+                        reg=RegularizerKind.L2, kappa=0.5)
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_instance_and_one_evaluation_allocate_under_half_of_X(self, loss, reg):
+        # one n x d temporary, or five n-vectors, would pass this bound
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((200_000, 10))
+        y = rng.choice([-1.0, 1.0], size=len(X))
+        beta = rng.standard_normal(10)
+        tracemalloc.start()
+        try:
+            inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
+            weighted_objective_grad(inst, None, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
 
 
 class TestCoresetObjective:

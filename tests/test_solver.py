@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import ALL_PAIRS, oracle_train_gd, random_instance
-from rlm_coreset import solver
+from rlm_coreset import model, solver
 from rlm_coreset.data_io import gen_synthetic
 from rlm_coreset.errors import InvalidParameterError
 from rlm_coreset.model import (
@@ -15,6 +16,8 @@ from rlm_coreset.model import (
     WeightedCoreset,
     coreset_rows,
     full_objective,
+    loss_slope,
+    reg_grad,
 )
 from rlm_coreset.sampling import uniform_sample
 from rlm_coreset.solver import (
@@ -224,6 +227,84 @@ class TestStopRule:
         _, trace = train(inst, cfg)
         assert trace.stop_reason == "max_iters"
         assert trace.objectives == oracle_train_gd(inst, cfg)[1]
+
+
+def oracle_sgd_beta(inst, cfg):
+    """Full-data SGD with every weight 1 kept in the step, u * dz * y over
+    sum(u): the reference the weight-free full-data step must match."""
+    rng = np.random.default_rng(cfg.seed)
+    u = np.ones(inst.n)
+    beta = np.zeros(inst.d)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(inst.n)
+        for lo in range(0, inst.n, cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            Xb, yb, ub = inst.X[batch], inst.y[batch], u[batch]
+            dz = loss_slope(inst.loss, -yb * (Xb @ beta))
+            g = -((ub * dz * yb) @ Xb) / float(np.sum(ub))
+            g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
+            beta = beta - cfg.learning_rate * g
+    return beta
+
+
+class TestBoundedMemory:
+    """Full-data training holds X, y and at most two n-vectors, and gives the
+    floats of the one-array kernel and of weighted SGD."""
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_gd_past_one_leaf_matches_the_oracle(self, loss, reg):
+        X, y, _ = gen_synthetic(2 * model.LEAF_ROWS + 5, 3, noise=0.1, seed=7)
+        inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
+        cfg = TrainConfig(max_iters=12, grad_tol=1e-12)
+        beta_hat, trace = train(inst, cfg)
+        beta_ref, trace_ref = oracle_train_gd(inst, cfg)
+        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert trace.objectives == trace_ref[:len(trace.objectives)]
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_full_data_sgd_matches_weighted_sgd(self, loss, reg):
+        X, y, _ = gen_synthetic(500, 3, noise=0.1, seed=7)
+        inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
+        cfg = TrainConfig(method=TrainMethod.SGD, epochs=3, batch_size=7, seed=4)
+        for cs in (None, identity_cs(inst.n)):
+            beta_hat, _ = train(inst, cfg, cs)
+            assert beta_hat.beta.tobytes() == oracle_sgd_beta(inst, cfg).tobytes()
+
+    def test_gd_takes_the_accepted_trial_s_value_and_margins(self, monkeypatch):
+        calls = []
+        kernel = solver.weighted_objective_grad
+
+        def recording(inst, cs, beta, grad=True, z=None, value=True):
+            calls.append((grad, value, z is not None))
+            return kernel(inst, cs, beta, grad, z, value)
+
+        monkeypatch.setattr(solver, "weighted_objective_grad", recording)
+        X, y, _ = gen_synthetic(300, 3, noise=0.1, seed=7)
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                           reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        _, trace = train(inst, TrainConfig(max_iters=20, grad_tol=1e-12))
+        grads = [c for c in calls if c[0]]
+        # one full evaluation at beta = 0; after it each gradient comes from
+        # the margins of the trial that was accepted, whose value is known
+        assert len(grads) == len(trace.objectives) == 20
+        assert grads[0] == (True, True, False)
+        assert set(grads[1:]) == {(True, False, True)}
+        assert {c for c in calls if not c[0]} == {(False, True, True)}
+
+    @pytest.mark.parametrize("cfg", [TrainConfig(max_iters=3),
+                                     TrainConfig(method=TrainMethod.SGD, epochs=1)],
+                             ids=["gd", "sgd"])
+    def test_full_data_training_allocates_under_half_of_X(self, cfg):
+        X, y, _ = gen_synthetic(200_000, 10, noise=0.1, seed=3)
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                           reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        tracemalloc.start()
+        try:
+            train(inst, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
 
 
 class TestTrainConfig:
