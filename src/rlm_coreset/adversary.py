@@ -24,13 +24,11 @@ from .model import (
     LossKind,
     RegularizerKind,
     RlmInstance,
+    blocked_sum,
     loss_eval,
-    ordered_map,
-    pairwise_sum,
 )
 
-_BLOCK = 1 << 20  # angles per summed block, one task of ordered_map
-_PIECE = 1 << 15  # most angles evaluated at once within a block (cache-sized)
+_PIECE = 1 << 15  # most angles evaluated at once (cache-sized)
 # the circle's indices are int64, and find_chunk adds up to n//2 to one
 _MAX_CIRCLE_N = 1 << 62
 
@@ -251,21 +249,12 @@ def point_line_distance(theta_i, theta):
 
 
 def _circle_loss_sum(inst: CircleInstance, h: Hypothesis) -> float:
-    """Sum of per-point losses over all n angles, streamed in blocks of
-    _BLOCK angles, one ordered_map task each; the block sums are added in
-    block order, so the total does not depend on the number of threads.
-    Each block's sum is np.sum of its losses, built by pairwise_sum from
-    pieces of at most _PIECE angles."""
-    def piece_sum(lo: int, hi: int) -> float:
-        return float(np.sum(_circle_losses_at(inst, np.arange(lo, hi), h)))
-
-    def block_sum(lo: int) -> float:
-        return pairwise_sum(piece_sum, lo, min(lo + _BLOCK, inst.n), _PIECE)
-
-    total = 0.0
-    for s in ordered_map(block_sum, range(0, inst.n, _BLOCK)):
-        total += s
-    return total
+    """Sum of per-point losses over all n angles, streamed: blocked_sum adds
+    np.sum of each piece of at most _PIECE angles, in blocks of 2**20 angles,
+    so the total does not depend on the number of threads."""
+    return blocked_sum(
+        lambda lo, hi: float(np.sum(_circle_losses_at(inst, np.arange(lo, hi), h))),
+        inst.n, _PIECE, 1)
 
 
 def _circle_losses_at(inst: CircleInstance, idx, h: Hypothesis) -> np.ndarray:

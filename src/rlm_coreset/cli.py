@@ -152,14 +152,13 @@ def cmd_sample(args) -> int:
     q = sensitivity.sample_size(s_total, profile.delta_vc, args.epsilon, args.delta, inst.n)
     if args.size is not None:
         q = args.size
-    elif q >= inst.n:
-        print(
-            f"warning: required sample size exceeds n={inst.n}; "
-            "using the full dataset", file=sys.stderr,
-        )
+    if q >= inst.n:
+        asked = "--size" if args.size is not None else "required sample size"
+        print(f"warning: {asked} {q} is at least n={inst.n}; using the full dataset",
+              file=sys.stderr)
     cs = sampling.uniform_sample(inst, q, args.seed)
-    data_io.write_coreset(args.output, _coreset_payload(args, inst, cs, q))
-    print(f"q={q} S_prime={s_total!r} lambda={inst.lam!r} R={inst.R!r}")
+    data_io.write_coreset(args.output, _coreset_payload(args, inst, cs, cs.size))
+    print(f"q={cs.size} S_prime={s_total!r} lambda={inst.lam!r} R={inst.R!r}")
     return EXIT_OK
 
 
@@ -208,6 +207,8 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
+    if not (0.0 < args.epsilon < 1.0):  # check_weight_sum's range, before any work
+        raise InvalidParameterError(f"eps must lie in (0, 1), got {args.epsilon!r}")
     inst = _load_instance(args)
     doc = data_io.read_coreset(args.coreset)
     cs = _coreset_from_doc(doc, inst)

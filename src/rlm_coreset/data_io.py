@@ -236,6 +236,5 @@ def read_coreset(path) -> dict:
     return doc
 
 
-# reports share the coreset container format
+# reports share the coreset container format, and read_coreset reads them
 write_report = write_coreset
-read_report = read_coreset

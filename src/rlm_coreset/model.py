@@ -7,20 +7,26 @@ The objective being approximated is
 
 with the per-point share f_i(beta) = loss_i(beta) + lambda*reg(R*beta)/n.
 Its value and (sub)gradient on full data or on a weighted coreset are
-computed in one place, ``weighted_objective_grad``; the solver and the
-per-probe evaluators call it.  No pass over X allocates an n x d
-temporary: R and the finiteness check read X in blocks of ROW_BLOCK rows,
-and the full-data loss sum is built from leaves of LEAF_ROWS rows by
+computed in one place, ``weighted_objective_grad``; the solver and
+``full_objective`` call it.  No pass over X allocates an n x d temporary:
+R and the finiteness check read X in blocks of ROW_BLOCK rows, and the
+full-data loss sum is built from leaves of LEAF_ROWS rows by
 ``pairwise_sum``, the same floats as over whole arrays.
-``block_objectives`` evaluates a block of probes at once from the same loss
-and regularizer terms, in cache-sized tiles of X, spread over the usable
-CPUs by ``ordered_map``.
+
+H has one path: ``block_objectives`` evaluates a block of probes at once
+from the same loss and regularizer terms, in cache-sized tiles of X, and
+``coreset_objective`` and ``approximation_error`` are its one-probe calls.
+Every streamed loss sum, here and in the adversary's circle, is added by
+``blocked_sum``: pairwise within blocks that ``ordered_map`` spreads over
+the usable CPUs, block sums in block order.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
+import operator
 import os
 import threading
 import warnings
@@ -353,29 +359,8 @@ def _coefficients(h: Hypothesis) -> np.ndarray:
     return h.beta
 
 
-def _check_indices(inst: RlmInstance, cs: WeightedCoreset) -> None:
-    idx = cs.indices
-    if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
-        raise IndexError("coreset index out of range")
-
-
 def full_objective(inst: RlmInstance, h: Hypothesis) -> float:
     return weighted_objective_grad(inst, None, _coefficients(h), grad=False)[0]
-
-
-def coreset_objective(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
-    _check_indices(inst, cs)
-    return weighted_objective_grad(inst, cs, _coefficients(h), grad=False)[0]
-
-
-def approximation_error(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
-    """Relative approximation error H(beta) of the candidate coreset at h."""
-    full = full_objective(inst, h)
-    if full <= 0.0:
-        raise ZeroObjectiveError(
-            "full objective is zero at this hypothesis; H is undefined"
-        )
-    return abs(full - coreset_objective(inst, cs, h)) / full
 
 
 def _usable_cpus() -> int:
@@ -431,43 +416,46 @@ def ordered_map(fn, items) -> list:
 # a (PROBE_TILE, ROW_TILE) block of margins that stays in cache
 ROW_TILE = 1024
 PROBE_TILE = 64
-# margins (rows x probes) one ordered_map task evaluates at least: enough to
-# outweigh handing it to a thread
+# values (rows x width) one ordered_map task of blocked_sum adds at least:
+# enough to outweigh handing it to a thread
 TASK_MARGINS = 1 << 20
+
+
+def blocked_sum(leaf_sum, n: int, leaf: int, width: int):
+    """The sum of rows 0..n-1 of values that are never held at once, each row
+    a float or a vector of width floats, spread over the usable CPUs.  A block
+    is the smallest power of two of leaves of leaf rows that covers
+    TASK_MARGINS values (rows x width); one ordered_map task adds each block
+    by pairwise_sum from leaf_sum(a, b), the sum of rows a..b-1, and the
+    block sums are added in block order, so the total does not depend on the
+    number of threads.  With n no more than one block's rows, the total is
+    pairwise_sum's over all n rows."""
+    block = leaf << (-(-TASK_MARGINS // (leaf * max(width, 1))) - 1).bit_length()
+    parts = ordered_map(lambda lo: pairwise_sum(leaf_sum, lo, min(lo + block, n), leaf),
+                        range(0, max(n, 1), block))
+    return functools.reduce(operator.add, parts)
 
 
 def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
                      u: Optional[np.ndarray], neg_B: np.ndarray) -> np.ndarray:
     """Per-probe sums of the losses at margins -y_i x_i.beta, weighted by u
-    when given; X is read once, one row tile at a time, against every probe
-    tile.  neg_B holds the probes negated, so that X @ neg_B.T * y is the
-    margin with no n-sized copy of -y.
-
-    A task of ordered_map is a run of consecutive row tiles of at least
-    TASK_MARGINS margins in all, and returns one row of loss sums per tile.
-    The rows are added in tile order, so the sums are the same floats
-    however many threads ran the tasks."""
+    when given, added by blocked_sum from leaves of at most ROW_TILE rows.  A
+    leaf reads its rows of X once, against one tile of PROBE_TILE probes at a
+    time.  neg_B holds the probes negated, so that X @ neg_B.T * y is the
+    margin with no n-sized copy of -y."""
     k = neg_B.shape[0]
-    rows = ROW_TILE * -(-TASK_MARGINS // (ROW_TILE * max(k, 1)))
 
-    def tile_sums(lo: int) -> np.ndarray:
-        starts = range(lo, min(lo + rows, X.shape[0]), ROW_TILE)
-        out = np.empty((len(starts), k))
-        for t, r in enumerate(starts):
-            Xt, yt = X[r:r + ROW_TILE], y[r:r + ROW_TILE]
-            ut = None if u is None else u[r:r + ROW_TILE]
-            for p in range(0, k, PROBE_TILE):
-                z = neg_B[p:p + PROBE_TILE] @ Xt.T
-                z *= yt
-                losses = loss_eval(loss, z)
-                out[t, p:p + PROBE_TILE] = losses.sum(axis=1) if ut is None else losses @ ut
+    def leaf_sums(lo: int, hi: int) -> np.ndarray:
+        Xt, yt = X[lo:hi], y[lo:hi]
+        out = np.empty(k)
+        for p in range(0, k, PROBE_TILE):
+            z = neg_B[p:p + PROBE_TILE] @ Xt.T
+            z *= yt
+            losses = loss_eval(loss, z)
+            out[p:p + PROBE_TILE] = losses.sum(axis=1) if u is None else losses @ u[lo:hi]
         return out
 
-    sums = np.zeros(k)
-    for part in ordered_map(tile_sums, range(0, X.shape[0], rows)):
-        for tile in part:
-            sums += tile
-    return sums
+    return blocked_sum(leaf_sums, X.shape[0], ROW_TILE, k)
 
 
 def block_objectives(
@@ -476,14 +464,18 @@ def block_objectives(
     """F and the coreset objective F_C at every row of the (k, d) probe array
     B, in one tiled pass over X and one over the coreset rows, gathered once.
     The regularizer term of each probe is the float weighted_objective_grad
-    adds; only the order in which the loss sums are added differs from it.
-    For the identity coreset F_C is F itself."""
+    adds.  For one probe on at most 2**20 rows (one block of blocked_sum), F
+    is the float full_objective gives; otherwise only the order in which the
+    loss sums are added differs from it.  For the identity coreset F_C is F
+    itself."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != inst.d:
         raise ValueError(f"probes must be a (k, {inst.d}) array, got shape {B.shape}")
     if not np.all(np.isfinite(B)):
         raise ValueError("hypothesis components must be finite")
-    _check_indices(inst, cs)
+    idx = cs.indices
+    if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
+        raise IndexError("coreset index out of range")
     scale = inst.reg_scale
     reg = np.array([scale * reg_eval(inst.reg, beta) for beta in B])
     neg_B = -B
@@ -505,6 +497,17 @@ def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarra
             "full objective is zero at this hypothesis; H is undefined"
         )
     return np.abs(full - core) / full
+
+
+def coreset_objective(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
+    """F_C at h: block_objectives for one probe (which evaluates F too)."""
+    return float(block_objectives(inst, cs, _coefficients(h)[None])[1][0])
+
+
+def approximation_error(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
+    """Relative approximation error H(beta) of the candidate coreset at h:
+    approximation_errors for one probe."""
+    return float(approximation_errors(inst, cs, _coefficients(h)[None])[0])
 
 
 def check_weight_sum(cs: WeightedCoreset, n: int, eps: float) -> bool:

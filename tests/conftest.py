@@ -227,19 +227,36 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def oracle_tiled_loss_sums(loss, X, y, u, neg_B, rows=1024, probes=64):
-    """model._tiled_loss_sums as one loop in one thread: each tile's loss
-    sums added to the running sums in row-tile order."""
-    sums = np.zeros(neg_B.shape[0])
-    for lo in range(0, X.shape[0], rows):
-        Xt, yt = X[lo:lo + rows], y[lo:lo + rows]
-        ut = None if u is None else u[lo:lo + rows]
-        for p in range(0, neg_B.shape[0], probes):
-            z = neg_B[p:p + probes] @ Xt.T
-            z *= yt
-            losses = loss_eval(loss, z)
-            sums[p:p + probes] += losses.sum(axis=1) if ut is None else losses @ ut
-    return sums
+def oracle_tiled_loss_sums(loss, X, y, u, neg_B, block, rows=1024, probes=64):
+    """model._tiled_loss_sums in one thread: the rows in blocks of `block`,
+    each block's sums added to the total in block order.  Unweighted, a
+    block's margins and losses are computed whole and reduced by
+    np.sum(axis=1).  Weighted, the block is halved as numpy's pairwise sum
+    halves an array (the first half rounded down to a multiple of 8) down to
+    pieces of at most `rows` rows, each reduced by losses @ u.  Each product
+    is taken per tile of `probes` probes, as the kernel takes it: a tile of
+    one probe is a gemv or a dot, whose roundings need not be gemm's."""
+    def losses(lo, hi):
+        z = np.empty((len(neg_B), hi - lo))
+        for p in range(0, len(neg_B), probes):
+            z[p:p + probes] = neg_B[p:p + probes] @ X[lo:hi].T
+        z *= y[lo:hi]
+        return loss_eval(loss, z)
+
+    def weighted(lo, hi):
+        if hi - lo <= rows:
+            tiles = losses(lo, hi)
+            return np.concatenate([tiles[p:p + probes] @ u[lo:hi]
+                                   for p in range(0, len(tiles), probes)])
+        half = (hi - lo) // 2 // 8 * 8
+        return weighted(lo, lo + half) + weighted(lo + half, hi)
+
+    total = None
+    for lo in range(0, X.shape[0], block):
+        hi = min(lo + block, X.shape[0])
+        sums = np.sum(losses(lo, hi), axis=1) if u is None else weighted(lo, hi)
+        total = sums if total is None else total + sums
+    return total
 
 
 @pytest.fixture

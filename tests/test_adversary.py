@@ -20,6 +20,10 @@ from rlm_coreset.model import (
     loss_eval,
 )
 
+# angles per block of the circle's streamed loss sum, whatever the number of
+# threads: the frozen circle values are sums of blocks of this size
+CIRCLE_BLOCK = 1 << 20
+
 
 class TestTwoCluster:
     def test_counts_example(self):
@@ -303,17 +307,17 @@ class TestCircleH:
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_loss_sum_reduces_each_block_as_one_array(self, loss):
         # filling a block piece by piece must not change a bit of its sum
-        n = adv._BLOCK + 3 * adv._PIECE + 77
+        n = CIRCLE_BLOCK + 3 * adv._PIECE + 77
         inst = adv.gen_circle(n, 0.5, loss)
         h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
         expect = 0.0
-        for lo in range(0, n, adv._BLOCK):
-            theta = 2.0 * np.pi * np.arange(lo, min(lo + adv._BLOCK, n), dtype=float) / n
+        for lo in range(0, n, CIRCLE_BLOCK):
+            theta = 2.0 * np.pi * np.arange(lo, min(lo + CIRCLE_BLOCK, n), dtype=float) / n
             z = -(h.beta[0] * np.cos(theta) + h.beta[1] * np.sin(theta) + h.bias)
             expect += float(np.sum(loss_eval(loss, z)))
         assert adv._circle_loss_sum(inst, h) == expect
 
-    @pytest.mark.parametrize("n", [8, adv._PIECE - 1, adv._PIECE + 1, 2 * adv._BLOCK + 5])
+    @pytest.mark.parametrize("n", [8, adv._PIECE - 1, adv._PIECE + 1, 2 * CIRCLE_BLOCK + 5])
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_loss_sum_is_bytes_equal_on_one_cpu_and_the_pool(self, serial_and_pooled,
                                                               loss, n):
@@ -326,7 +330,7 @@ class TestCircleH:
     def test_loss_sum_holds_no_block(self, monkeypatch, cpus):
         # a whole block of losses would be 8.4 MB; pieces of _PIECE angles are not
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
-        inst = adv.gen_circle(2 * adv._BLOCK + 5, 0.5)
+        inst = adv.gen_circle(2 * CIRCLE_BLOCK + 5, 0.5)
         h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
         tracemalloc.start()
         try:

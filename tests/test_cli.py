@@ -40,6 +40,18 @@ class TestSample:
         assert doc["q"] == 400  # formula exceeds n at this scale
         assert "full dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["100", "500"])
+    def test_size_at_or_above_n_records_the_full_dataset(self, tmp_path, capsys, size):
+        out = tmp_path / "cs.json"
+        code = run(["sample", "--format", "synthetic", "--input", "n=100,d=2",
+                    "--size", size, "--output", str(out)])
+        assert code == 0
+        doc = data_io.read_coreset(out)
+        assert doc["q"] == len(doc["indices"]) == 100 and doc["weights"] == [1.0] * 100
+        captured = capsys.readouterr()
+        assert "q=100 " in captured.out
+        assert "using the full dataset" in captured.err
+
     @pytest.mark.parametrize("spec, token", [
         ("n=400,d=3,noize=0.9", "noize=0.9"), ("n400", "n400"), ("n=400,=3", "=3"),
     ])
@@ -63,7 +75,7 @@ class TestVerify:
         code = run(["verify", *SYNTH, "--coreset", str(out),
                     "--betas", "random:50", "--report", str(report)])
         assert code == 0
-        doc = data_io.read_report(report)
+        doc = data_io.read_coreset(report)
         assert doc["max_H"] <= 1e-10
         assert doc["weight_sum_ok"] is True
 
@@ -76,7 +88,7 @@ class TestVerify:
                         "--betas", "random:30", "--betas", "trained",
                         "--seed", "5", "--report", str(rep)])
             assert code == 0
-        a, b = data_io.read_report(rep1), data_io.read_report(rep2)
+        a, b = data_io.read_coreset(rep1), data_io.read_coreset(rep2)
         assert a["max_H"] == b["max_H"] and a["mean_H"] == b["mean_H"]
 
     def test_beta_file_probe(self, tmp_path):
@@ -88,7 +100,7 @@ class TestVerify:
         bfile.write_text(json.dumps({"betas": betas}))
         argv = ["verify", *SYNTH, "--coreset", str(out), "--betas", f"file:{bfile}"]
         assert run([*argv, "--report", str(report)]) == 0
-        doc = data_io.read_report(report)
+        doc = data_io.read_coreset(report)
         # the per-probe reference: one approximation_error per hypothesis
         args = cli.build_parser().parse_args(argv)
         inst = cli._load_instance(args)
@@ -251,6 +263,12 @@ class TestCoresetDocument:
         other = ["--format", "synthetic", "--input", "n=400,d=3,noise=0.1,seed=2"]
         self.assert_refused(["verify", *other, "--coreset", str(coreset)], capsys, "R=")
 
+    def test_empty_coreset_has_h_one_at_every_probe(self, coreset, capsys):
+        # F_C over no rows is 0, so H = |F - 0| / F
+        self.edit(coreset, indices=[], weights=[])
+        assert run(["verify", *SYNTH, "--coreset", str(coreset)]) == 0
+        assert "max_H=1.0 mean_H=1.0 " in capsys.readouterr().out
+
     def test_settings_not_recorded_are_not_checked(self, coreset):
         self.edit(coreset, loss=None, reg=None, kappa=None, R=None, **{"lambda": None})
         assert run(["verify", *SYNTH, "--coreset", str(coreset)]) == 0
@@ -338,6 +356,10 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 2
         sizes = {int(r[0]) for r in rows[1:]}
         assert sizes == {20, 50}
+        # H and seconds are written as plain float reprs, which float() reads back
+        for r in rows[1:]:
+            for cell in r[2:]:
+                assert repr(float(cell)) == cell
 
     def test_geometric_spec_parser(self):
         sizes = cli._parse_sizes("50..n:geometric:1.1", 100)
@@ -375,7 +397,7 @@ class TestAdversary:
         code = run(["adversary", "--kind", "two-cluster", "--n", "1000000",
                     "--kappa", "0.5", "--gamma", "0.4", "--report", str(report)])
         assert code == 0
-        doc = data_io.read_report(report)
+        doc = data_io.read_coreset(report)
         assert doc["H"] == pytest.approx(0.6475469901086592, abs=1e-9)
         assert doc["count_b"] == 15849
 
@@ -385,7 +407,7 @@ class TestAdversary:
                     "--kappa", "0.1", "--gamma", "0.2", "--k", "4",
                     "--report", str(report)])
         assert code == 0
-        doc = data_io.read_report(report)
+        doc = data_io.read_coreset(report)
         assert {"H", "r1", "r2", "chunk", "beta_norm"} <= set(doc)
         assert doc["chunk"]["length"] == 100000 // 16
 
@@ -405,7 +427,7 @@ class TestAdversary:
         report = tmp_path / "adv.json"
         assert run(["adversary", "--kind", "circle", "--n", "100000", "--k", "3",
                     "--report", str(report)]) == 0
-        doc = data_io.read_report(report)
+        doc = data_io.read_coreset(report)
         n, k = 100000, 3
         inst = adversary.gen_circle(n)
         C, U = (np.arange(k) * (n // k)) % n, np.full(k, n / k)
@@ -508,6 +530,17 @@ class TestNumericArguments:
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
         assert not [w for w in recwarn if issubclass(w.category, Warning)]
+
+    def test_verify_epsilon_is_refused_before_any_work(self, coreset, capsys, monkeypatch):
+        # the verify-epsilon-2 case with loading the data and the H pass unreachable
+        def unreachable(*_args):
+            pytest.fail("verify loaded the data or probed H before checking --epsilon")
+
+        monkeypatch.setattr(cli, "_load_instance", unreachable)
+        monkeypatch.setattr(cli, "approximation_errors", unreachable)
+        capsys.readouterr()
+        assert run(["verify", *SYNTH, "--coreset", coreset, "--epsilon", "2"]) == 3
+        assert capsys.readouterr().err == "error: eps must lie in (0, 1), got 2.0\n"
 
 
 class TestSubcommandFlags:

@@ -368,4 +368,4 @@ class TestJsonRoundTrip:
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "r.json"
         data_io.write_report(path, {"H": 0.123456789012345678})
-        assert data_io.read_report(path)["H"] == 0.123456789012345678
+        assert data_io.read_coreset(path)["H"] == 0.123456789012345678

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,7 +18,7 @@ from conftest import (
     oracle_tiled_loss_sums,
     random_instance,
 )
-from rlm_coreset import model
+from rlm_coreset import model, solver
 from rlm_coreset.errors import ZeroObjectiveError
 from rlm_coreset.model import (
     Hypothesis,
@@ -429,8 +429,8 @@ class TestApproximationError:
         # guard by stubbing the objective to the degenerate value
         inst = random_instance(rng, n=5, loss=LossKind.HINGE)
         cs = WeightedCoreset(indices=np.array([0]), weights=np.array([1.0]))
-        monkeypatch.setattr("rlm_coreset.model.full_objective",
-                            lambda *_args: 0.0)
+        monkeypatch.setattr("rlm_coreset.model.block_objectives",
+                            lambda inst, cs, B: (np.zeros(len(B)), np.zeros(len(B))))
         with pytest.raises(ZeroObjectiveError):
             approximation_error(inst, cs, Hypothesis(beta=np.array([2.0, 0, 0])))
 
@@ -519,21 +519,59 @@ class TestBlockEvaluator:
             approximation_errors(inst, cs, np.zeros(shape))
 
 
-# TestPool's task size: how rows are split into tasks does not depend on it,
+class TestOneProbeF:
+    """For one probe on at most 2**20 rows, one block of blocked_sum, the F of
+    block_objectives is the very float of full_objective and of the GD
+    trace: the losses are added as np.sum over all n adds them, at margins
+    from one gemv per tile."""
+
+    @given(pair=st.sampled_from(ALL_PAIRS), n=st.integers(1, 40_000),
+           d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @example(pair=ALL_PAIRS[0], n=1 << 20, d=2, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_is_full_objective_and_the_trace_f(self, pair, n, d, seed):
+        loss, reg = pair
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        y = rng.choice([-1.0, 1.0], size=n)
+        inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
+        cs = WeightedCoreset(indices=[0], weights=[1.0])
+        iterates = []
+        trace_point = solver._trace_point
+
+        def recording(inst, full_cs, beta, trace, clock, f_full=None):
+            iterates.append(beta.copy())
+            trace_point(inst, full_cs, beta, trace, clock, f_full)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_trace_point", recording)
+            _, trace = solver.train(inst, solver.TrainConfig(max_iters=3))
+        assert len(iterates) == len(trace.objectives) > 0
+        for beta, f in zip(iterates, trace.objectives):
+            one_probe = block_objectives(inst, cs, beta[None])[0][0]
+            assert one_probe.hex() == f.hex() == full_objective(inst, Hypothesis(beta=beta)).hex()
+        beta = rng.standard_normal(d) * rng.uniform(0.01, 5.0)
+        one_probe = block_objectives(inst, cs, beta[None])[0][0]
+        assert one_probe.hex() == full_objective(inst, Hypothesis(beta=beta)).hex()
+
+
+# TestPool's task size: how rows are split into blocks does not depend on it,
 # and the 2**20 margins of model.TASK_MARGINS would need 2**21 rows at k = 1
 SMALL_TASK_MARGINS = 1 << 17
 
 
-def task_rows(k):
-    # rows of one _tiled_loss_sums task: whole row tiles, the task's margins or more
-    return model.ROW_TILE * math.ceil(SMALL_TASK_MARGINS / (model.ROW_TILE * k))
+def block_rows(k):
+    # rows of one blocked_sum task: the smallest power of two of row tiles
+    # that holds the task's margins
+    tiles = math.ceil(SMALL_TASK_MARGINS / (model.ROW_TILE * k))
+    return model.ROW_TILE * 2 ** math.ceil(math.log2(tiles))
 
 
 @pytest.fixture(scope="module")
 def tall_data():
     # enough rows for two tasks and one more row at k = 1, in 2 columns
     rng = np.random.default_rng(2024)
-    n = 2 * task_rows(1) + 1
+    n = 2 * block_rows(1) + 1
     return (rng.standard_normal((n, 2)), rng.choice([-1.0, 1.0], size=n),
             rng.uniform(0.5, 2.0, size=n), rng.standard_normal((200, 2)) * 3.0)
 
@@ -563,23 +601,24 @@ class TestPool:
             [threading.current_thread()]
 
     @pytest.mark.parametrize("where", sorted(ROWS))
-    @pytest.mark.parametrize("k", [1, 64, 65, 200])
+    @pytest.mark.parametrize("k", [1, 3, 64, 65, 200])
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_tiled_sums_are_bytes_equal(self, serial_and_pooled, tall_data,
                                         loss, weighted, k, where):
         X, y, u, B = tall_data
-        n = self.ROWS[where](task_rows(k))
+        n = self.ROWS[where](block_rows(k))
         args = (loss, X[:n], y[:n], u[:n] if weighted else None, -B[:k])
         serial, pooled = serial_and_pooled(lambda: model._tiled_loss_sums(*args))
-        assert serial.tobytes() == pooled.tobytes() == oracle_tiled_loss_sums(*args).tobytes()
+        oracle = oracle_tiled_loss_sums(*args, block_rows(k))
+        assert serial.tobytes() == pooled.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("where", sorted(ROWS))
-    @pytest.mark.parametrize("k", [1, 64, 65, 200])
+    @pytest.mark.parametrize("k", [1, 3, 64, 65, 200])
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_errors_are_bytes_equal(self, serial_and_pooled, tall_data, loss, k, where):
         X, y, u, B = tall_data
-        n = self.ROWS[where](task_rows(k))
+        n = self.ROWS[where](block_rows(k))
         inst = RlmInstance(X=X[:n], y=y[:n], loss=loss, reg=RegularizerKind.L1, kappa=0.5)
         # every row once, reversed, so the coreset pass is a gather of n rows too
         for weights in (u[:n], np.ones(n)):
@@ -602,7 +641,7 @@ class TestPool:
 
     def test_callers_errstate_holds_in_the_workers(self, monkeypatch):
         # margins of 5e307, so every tile's loss sum overflows; two tasks
-        n = 2 * task_rows(64)
+        n = 2 * block_rows(64)
         monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
         args = (LossKind.HINGE, np.full((n, 2), 0.5), np.ones(n), None,
                 np.tile([1e308, 0.0], (64, 1)))
