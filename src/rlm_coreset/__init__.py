@@ -22,7 +22,6 @@ from .model import (
     WeightedCoreset,
     approximation_error,
     check_weight_sum,
-    coreset_objective,
     full_objective,
     loss_eval,
     reg_eval,

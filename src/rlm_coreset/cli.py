@@ -30,6 +30,7 @@ from .model import (
     WeightedCoreset,
     approximation_error,
     approximation_errors,
+    check_eps,
     check_weight_sum,
 )
 
@@ -92,13 +93,13 @@ def _load_instance(args) -> RlmInstance:
     )
 
 
-def _coreset_payload(args, inst, cs, q, mode=sampling.SampleMode.IID_WITH_REPLACEMENT):
+def _coreset_payload(args, inst, cs):
     return {
         "n": inst.n,
-        "q": q,
+        "q": cs.size,
         "seed": args.seed,
         "rng": sampling.RNG_ALGORITHM,
-        "mode": mode.value,
+        "mode": sampling.SampleMode.IID_WITH_REPLACEMENT.value,
         "indices": cs.indices.tolist(),
         "weights": cs.weights.tolist(),
         "R": inst.R,
@@ -157,7 +158,7 @@ def cmd_sample(args) -> int:
         print(f"warning: {asked} {q} is at least n={inst.n}; using the full dataset",
               file=sys.stderr)
     cs = sampling.uniform_sample(inst, q, args.seed)
-    data_io.write_coreset(args.output, _coreset_payload(args, inst, cs, cs.size))
+    data_io.write_coreset(args.output, _coreset_payload(args, inst, cs))
     print(f"q={cs.size} S_prime={s_total!r} lambda={inst.lam!r} R={inst.R!r}")
     return EXIT_OK
 
@@ -207,8 +208,7 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
-    if not (0.0 < args.epsilon < 1.0):  # check_weight_sum's range, before any work
-        raise InvalidParameterError(f"eps must lie in (0, 1), got {args.epsilon!r}")
+    check_eps(args.epsilon)  # before any data is loaded
     inst = _load_instance(args)
     doc = data_io.read_coreset(args.coreset)
     cs = _coreset_from_doc(doc, inst)

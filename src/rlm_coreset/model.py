@@ -15,7 +15,7 @@ full-data loss sum is built from leaves of LEAF_ROWS rows by
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
 from the same loss and regularizer terms, in cache-sized tiles of X, and
-``coreset_objective`` and ``approximation_error`` are its one-probe calls.
+``approximation_error`` is its one-probe call.
 Every streamed loss sum, here and in the adversary's circle, is added by
 ``blocked_sum``: pairwise within blocks that ``ordered_map`` spreads over
 the usable CPUs, block sums in block order.
@@ -417,7 +417,9 @@ def ordered_map(fn, items) -> list:
 ROW_TILE = 1024
 PROBE_TILE = 64
 # values (rows x width) one ordered_map task of blocked_sum adds at least:
-# enough to outweigh handing it to a thread
+# enough to outweigh handing it to a thread.  It also fixes where the
+# circle's loss sum is split into blocks (2**20 angles), and so the circle's
+# frozen H, r1 and r2: changing it moves their last digits.
 TASK_MARGINS = 1 << 20
 
 
@@ -439,11 +441,16 @@ def blocked_sum(leaf_sum, n: int, leaf: int, width: int):
 def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
                      u: Optional[np.ndarray], neg_B: np.ndarray) -> np.ndarray:
     """Per-probe sums of the losses at margins -y_i x_i.beta, weighted by u
-    when given, added by blocked_sum from leaves of at most ROW_TILE rows.  A
-    leaf reads its rows of X once, against one tile of PROBE_TILE probes at a
-    time.  neg_B holds the probes negated, so that X @ neg_B.T * y is the
-    margin with no n-sized copy of -y."""
+    when given, added by blocked_sum.  A leaf reads its rows of X once,
+    against one tile of PROBE_TILE probes at a time.  Weighted, a leaf has
+    ROW_TILE rows.  Unweighted, it grows as the probes fall below PROBE_TILE,
+    so that a tile of margins stays ROW_TILE x PROBE_TILE: a leaf's
+    sum(axis=1) continues numpy's pairwise halving, so a leaf of any power of
+    two from 128 rows up gives the same blocks and the same floats.  neg_B holds the probes negated, so that
+    X @ neg_B.T * y is the margin with no n-sized copy of -y."""
     k = neg_B.shape[0]
+    leaf = ROW_TILE if u is not None else \
+        ROW_TILE * PROBE_TILE >> (min(k, PROBE_TILE) - 1).bit_length()
 
     def leaf_sums(lo: int, hi: int) -> np.ndarray:
         Xt, yt = X[lo:hi], y[lo:hi]
@@ -455,7 +462,7 @@ def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
             out[p:p + PROBE_TILE] = losses.sum(axis=1) if u is None else losses @ u[lo:hi]
         return out
 
-    return blocked_sum(leaf_sums, X.shape[0], ROW_TILE, k)
+    return blocked_sum(leaf_sums, X.shape[0], leaf, k)
 
 
 def block_objectives(
@@ -499,21 +506,21 @@ def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarra
     return np.abs(full - core) / full
 
 
-def coreset_objective(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
-    """F_C at h: block_objectives for one probe (which evaluates F too)."""
-    return float(block_objectives(inst, cs, _coefficients(h)[None])[1][0])
-
-
 def approximation_error(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
     """Relative approximation error H(beta) of the candidate coreset at h:
     approximation_errors for one probe."""
     return float(approximation_errors(inst, cs, _coefficients(h)[None])[0])
 
 
+def check_eps(eps: float) -> None:
+    """Refuse an approximation parameter eps outside (0, 1)."""
+    if not (0.0 < eps < 1.0):
+        raise InvalidParameterError(f"eps must lie in (0, 1), got {eps!r}")
+
+
 def check_weight_sum(cs: WeightedCoreset, n: int, eps: float) -> bool:
     """Necessary condition for an eps-coreset when loss(0) != 0:
     the weights must sum to n up to relative error eps."""
-    if not (0.0 < eps < 1.0):
-        raise InvalidParameterError(f"eps must lie in (0, 1), got {eps!r}")
+    check_eps(eps)
     total = cs.weight_sum()
     return (1.0 - eps) * n <= total <= (1.0 + eps) * n

@@ -21,7 +21,9 @@ from rlm_coreset.model import (
 )
 
 # angles per block of the circle's streamed loss sum, whatever the number of
-# threads: the frozen circle values are sums of blocks of this size
+# threads: the frozen circle values are sums of blocks of this size.  It is
+# stated here, not read from model.TASK_MARGINS, which sets it, so that a
+# change of that constant fails these tests instead of moving the floats.
 CIRCLE_BLOCK = 1 << 20
 
 

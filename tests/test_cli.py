@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rlm_coreset
-from rlm_coreset import adversary, cli, data_io, sampling, solver
+from rlm_coreset import adversary, cli, data_io, model, sampling, solver
 
 SYNTH = ["--format", "synthetic", "--input", "n=400,d=3,noise=0.1,seed=1"]
 
@@ -101,12 +101,15 @@ class TestVerify:
         argv = ["verify", *SYNTH, "--coreset", str(out), "--betas", f"file:{bfile}"]
         assert run([*argv, "--report", str(report)]) == 0
         doc = data_io.read_coreset(report)
-        # the per-probe reference: one approximation_error per hypothesis
+        # the per-probe kernel's H, a path independent of the block evaluator
         args = cli.build_parser().parse_args(argv)
         inst = cli._load_instance(args)
         cs = cli._coreset_from_doc(data_io.read_coreset(out), inst)
-        want = [rlm_coreset.approximation_error(inst, cs, rlm_coreset.Hypothesis(beta=b))
-                for b in betas]
+        want = []
+        for b in np.asarray(betas):
+            full = rlm_coreset.full_objective(inst, rlm_coreset.Hypothesis(beta=b))
+            core = model.weighted_objective_grad(inst, cs, b, grad=False)[0]
+            want.append(abs(full - core) / full)
         assert doc["num_probes"] == len(betas)
         assert doc["argmax_probe"] == int(np.argmax(want))
         quartiles = doc["H_quartiles"]
@@ -189,7 +192,7 @@ class TestCoresetPayload:
                                               "--output", str(out)])
         inst = cli._load_instance(args)
         cs = sampling.uniform_sample(inst, 37, 3)
-        payload = cli._coreset_payload(args, inst, cs, 37)
+        payload = cli._coreset_payload(args, inst, cs)
         payload["indices"] = [int(i) for i in cs.indices]
         payload["weights"] = [float(w) for w in cs.weights]
         expected = tmp_path / "expected.json"

@@ -30,7 +30,6 @@ from rlm_coreset.model import (
     approximation_errors,
     block_objectives,
     check_weight_sum,
-    coreset_objective,
     full_objective,
     loss_eval,
     loss_slope,
@@ -190,6 +189,18 @@ class TestTypes:
                                    weights=np.full(6, 2.0)).is_identity
 
 
+def one_probe_f_c(inst, cs, h):
+    """F_C at h as H evaluates it: block_objectives for one probe."""
+    return float(block_objectives(inst, cs, h.beta[None])[1][0])
+
+
+def kernel_h(inst, cs, beta):
+    """H at beta from the per-probe kernel, a path independent of
+    block_objectives: F_C by weighted_objective_grad, F by full_objective."""
+    full = full_objective(inst, Hypothesis(beta=beta))
+    return abs(full - weighted_objective_grad(inst, cs, beta, grad=False)[0]) / full
+
+
 class TestObjectives:
     def test_full_objective_example(self):
         inst = two_point_instance()
@@ -203,13 +214,13 @@ class TestObjectives:
         h = Hypothesis(beta=np.array([1.0, 0.0]))
         expect = 0.31326168751822286 + math.sqrt(2) / 2
         point = WeightedCoreset(indices=[0], weights=[1.0])
-        assert coreset_objective(inst, point, h) == pytest.approx(expect, rel=1e-9)
+        assert one_probe_f_c(inst, point, h) == pytest.approx(expect, rel=1e-9)
 
     def test_point_objective_difference_is_loss_difference(self, rng):
         # every point carries the same share of the regularizer
         inst = random_instance(rng, n=10)
         h = Hypothesis(beta=rng.standard_normal(3))
-        f2, f7 = (coreset_objective(inst, WeightedCoreset(indices=[i], weights=[1.0]), h)
+        f2, f7 = (one_probe_f_c(inst, WeightedCoreset(indices=[i], weights=[1.0]), h)
                   for i in (2, 7))
         loss2, loss7 = loss_eval(inst.loss, -inst.y[[2, 7]] * (inst.X[[2, 7]] @ h.beta))
         assert f2 - f7 == pytest.approx(loss2 - loss7, rel=1e-12)
@@ -281,7 +292,6 @@ class TestKernel:
         h = Hypothesis(beta=rng.standard_normal(3), bias=0.5)
         cs = WeightedCoreset(indices=[1, 2], weights=[5.0, 5.0])
         for evaluate in (lambda: full_objective(inst, h),
-                         lambda: coreset_objective(inst, cs, h),
                          lambda: approximation_error(inst, cs, h)):
             with pytest.raises(ValueError, match="bias"):
                 evaluate()
@@ -380,14 +390,14 @@ class TestCoresetObjective:
         cs = WeightedCoreset(indices=np.arange(30), weights=np.ones(30))
         for _ in range(5):
             h = Hypothesis(beta=rng.standard_normal(3))
-            assert coreset_objective(inst, cs, h) == pytest.approx(
+            assert one_probe_f_c(inst, cs, h) == pytest.approx(
                 full_objective(inst, h), rel=1e-12)
 
     def test_uniform_weights_at_zero(self, rng):
         inst = random_instance(rng, n=40)
         cs = WeightedCoreset(indices=rng.integers(0, 40, size=8),
                              weights=np.full(8, 5.0))
-        assert coreset_objective(inst, cs, Hypothesis(beta=np.zeros(3))) == \
+        assert one_probe_f_c(inst, cs, Hypothesis(beta=np.zeros(3))) == \
             pytest.approx(40 * math.log(2), rel=1e-12)
 
     def test_singleton(self, rng):
@@ -396,13 +406,13 @@ class TestCoresetObjective:
         cs = WeightedCoreset(indices=np.array([4]), weights=np.array([3.0]))
         f4 = float(loss_eval(inst.loss, -inst.y[4] * (inst.X[4] @ h.beta))) \
             + inst.lam * reg_eval(inst.reg, inst.R * h.beta) / inst.n
-        assert coreset_objective(inst, cs, h) == pytest.approx(3 * f4, rel=1e-12)
+        assert one_probe_f_c(inst, cs, h) == pytest.approx(3 * f4, rel=1e-12)
 
     def test_invalid_index(self, rng):
         inst = random_instance(rng, n=10)
         cs = WeightedCoreset(indices=np.array([11]), weights=np.array([1.0]))
         with pytest.raises(IndexError):
-            coreset_objective(inst, cs, Hypothesis(beta=np.zeros(3)))
+            one_probe_f_c(inst, cs, Hypothesis(beta=np.zeros(3)))
 
 
 class TestApproximationError:
@@ -436,9 +446,10 @@ class TestApproximationError:
 
 
 class TestBlockEvaluator:
-    """approximation_errors against the per-probe reference.  F and F_C are
-    compared, not H: H = |F - F_C| / F amplifies the last-digit differences
-    of another summation order by cancellation."""
+    """approximation_errors against the per-probe kernel, an independent
+    reference: full_objective for F, weighted_objective_grad for F_C.  F and
+    F_C are compared, not H: H = |F - F_C| / F amplifies the last-digit
+    differences of another summation order by cancellation."""
 
     @staticmethod
     def probes(rng, k, d):
@@ -453,8 +464,9 @@ class TestBlockEvaluator:
         hs = [Hypothesis(beta=b) for b in B]
         np.testing.assert_allclose(full, [full_objective(inst, h) for h in hs],
                                    rtol=1e-13, atol=0)
-        np.testing.assert_allclose(core, [coreset_objective(inst, cs, h) for h in hs],
-                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            core, [weighted_objective_grad(inst, cs, b, grad=False)[0] for b in B],
+            rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_every_loss_and_regularizer(self, rng, loss, reg):
@@ -481,7 +493,7 @@ class TestBlockEvaluator:
         cs = WeightedCoreset(indices=rng.integers(0, 300, size=40),
                              weights=np.full(40, 7.5))
         B = self.probes(rng, 20, 3)
-        want = [approximation_error(inst, cs, Hypothesis(beta=b)) for b in B]
+        want = [kernel_h(inst, cs, b) for b in B]
         np.testing.assert_allclose(approximation_errors(inst, cs, B), want,
                                    rtol=1e-8, atol=0)
 
