@@ -15,7 +15,6 @@ from .errors import (
     ZeroObjectiveError,
 )
 from .model import (
-    Hypothesis,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -36,7 +35,6 @@ from .sampling import (
 from .sensitivity import (
     ScalingConstants,
     SensitivityProfile,
-    check_scaling,
     sample_size,
     scaling_constants,
     sensitivity_upper_bound,

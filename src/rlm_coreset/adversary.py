@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInstanceError, InvalidParameterError, NoChunkFoundError
-from .model import (
-    Hypothesis,
-    LossKind,
-    RegularizerKind,
-    RlmInstance,
-    blocked_sum,
-    loss_eval,
+from .errors import (
+    DegenerateInstanceError,
+    InvalidParameterError,
+    NoChunkFoundError,
+    NonFiniteError,
 )
+from .model import LossKind, blocked_sum, loss_eval
 
 _PIECE = 1 << 15  # most angles evaluated at once (cache-sized)
 # the circle's indices are int64, and find_chunk adds up to n//2 to one
@@ -81,11 +79,11 @@ def gen_two_cluster(
     )
 
 
-def beta0(n: int, gamma: float) -> Hypothesis:
+def beta0(n: int, gamma: float) -> float:
     """The adversarial hypothesis n^(gamma/4) for the two-cluster instance."""
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError("gamma must lie in (0, 1)")
-    return Hypothesis(beta=np.array([float(n) ** (gamma / 4.0)]))
+    return float(n) ** (gamma / 4.0)
 
 
 def two_cluster_H(
@@ -113,27 +111,17 @@ def prob_sample_misses_b(inst: TwoClusterInstance, c: int) -> float:
     return max(0.0, 1.0 - c * inst.count_b / inst.n)
 
 
-def materialize_two_cluster(inst: TwoClusterInstance) -> RlmInstance:
-    """Explicit n-point instance for cross-checking the grouped evaluator."""
-    x = np.concatenate(
-        [np.ones(inst.count_a), -np.ones(inst.count_b)]
-    ).reshape(-1, 1)
-    y = np.ones(inst.n)
-    return RlmInstance(
-        X=x, y=y, loss=inst.loss, reg=RegularizerKind.L2_SQUARED, kappa=inst.kappa
-    )
-
-
 # ---------------------------------------------------------------------------
-# Circle instance (lifted to 3-d with a bias coordinate; R = sqrt(2))
+# Circle instance (lifted to 3-d points (x, y, 1); R = sqrt(2))
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CircleInstance:
     """n positively labeled points at angles 2*pi*i/n on the unit circle,
-    lifted to the z=1 plane so hypotheses carry a bias; R = sqrt(2) and the
-    regularizer term is 2*lambda*||beta||^2."""
+    lifted to (cos, sin, 1), so a hypothesis is a 3-vector (bx, by, b) whose
+    last coordinate acts as a bias; R = sqrt(2) and the regularizer term is
+    2*lambda*||h||^2."""
 
     n: int
     kappa: float
@@ -150,12 +138,6 @@ def gen_circle(
     if not (0.0 < kappa < 1.0):
         raise InvalidParameterError("kappa must lie in (0, 1)")
     return CircleInstance(n=n, kappa=kappa, loss=loss, lam=float(n) ** kappa)
-
-
-def circle_points(n: int, idx) -> np.ndarray:
-    """Materialize the 2-d coordinates of the given point indices."""
-    theta = 2.0 * np.pi * np.asarray(idx, dtype=float) / n
-    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 @dataclass(frozen=True)
@@ -229,26 +211,20 @@ def default_beta_norm(n: int, gamma: float, k: int, lam: float) -> float:
     return math.sqrt(float(n) ** (1.0 - gamma) / (k * lam))
 
 
-def chunk_hypothesis(chunk: Chunk, target_norm: float) -> Hypothesis:
-    """Hypothesis whose decision line passes through the two points adjacent
-    to the chunk, misclassifying exactly the chunk side of that line."""
+def chunk_hypothesis(chunk: Chunk, target_norm: float) -> np.ndarray:
+    """The lifted hypothesis (bx, by, b) of 2-norm target_norm whose decision
+    line passes through the two points adjacent to the chunk, misclassifying
+    exactly the chunk side of that line."""
     if not (0.0 < target_norm < math.inf):
         raise InvalidParameterError(
             f"target_norm must be positive and finite, got {target_norm!r}")
     m = chunk.center_angle
     phi = chunk.boundary_angle
     raw = np.array([-math.cos(m), -math.sin(m), math.cos(phi)])
-    scaled = raw * (target_norm / np.linalg.norm(raw))
-    return Hypothesis(beta=scaled[:2], bias=float(scaled[2]))
+    return raw * (target_norm / np.linalg.norm(raw))
 
 
-def point_line_distance(theta_i, theta):
-    """Distance from the circle point at angle theta_i (measured from the
-    chunk center) to the vertical chord through the points at +-theta."""
-    return np.abs(np.cos(theta_i) - np.cos(theta))
-
-
-def _circle_loss_sum(inst: CircleInstance, h: Hypothesis) -> float:
+def _circle_loss_sum(inst: CircleInstance, h: np.ndarray) -> float:
     """Sum of per-point losses over all n angles, streamed: blocked_sum adds
     np.sum of each piece of at most _PIECE angles, in blocks of 2**20 angles,
     so the total does not depend on the number of threads."""
@@ -257,14 +233,21 @@ def _circle_loss_sum(inst: CircleInstance, h: Hypothesis) -> float:
         inst.n, _PIECE, 1)
 
 
-def _circle_losses_at(inst: CircleInstance, idx, h: Hypothesis) -> np.ndarray:
+def _circle_losses_at(inst: CircleInstance, idx, h: np.ndarray) -> np.ndarray:
     theta = 2.0 * np.pi * np.asarray(idx, dtype=float) / inst.n
-    bx, by = h.beta
-    z = -(bx * np.cos(theta) + by * np.sin(theta) + h.bias)
+    bx, by, b = h
+    z = -(bx * np.cos(theta) + by * np.sin(theta) + b)
     return loss_eval(inst.loss, z)
 
 
-def _circle_sums(inst: CircleInstance, indices, weights, h: Hypothesis):
+def _squared_norm(h: np.ndarray) -> float:
+    """||h||^2 of a lifted hypothesis (bx, by, b): the root of the (bx, by)
+    dot product plus b^2, squared.  The circle's frozen H and r1 were taken
+    in this order; np.dot(h, h) or np.linalg.norm(h) round differently."""
+    return float(np.sqrt(np.dot(h[:2], h[:2]) + h[2] ** 2) ** 2)
+
+
+def _circle_sums(inst: CircleInstance, indices, weights, h: np.ndarray):
     """The two loss sums every circle evaluator reads: the streamed sum over
     all n angles and the weighted sum over the coreset."""
     weights = np.asarray(weights, dtype=float)
@@ -272,41 +255,37 @@ def _circle_sums(inst: CircleInstance, indices, weights, h: Hypothesis):
     return _circle_loss_sum(inst, h), coreset
 
 
-def circle_H(inst: CircleInstance, indices, weights, h: Hypothesis,
+def circle_H(inst: CircleInstance, indices, weights, h: np.ndarray,
              sums=None) -> float:
     """Exact H on the lifted circle instance (regularizer 2*lambda*||h||^2).
     ``sums`` is the pair (loss sum over all n angles, weighted coreset loss)
     when the caller has it already; otherwise it is computed here."""
     loss_sum, coreset = _circle_sums(inst, indices, weights, h) if sums is None else sums
-    reg = 2.0 * inst.lam * h.norm() ** 2
+    reg = 2.0 * inst.lam * _squared_norm(h)
     full = loss_sum + reg
     coreset += float(np.sum(np.asarray(weights, dtype=float))) / inst.n * reg
     return abs(full - coreset) / full
 
 
-def lemma_ratios(inst: CircleInstance, indices, weights, h: Hypothesis, sums=None):
+def lemma_ratios(inst: CircleInstance, indices, weights, h: np.ndarray, sums=None):
     """The two vanishing ratios from the lower-bound argument:
     r1 = lambda*||h||^2 / sum of losses, r2 = weighted coreset loss share.
     ``sums`` is as for ``circle_H``."""
     loss_sum, coreset = _circle_sums(inst, indices, weights, h) if sums is None else sums
-    r1 = inst.lam * h.norm() ** 2 / loss_sum
+    r1 = inst.lam * _squared_norm(h) / loss_sum
     r2 = coreset / loss_sum
     return r1, r2
 
 
-def circle_witness(inst: CircleInstance, indices, weights, h: Hypothesis):
-    """(H, r1, r2) of ``circle_H`` and ``lemma_ratios`` from one streamed pass."""
-    sums = _circle_sums(inst, indices, weights, h)
-    return (circle_H(inst, indices, weights, h, sums),
-            *lemma_ratios(inst, indices, weights, h, sums))
-
-
-def materialize_circle(inst: CircleInstance) -> RlmInstance:
-    """Explicit lifted 3-d instance (third coordinate 1) for brute-force
-    cross-checks; a hypothesis with bias b maps to beta = (bx, by, b)."""
-    flat = circle_points(inst.n, np.arange(inst.n))
-    X = np.column_stack([flat, np.ones(inst.n)])
-    y = np.ones(inst.n)
-    return RlmInstance(
-        X=X, y=y, loss=inst.loss, reg=RegularizerKind.L2_SQUARED, kappa=inst.kappa
-    )
+def circle_witness(inst: CircleInstance, indices, weights, h: np.ndarray):
+    """(H, r1, r2) of ``circle_H`` and ``lemma_ratios`` from one streamed pass,
+    refused with NonFiniteError when any of them overflows."""
+    # an overflow ends as inf or NaN in the witness, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _circle_sums(inst, indices, weights, h)
+        witness = (circle_H(inst, indices, weights, h, sums),
+                   *lemma_ratios(inst, indices, weights, h, sums))
+    if not all(map(math.isfinite, witness)):
+        raise NonFiniteError(f"circle witness (H, r1, r2) = {witness!r} is not finite; "
+                             f"the hypothesis norm is too large")
+    return witness

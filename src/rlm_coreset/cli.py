@@ -185,7 +185,7 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
     if spec == "trained":
         cfg = solver.TrainConfig(seed=seed)
         beta_hat, _ = solver.train(inst, cfg, cs)
-        return beta_hat.beta[None, :]
+        return beta_hat[None, :]
     if spec.startswith("file:"):
         with open(spec[5:], encoding="utf-8") as fh:
             return _betas_from_doc(json.load(fh), inst.d)
@@ -295,11 +295,9 @@ def cmd_adversary(args) -> int:
         inst = adversary.gen_two_cluster(
             args.n, args.kappa, args.gamma, _LOSSES[args.loss]
         )
-        h0 = adversary.beta0(args.n, args.gamma)
+        b0 = adversary.beta0(args.n, args.gamma)
         c = max(1, int(round(args.n ** (1.0 - args.kappa - args.gamma))))
-        h_val = adversary.two_cluster_H(
-            inst, sample_in_a=True, c=c, u=inst.n / c, beta=float(h0.beta[0])
-        )
+        h_val = adversary.two_cluster_H(inst, sample_in_a=True, c=c, u=inst.n / c, beta=b0)
         report = {
             "args": _flag_dict(args),
             "instance": "two-cluster",
@@ -307,7 +305,7 @@ def cmd_adversary(args) -> int:
             "count_b": inst.count_b,
             "lambda": inst.lam,
             "c": c,
-            "beta0": float(h0.beta[0]),
+            "beta0": b0,
             "H": h_val,
             "prob_sample_in_a": adversary.prob_sample_misses_b(inst, c),
         }
@@ -381,7 +379,7 @@ def cmd_train(args) -> int:
     if args.trace:
         _write_trace(args.trace, trace)
     print(f"final_objective={trace.final_objective!r} "
-          f"beta_norm={float(np.linalg.norm(beta_hat.beta))!r}")
+          f"beta_norm={float(np.linalg.norm(beta_hat))!r}")
     return EXIT_OK
 
 

@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, ZeroObjectiveError
+from .errors import InvalidParameterError, NonFiniteError, ZeroObjectiveError
 
 
 class LossKind(Enum):
@@ -154,24 +154,6 @@ def pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int) -> float:
     n2 -= n2 % 8
     return (pairwise_sum(leaf_sum, lo, lo + n2, leaf)
             + pairwise_sum(leaf_sum, lo + n2, hi, leaf))
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """Coefficient vector, with an optional bias used by lifted (circle) instances."""
-
-    beta: np.ndarray
-    bias: float = 0.0
-
-    def __post_init__(self):
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if not (np.all(np.isfinite(beta)) and np.isfinite(self.bias)):
-            raise ValueError("hypothesis components must be finite")
-        object.__setattr__(self, "beta", beta)
-
-    def norm(self) -> float:
-        """2-norm of the full coefficient vector including the bias."""
-        return float(np.sqrt(np.dot(self.beta, self.beta) + self.bias**2))
 
 
 @dataclass(frozen=True)
@@ -352,15 +334,9 @@ def weighted_objective_grad(
     return f, -(dz @ X) + share * reg_grad(inst.reg, beta, scale)
 
 
-def _coefficients(h: Hypothesis) -> np.ndarray:
-    # an RlmInstance has no bias coordinate; a lifted one has it as a column of X
-    if h.bias:
-        raise ValueError("RlmInstance hypotheses carry no bias; fold it into beta")
-    return h.beta
-
-
-def full_objective(inst: RlmInstance, h: Hypothesis) -> float:
-    return weighted_objective_grad(inst, None, _coefficients(h), grad=False)[0]
+def full_objective(inst: RlmInstance, beta: np.ndarray) -> float:
+    """F(beta) for a coefficient vector beta of length d."""
+    return weighted_objective_grad(inst, None, beta, grad=False)[0]
 
 
 def _usable_cpus() -> int:
@@ -497,8 +473,15 @@ def block_objectives(
 
 def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarray:
     """H(beta) for every row of the (k, d) probe array B: approximation_error
-    for a block of probes, evaluated by block_objectives."""
-    full, core = block_objectives(inst, cs, B)
+    for a block of probes, evaluated by block_objectives.  A probe whose F or
+    F_C overflows is refused with NonFiniteError, not reported as NaN."""
+    # an overflow ends as inf in F or F_C, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        full, core = block_objectives(inst, cs, B)
+    if not (np.all(np.isfinite(full)) and np.all(np.isfinite(core))):
+        raise NonFiniteError(
+            "objective is not finite at some hypothesis; H is undefined"
+        )
     if np.any(full <= 0.0):
         raise ZeroObjectiveError(
             "full objective is zero at this hypothesis; H is undefined"
@@ -506,10 +489,10 @@ def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarra
     return np.abs(full - core) / full
 
 
-def approximation_error(inst: RlmInstance, cs: WeightedCoreset, h: Hypothesis) -> float:
-    """Relative approximation error H(beta) of the candidate coreset at h:
-    approximation_errors for one probe."""
-    return float(approximation_errors(inst, cs, _coefficients(h)[None])[0])
+def approximation_error(inst: RlmInstance, cs: WeightedCoreset, beta: np.ndarray) -> float:
+    """Relative approximation error H(beta) of the candidate coreset at the
+    coefficient vector beta: approximation_errors for one probe."""
+    return float(approximation_errors(inst, cs, [beta])[0])
 
 
 def check_eps(eps: float) -> None:

@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError
-from .model import LossKind, RegularizerKind, RlmInstance, loss_eval, reg_eval, vc_bound
+from .model import LossKind, RegularizerKind, RlmInstance, loss_eval, vc_bound
 
 
 @dataclass(frozen=True)
@@ -49,22 +47,6 @@ _SCALING_TABLE = {
 
 def scaling_constants(loss: LossKind, reg: RegularizerKind) -> ScalingConstants:
     return _SCALING_TABLE[(loss, reg)]
-
-
-def check_scaling(
-    loss: LossKind,
-    reg: RegularizerKind,
-    sc: ScalingConstants,
-    beta: np.ndarray,
-    tol: float = 1e-12,
-) -> bool:
-    """Check reg(beta) >= tau * loss(||beta||) at one hypothesis; vacuously
-    true below the sigma threshold."""
-    beta = np.asarray(beta, dtype=float)
-    norm = float(np.linalg.norm(beta))
-    if norm < sc.sigma:
-        return True
-    return reg_eval(reg, beta) >= sc.tau * float(loss_eval(loss, norm)) - tol
 
 
 def sensitivity_upper_bound(inst: RlmInstance) -> SensitivityProfile:

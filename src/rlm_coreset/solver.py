@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, NonFiniteError
 from .model import (
-    Hypothesis,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -110,9 +109,10 @@ def _is_smooth(inst: RlmInstance) -> bool:
 
 def train(
     inst: RlmInstance, cfg: TrainConfig, cs: Optional[WeightedCoreset] = None
-) -> Tuple[Hypothesis, TrainTrace]:
-    """Train beta from 0 on the (weighted) objective; the trace always
-    records the objective evaluated on the full instance."""
+) -> Tuple[np.ndarray, TrainTrace]:
+    """Train beta from 0 on the (weighted) objective and return it with the
+    trace, which always records the objective evaluated on the full
+    instance."""
     full_cs = _AllRows(inst.n)
     if is_full(inst, cs):
         cs = full_cs
@@ -211,7 +211,7 @@ def _train_gd(inst, cs, full_cs, cfg):
             _trace_point(inst, full_cs, beta, trace, clock)
     if smooth:
         trace.final_objective = trace.objectives[-1]
-        return Hypothesis(beta=beta), trace
+        return beta, trace
     # the trace holds F(beta_1), F(beta_2), ...; on full data best_f is F too
     if full:
         trace.final_objective = best_f
@@ -219,7 +219,7 @@ def _train_gd(inst, cs, full_cs, cfg):
         trace.final_objective = trace.objectives[best_it - 1]
     else:
         trace.final_objective, _ = weighted_objective_grad(inst, full_cs, best_beta, grad=False)
-    return Hypothesis(beta=best_beta), trace
+    return best_beta, trace
 
 
 def _train_sgd(inst, cs, full_cs, cfg):
@@ -259,5 +259,5 @@ def _train_sgd(inst, cs, full_cs, cfg):
         clock += time.perf_counter() - t0
         _trace_point(inst, full_cs, beta, trace, clock)
     trace.final_objective = trace.objectives[-1]
-    return Hypothesis(beta=beta), trace
+    return beta, trace
 

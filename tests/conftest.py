@@ -26,18 +26,17 @@ def random_instance(rng, n=50, d=3, loss=LossKind.LOGISTIC,
     return RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=kappa)
 
 
-def oracle_point_objectives(inst, h):
+def oracle_point_objectives(inst, beta):
     """f_i(beta) = loss_i(beta) + lambda*r(R*beta)/n for every point, one
     point at a time."""
-    reg_term = inst.lam * reg_eval(inst.reg, inst.R * np.append(h.beta, h.bias)
-                                   if h.bias else inst.R * h.beta)
-    return [float(loss_eval(inst.loss, -inst.y[i] * (inst.X[i] @ h.beta + h.bias)))
+    reg_term = inst.lam * reg_eval(inst.reg, inst.R * beta)
+    return [float(loss_eval(inst.loss, -inst.y[i] * (inst.X[i] @ beta)))
             + reg_term / inst.n for i in range(inst.n)]
 
 
-def brute_force_H(inst, cs, h):
+def brute_force_H(inst, cs, beta):
     """Direct re-implementation of the relative error definition, point by point."""
-    f = oracle_point_objectives(inst, h)
+    f = oracle_point_objectives(inst, beta)
     full = sum(f)
     core = sum(w * f[i] for i, w in zip(cs.indices, cs.weights))
     return abs(full - core) / full
@@ -220,6 +219,44 @@ def oracle_stream_sample(stream, q, seed):
     kept = len(points)
     w = np.ones(kept) if seen <= q else np.full(kept, seen / q)
     return np.vstack(points), np.asarray(labels), w, radius, seen
+
+
+def check_scaling(loss, reg, sc, beta, tol=1e-12):
+    """Check reg(beta) >= tau * loss(||beta||) at one hypothesis; vacuously
+    true below the sigma threshold."""
+    beta = np.asarray(beta, dtype=float)
+    norm = float(np.linalg.norm(beta))
+    if norm < sc.sigma:
+        return True
+    return reg_eval(reg, beta) >= sc.tau * float(loss_eval(loss, norm)) - tol
+
+
+def materialize_two_cluster(inst):
+    """The two-cluster instance as explicit n points, for cross-checking the
+    grouped evaluator."""
+    x = np.concatenate([np.ones(inst.count_a), -np.ones(inst.count_b)]).reshape(-1, 1)
+    return RlmInstance(X=x, y=np.ones(inst.n), loss=inst.loss,
+                       reg=RegularizerKind.L2_SQUARED, kappa=inst.kappa)
+
+
+def circle_points(n, idx):
+    """The 2-d coordinates of the circle points with the given indices."""
+    theta = 2.0 * np.pi * np.asarray(idx, dtype=float) / n
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def materialize_circle(inst):
+    """The circle instance as explicit lifted points (x, y, 1), for brute-force
+    cross-checks: a lifted hypothesis (bx, by, b) is its beta as it stands."""
+    X = np.column_stack([circle_points(inst.n, np.arange(inst.n)), np.ones(inst.n)])
+    return RlmInstance(X=X, y=np.ones(inst.n), loss=inst.loss,
+                       reg=RegularizerKind.L2_SQUARED, kappa=inst.kappa)
+
+
+def point_line_distance(theta_i, theta):
+    """Distance from the circle point at angle theta_i (measured from the
+    chunk center) to the vertical chord through the points at +-theta."""
+    return np.abs(np.cos(theta_i) - np.cos(theta))
 
 
 @pytest.fixture

@@ -12,11 +12,18 @@ import os
 import numpy as np
 import pytest
 
-from conftest import ALL_PAIRS, brute_force_H, random_instance
+from conftest import (
+    ALL_PAIRS,
+    brute_force_H,
+    check_scaling,
+    circle_points,
+    materialize_circle,
+    point_line_distance,
+    random_instance,
+)
 from rlm_coreset import adversary as adv
 from rlm_coreset.data_io import gen_synthetic, load_csv
 from rlm_coreset.model import (
-    Hypothesis,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -26,11 +33,7 @@ from rlm_coreset.model import (
     loss_eval,
 )
 from rlm_coreset.sampling import stream_sample, uniform_sample
-from rlm_coreset.sensitivity import (
-    check_scaling,
-    scaling_constants,
-    sensitivity_upper_bound,
-)
+from rlm_coreset.sensitivity import scaling_constants, sensitivity_upper_bound
 from rlm_coreset.solver import TrainConfig, TrainMethod, train, weighted_objective_grad
 
 GRID_STABILITY_PATHS = [
@@ -123,8 +126,7 @@ def test_criterion_3_weight_sum_exactness():
         inst = random_instance(rng, n=500, d=4)
         for t in range(20):
             cs = uniform_sample(inst, int(rng.integers(1, 500)), seed=t)
-            h0 = Hypothesis(beta=np.zeros(4))
-            if approximation_error(inst, cs, h0) > 1e-12:
+            if approximation_error(inst, cs, np.zeros(4)) > 1e-12:
                 ok, detail = False, "H(0) > 1e-12"
                 break
     report(3, ok, detail)
@@ -193,7 +195,7 @@ def test_criterion_6_two_cluster_witness():
     for n in (10**4, 10**5, 10**6, 10**7):
         inst = adv.gen_two_cluster(n, kappa, gamma)
         c = max(1, round(float(n) ** (1.0 - kappa - gamma)))
-        b0 = float(adv.beta0(n, gamma).beta[0])
+        b0 = adv.beta0(n, gamma)
         vals.append(adv.two_cluster_H(inst, True, c, n / c, b0))
     h6 = vals[2]  # n = 10^6
     ok = (abs(h6 - frozen) <= 1e-9 and h6 > 0.5
@@ -220,10 +222,9 @@ def test_criterion_7_circle_witness():
 
     # exactness cross-check against the materialized 3-d instance
     inst32, C32, U32, h32 = circle_h_at(32)
-    flat = adv.materialize_circle(inst32)
+    flat = materialize_circle(inst32)
     cs32 = WeightedCoreset(indices=C32, weights=U32)
-    lifted = Hypothesis(beta=np.append(h32.beta, h32.bias))
-    brute = brute_force_H(flat, cs32, lifted)
+    brute = brute_force_H(flat, cs32, h32)
     exact_ok = abs(adv.circle_H(inst32, C32, U32, h32) - brute) <= 1e-10
 
     ratios = []
@@ -252,10 +253,9 @@ def test_criterion_8_geometry_identities():
         chunk = adv.find_chunk(n, k, C)
         h = adv.chunk_hypothesis(chunk, float(rng.uniform(0.5, 50.0)))
         angles = 2 * np.pi * np.arange(n) / n
-        d = adv.point_line_distance(angles - chunk.center_angle,
-                                    chunk.boundary_angle)
-        margin = np.abs(adv.circle_points(n, np.arange(n)) @ h.beta + h.bias)
-        norm = h.norm()
+        d = point_line_distance(angles - chunk.center_angle, chunk.boundary_angle)
+        margin = np.abs(circle_points(n, np.arange(n)) @ h[:2] + h[2])
+        norm = np.linalg.norm(h)
         if not (np.all(margin <= d * norm + 1e-9)
                 and np.all(margin >= d * norm / 2 - 1e-9)):
             sandwich_ok = False
@@ -266,7 +266,7 @@ def test_criterion_8_geometry_identities():
     # coordinate-geometry oracle: distance from (cos t_i, sin t_i) to the
     # vertical chord x = cos(theta)
     coord = np.abs(np.cos(theta_i) - np.cos(theta))
-    obs3_ok = np.max(np.abs(adv.point_line_distance(theta_i, theta) - coord)) \
+    obs3_ok = np.max(np.abs(point_line_distance(theta_i, theta) - coord)) \
         <= 1e-12
 
     ks = np.arange(2, 10**4 + 1, dtype=float)
@@ -295,8 +295,7 @@ def test_criterion_9_solver_correctness():
             up, dn = beta.copy(), beta.copy()
             up[j] += step
             dn[j] -= step
-            g_num[j] = (full_objective(inst, Hypothesis(beta=up))
-                        - full_objective(inst, Hypothesis(beta=dn))) / (2 * step)
+            g_num[j] = (full_objective(inst, up) - full_objective(inst, dn)) / (2 * step)
         scale = max(np.linalg.norm(g_num), 1.0)
         if np.linalg.norm(g - g_num) / scale > 1e-5:
             grad_ok = False
@@ -306,14 +305,14 @@ def test_criterion_9_solver_correctness():
                       y=np.array([1.0, -1.0]), loss=LossKind.LOGISTIC,
                       reg=RegularizerKind.L2_SQUARED, kappa=0.5)
     beta_sym, _ = train(sym, TrainConfig())
-    sym_ok = float(np.linalg.norm(beta_sym.beta)) <= 1e-6
+    sym_ok = float(np.linalg.norm(beta_sym)) <= 1e-6
 
     inst = random_instance(rng, n=200, d=4)
     cfg = TrainConfig(max_iters=60, grad_tol=1e-12)
     beta_full, trace_full = train(inst, cfg)
     ident = WeightedCoreset(indices=np.arange(200), weights=np.ones(200))
     beta_cs, trace_cs = train(inst, cfg, ident)
-    ident_ok = np.array_equal(beta_full.beta, beta_cs.beta) and \
+    ident_ok = np.array_equal(beta_full, beta_cs) and \
         trace_full.objectives == trace_cs.objectives
 
     ok = grad_ok and sym_ok and ident_ok

@@ -4,16 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_force_H
+from conftest import (
+    brute_force_H,
+    circle_points,
+    materialize_circle,
+    materialize_two_cluster,
+    point_line_distance,
+)
 from rlm_coreset import adversary as adv
 from rlm_coreset import model
 from rlm_coreset.errors import (
     DegenerateInstanceError,
     InvalidParameterError,
     NoChunkFoundError,
+    NonFiniteError,
 )
 from rlm_coreset.model import (
-    Hypothesis,
     LossKind,
     WeightedCoreset,
     approximation_error,
@@ -45,13 +51,13 @@ class TestTwoCluster:
 
     def test_materialized_labels_all_positive(self):
         inst = adv.gen_two_cluster(200, 0.5, 0.4)
-        flat = adv.materialize_two_cluster(inst)
+        flat = materialize_two_cluster(inst)
         assert np.all(flat.y == 1.0)
         assert flat.R == 1.0
 
     def test_beta0(self):
-        assert float(adv.beta0(10**6, 0.4).beta[0]) == pytest.approx(10**0.6)
-        assert float(adv.beta0(10**6, 1e-9).beta[0]) == pytest.approx(1.0, rel=1e-6)
+        assert adv.beta0(10**6, 0.4) == pytest.approx(10**0.6)
+        assert adv.beta0(10**6, 1e-9) == pytest.approx(1.0, rel=1e-6)
         with pytest.raises(InvalidParameterError):
             adv.beta0(16, 1.0)
         with pytest.raises(InvalidParameterError):
@@ -64,23 +70,22 @@ class TestTwoCluster:
     def test_grouped_matches_materialized(self, rng):
         for loss in LossKind:
             inst = adv.gen_two_cluster(500, 0.5, 0.4, loss)
-            flat = adv.materialize_two_cluster(inst)
+            flat = materialize_two_cluster(inst)
             c = 20
             # coreset drawn from cluster A: indices [0, count_a)
             idx = rng.integers(0, inst.count_a, size=c)
             u = inst.n / c
             cs = WeightedCoreset(indices=idx, weights=np.full(c, u))
-            for beta in (0.5, 2.0, float(adv.beta0(500, 0.4).beta[0])):
-                h = Hypothesis(beta=np.array([beta]))
+            for beta in (0.5, 2.0, adv.beta0(500, 0.4)):
                 grouped = adv.two_cluster_H(inst, True, c, u, beta)
-                exact = approximation_error(flat, cs, h)
+                exact = approximation_error(flat, cs, np.array([beta]))
                 assert grouped == pytest.approx(exact, rel=1e-10)
 
     def test_oracle_value(self):
         # frozen from the closed-form hand computation:
         # |count_b*(l(b0)-l(-b0))| / (count_a*l(-b0)+count_b*l(b0)+lam*b0^2)
         inst = adv.gen_two_cluster(10**6, 0.5, 0.4)
-        b0 = float(adv.beta0(10**6, 0.4).beta[0])
+        b0 = adv.beta0(10**6, 0.4)
         H = adv.two_cluster_H(inst, True, 10, inst.n / 10, b0)
         assert H == pytest.approx(0.6475469901086592, abs=1e-9)
 
@@ -116,16 +121,16 @@ class TestCircleInstance:
                 adv.gen_circle(n)
 
     def test_point_zero(self):
-        pts = adv.circle_points(8, [0])
+        pts = circle_points(8, [0])
         assert pts[0] == pytest.approx([1.0, 0.0])
 
     def test_all_unit_norm_and_lifted_norm(self):
-        pts = adv.circle_points(16, np.arange(16))
+        pts = circle_points(16, np.arange(16))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
         lifted = np.column_stack([pts, np.ones(16)])
         assert np.allclose(np.linalg.norm(lifted, axis=1), math.sqrt(2))
         inst = adv.gen_circle(16)
-        assert adv.materialize_circle(inst).R == pytest.approx(math.sqrt(2))
+        assert materialize_circle(inst).R == pytest.approx(math.sqrt(2))
 
 
 class TestFindChunk:
@@ -205,32 +210,34 @@ class TestChunkHypothesis:
         assert chunk.center_angle == 0.0
         assert chunk.boundary_angle == pytest.approx(math.pi / 4)
         h = adv.chunk_hypothesis(chunk, 1.0)
-        assert h.beta[0] == pytest.approx(-0.816496580927726, abs=1e-9)
-        assert h.beta[1] == pytest.approx(0.0, abs=1e-12)
-        assert h.bias == pytest.approx(0.5773502691896258, abs=1e-9)
-        x = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
-        assert abs(h.beta @ x + h.bias) <= 1e-12
+        assert h.shape == (3,)
+        assert h[0] == pytest.approx(-0.816496580927726, abs=1e-9)
+        assert h[1] == pytest.approx(0.0, abs=1e-12)
+        assert h[2] == pytest.approx(0.5773502691896258, abs=1e-9)
+        x = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4), 1.0])
+        assert abs(h @ x) <= 1e-12
 
     def test_boundary_zero_crossing_and_signs(self):
         n, k = 512, 4
         C = (np.arange(k) * (n // k)) % n
         chunk = adv.find_chunk(n, k, C)
         h = adv.chunk_hypothesis(chunk, 3.0)
-        assert h.norm() == pytest.approx(3.0, rel=1e-12)
+        norm = np.linalg.norm(h)
+        assert norm == pytest.approx(3.0, rel=1e-12)
         # both adjacent points sit on the decision line
         for j in (chunk.start - 1, chunk.start + chunk.length):
-            x = adv.circle_points(n, [j % n])[0]
-            assert abs(h.beta @ x + h.bias) <= 1e-9 * h.norm()
+            x = circle_points(n, [j % n])[0]
+            assert abs(h[:2] @ x + h[2]) <= 1e-9 * norm
         # chunk points misclassified (positive label, negative margin)
-        pts = adv.circle_points(n, chunk.indices)
-        assert np.all(pts @ h.beta + h.bias < 0)
+        pts = circle_points(n, chunk.indices)
+        assert np.all(pts @ h[:2] + h[2] < 0)
         # points outside the window correctly classified
         outside = np.setdiff1d(
             np.arange(n),
             (chunk.window_start + np.arange(chunk.window_length)) % n,
         )
-        pts = adv.circle_points(n, outside)
-        assert np.all(pts @ h.beta + h.bias > 0)
+        pts = circle_points(n, outside)
+        assert np.all(pts @ h[:2] + h[2] > 0)
 
     def test_default_norm(self):
         n, gamma, k = 10**6, 0.2, 4
@@ -247,16 +254,16 @@ class TestChunkHypothesis:
 
 class TestPointLineDistance:
     def test_example(self):
-        assert adv.point_line_distance(0.0, math.pi / 4) == pytest.approx(
+        assert point_line_distance(0.0, math.pi / 4) == pytest.approx(
             1 - math.cos(math.pi / 4), abs=1e-12)
 
     def test_zero_and_symmetry(self, rng):
         for _ in range(100):
             t = rng.uniform(-math.pi, math.pi)
             theta = rng.uniform(0, math.pi)
-            assert adv.point_line_distance(theta, theta) == 0.0
-            assert adv.point_line_distance(t, theta) == pytest.approx(
-                adv.point_line_distance(-t, theta), abs=1e-15)
+            assert point_line_distance(theta, theta) == 0.0
+            assert point_line_distance(t, theta) == pytest.approx(
+                point_line_distance(-t, theta), abs=1e-15)
 
     def test_matches_coordinate_geometry(self, rng):
         # distance from (cos ti, sin ti) to the chord through the points at
@@ -270,14 +277,14 @@ class TestPointLineDistance:
             seg = b - a
             rel = p - a
             dist = abs(seg[0] * rel[1] - seg[1] * rel[0]) / np.linalg.norm(seg)
-            assert adv.point_line_distance(ti, theta) == pytest.approx(
+            assert point_line_distance(ti, theta) == pytest.approx(
                 dist, abs=1e-12)
 
 
 class TestCircleH:
     def test_full_coreset_zero(self):
         inst = adv.gen_circle(64, 0.5)
-        h = Hypothesis(beta=np.array([0.3, -0.2]), bias=0.1)
+        h = np.array([0.3, -0.2, 0.1])
         H = adv.circle_H(inst, np.arange(64), np.ones(64), h)
         assert H <= 1e-12
 
@@ -285,14 +292,13 @@ class TestCircleH:
     def test_matches_brute_force_small_n(self, loss, rng):
         n, k = 32, 4
         inst = adv.gen_circle(n, 0.5, loss)
-        flat = adv.materialize_circle(inst)
+        flat = materialize_circle(inst)
         C = (np.arange(k) * (n // k)) % n
         U = np.full(k, n / k)
         chunk = adv.find_chunk(n, k, C)
         h = adv.chunk_hypothesis(chunk, 2.5)
-        lifted = Hypothesis(beta=np.append(h.beta, h.bias))
         cs = WeightedCoreset(indices=C, weights=U)
-        expect = brute_force_H(flat, cs, lifted)
+        expect = brute_force_H(flat, cs, h)
         assert adv.circle_H(inst, C, U, h) == pytest.approx(expect, abs=1e-10)
 
     @pytest.mark.parametrize("loss", list(LossKind))
@@ -306,16 +312,53 @@ class TestCircleH:
         assert H == adv.circle_H(inst, C, U, h)
         assert (r1, r2) == adv.lemma_ratios(inst, C, U, h)
 
+    # (n, k, norm) -> loss -> (H, r1, r2), frozen as hex floats
+    PINNED = {
+        (1000, 5, 1.5): {
+            LossKind.LOGISTIC: ("0x1.4f52826c3f6d4p-19", "0x1.9cbacd38f4942p-3",
+                                "0x1.00003acf3c12dp+0"),
+            LossKind.HINGE: ("0x1.ad700f8a65f8ep-7", "0x1.d11406a586468p-3",
+                             "0x1.f63e159db4834p-1"),
+        },
+        (4096, 4, 3.0): {
+            LossKind.LOGISTIC: ("0x1.03cd37623f67fp-15", "0x1.2f936b818c1cdp-1",
+                                "0x1.fff72075207d8p-1"),
+            LossKind.HINGE: ("0x1.14680af8f62dfp-7", "0x1.41d8626e48d78p-1",
+                             "0x1.f6405f74d2ce2p-1"),
+        },
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_witness_floats_are_pinned(self, case, loss):
+        # bit for bit, so that a reordered norm (np.dot(h, h) or a 3-vector
+        # np.linalg.norm moves r1 here) or loss sum cannot pass unseen
+        n, k, norm = case
+        inst = adv.gen_circle(n, 0.5, loss)
+        C = (np.arange(k) * (n // k)) % n
+        h = adv.chunk_hypothesis(adv.find_chunk(n, k, C), norm)
+        witness = adv.circle_witness(inst, C, np.full(k, n / k), h)
+        assert tuple(v.hex() for v in witness) == self.PINNED[case][loss]
+
+    @pytest.mark.parametrize("norm", [1e154, 1e200, 1e300])
+    def test_witness_that_overflows_is_refused(self, norm):
+        n, k = 1000, 4
+        inst = adv.gen_circle(n, 0.5)
+        C = (np.arange(k) * (n // k)) % n
+        h = adv.chunk_hypothesis(adv.find_chunk(n, k, C), norm)
+        with pytest.raises(NonFiniteError, match="not finite"):
+            adv.circle_witness(inst, C, np.full(k, n / k), h)
+
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_loss_sum_reduces_each_block_as_one_array(self, loss):
         # filling a block piece by piece must not change a bit of its sum
         n = CIRCLE_BLOCK + 3 * adv._PIECE + 77
         inst = adv.gen_circle(n, 0.5, loss)
-        h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
+        h = np.array([2.0, -1.5, 0.7])
         expect = 0.0
         for lo in range(0, n, CIRCLE_BLOCK):
             theta = 2.0 * np.pi * np.arange(lo, min(lo + CIRCLE_BLOCK, n), dtype=float) / n
-            z = -(h.beta[0] * np.cos(theta) + h.beta[1] * np.sin(theta) + h.bias)
+            z = -(h[0] * np.cos(theta) + h[1] * np.sin(theta) + h[2])
             expect += float(np.sum(loss_eval(loss, z)))
         assert adv._circle_loss_sum(inst, h) == expect
 
@@ -324,7 +367,7 @@ class TestCircleH:
     def test_loss_sum_is_bytes_equal_on_one_cpu_and_the_pool(self, serial_and_pooled,
                                                               loss, n):
         inst = adv.gen_circle(n, 0.5, loss)
-        h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
+        h = np.array([2.0, -1.5, 0.7])
         serial, pooled = serial_and_pooled(lambda: adv._circle_loss_sum(inst, h))
         assert serial.hex() == pooled.hex()
 
@@ -333,7 +376,7 @@ class TestCircleH:
         # a whole block of losses would be 8.4 MB; pieces of _PIECE angles are not
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         inst = adv.gen_circle(2 * CIRCLE_BLOCK + 5, 0.5)
-        h = Hypothesis(beta=np.array([2.0, -1.5]), bias=0.7)
+        h = np.array([2.0, -1.5, 0.7])
         tracemalloc.start()
         try:
             adv._circle_loss_sum(inst, h)
@@ -349,10 +392,10 @@ class TestCircleH:
         h = adv.chunk_hypothesis(chunk, 7.0)
         angles = 2 * np.pi * np.arange(n) / n
         rel = angles - chunk.center_angle
-        d = adv.point_line_distance(rel, chunk.boundary_angle)
-        pts = adv.circle_points(n, np.arange(n))
-        margin = np.abs(pts @ h.beta + h.bias)
-        norm = h.norm()
+        d = point_line_distance(rel, chunk.boundary_angle)
+        pts = circle_points(n, np.arange(n))
+        margin = np.abs(pts @ h[:2] + h[2])
+        norm = np.linalg.norm(h)
         assert np.all(margin <= d * norm + 1e-12)
         assert np.all(margin >= d * norm / 2 - 1e-12)
 
@@ -384,7 +427,7 @@ class TestMonotoneDegradation:
         vals = []
         for n in (10**4, 10**5, 10**6, 10**7):
             inst = adv.gen_two_cluster(n, 0.5, 0.4)
-            b0 = float(adv.beta0(n, 0.4).beta[0])
+            b0 = adv.beta0(n, 0.4)
             vals.append(adv.two_cluster_H(inst, True, 10, inst.n / 10, b0))
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 

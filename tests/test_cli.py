@@ -107,7 +107,7 @@ class TestVerify:
         cs = cli._coreset_from_doc(data_io.read_coreset(out), inst)
         want = []
         for b in np.asarray(betas):
-            full = rlm_coreset.full_objective(inst, rlm_coreset.Hypothesis(beta=b))
+            full = rlm_coreset.full_objective(inst, b)
             core = model.weighted_objective_grad(inst, cs, b, grad=False)[0]
             want.append(abs(full - core) / full)
         assert doc["num_probes"] == len(betas)
@@ -440,6 +440,12 @@ class TestAdversary:
         assert doc["H"] == adversary.circle_H(inst, C, U, h)
         assert (doc["r1"], doc["r2"]) == adversary.lemma_ratios(inst, C, U, h)
 
+    def test_large_finite_norm_keeps_its_report(self, capsys):
+        # the regularizer dominates F and F_C alike, so H is exactly 0
+        assert run(["adversary", "--kind", "circle", "--n", "1000", "--k", "4",
+                    "--norm-override", "1e150"]) == 0
+        assert capsys.readouterr() == ("H=0.0\n", "")
+
     def test_degenerate_two_cluster_exits_3(self):
         code = run(["adversary", "--kind", "two-cluster", "--n", "10",
                     "--kappa", "0.9", "--gamma", "0.99"])
@@ -510,6 +516,14 @@ class TestNumericArguments:
         (["adversary", "--kind", "two-cluster", "--n", "9" * 401], 3),
         # past the circle's int64 indices
         (["adversary", "--kind", "circle", "--n", "1" + "0" * 19], 3),
+        # an F or F_C that overflows would make H NaN
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:1e160"], 4),
+        (["verify", *SYNTH, "--lambda-scale", "1e305", "--coreset", "{huge}"], 4),
+        # a circle hypothesis whose squared norm overflows the regularizer
+        (["adversary", "--kind", "circle", "--n", "1000", "--k", "4",
+          "--norm-override", "1e200"], 4),
+        (["adversary", "--kind", "circle", "--n", "1000", "--k", "4",
+          "--norm-override", "1e300"], 4),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
@@ -521,12 +535,17 @@ class TestNumericArguments:
             "circle-k-1e12", "circle-k-overflows-float", "sample-seed-minus-1",
             "verify-seed-minus-1", "sweep-seed-minus-1", "train-seed-minus-1",
             "bench-seed-minus-1", "circle-n-401-digits", "two-cluster-n-401-digits",
-            "circle-n-past-int64"])
+            "circle-n-past-int64", "verify-probe-norm-1e160", "verify-lambda-scale-1e305",
+            "circle-norm-1e200", "circle-norm-1e300"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')
+        huge = tmp_path / "huge.json"  # a coreset of the instance with lambda_scale 1e305
+        if "{huge}" in argv:
+            assert run(["sample", *SYNTH, "--lambda-scale", "1e305", "--size", "10",
+                        "--output", str(huge)]) == 0
         capsys.readouterr()
-        argv = [a.format(tmp=tmp_path, coreset=coreset) for a in argv]
+        argv = [a.format(tmp=tmp_path, coreset=coreset, huge=huge) for a in argv]
         assert run(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -599,7 +618,7 @@ class TestTrainBench:
         X, y, _ = data_io.gen_synthetic(n=400, d=3, noise=0.5, seed=seed)
         inst = rlm_coreset.RlmInstance(X=X, y=y, loss=rlm_coreset.LossKind.LOGISTIC,
                                        reg=rlm_coreset.RegularizerKind.L2, kappa=0.5)
-        f0 = rlm_coreset.full_objective(inst, rlm_coreset.Hypothesis(beta=np.zeros(3)))
+        f0 = rlm_coreset.full_objective(inst, np.zeros(3))
         assert capsys.readouterr().out == f"final_objective={f0!r} beta_norm=0.0\n"
 
     @pytest.mark.parametrize("coreset", [False, True])
@@ -619,7 +638,7 @@ class TestTrainBench:
             inst, solver.TrainConfig(max_iters=20), cs)
         f = rlm_coreset.full_objective(inst, beta_hat)
         assert capsys.readouterr().out == \
-            f"final_objective={f!r} beta_norm={float(np.linalg.norm(beta_hat.beta))!r}\n"
+            f"final_objective={f!r} beta_norm={float(np.linalg.norm(beta_hat))!r}\n"
 
     @pytest.mark.parametrize("command", ["train", "bench"])
     @pytest.mark.parametrize("flag", ["--max-iters", "--epochs"])

@@ -19,9 +19,8 @@ from conftest import (
     random_instance,
 )
 from rlm_coreset import model, solver
-from rlm_coreset.errors import ZeroObjectiveError
+from rlm_coreset.errors import NonFiniteError, ZeroObjectiveError
 from rlm_coreset.model import (
-    Hypothesis,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -154,7 +153,7 @@ class TestTypes:
                                loss=LossKind.LOGISTIC,
                                reg=RegularizerKind.L2, kappa=0.5)
         assert inst.R == 0.0
-        h = Hypothesis(beta=np.array([1.0, 1.0]))
+        h = np.array([1.0, 1.0])
         assert full_objective(inst, h) == pytest.approx(3 * math.log(2))
 
     def test_coreset_validation(self):
@@ -189,29 +188,29 @@ class TestTypes:
                                    weights=np.full(6, 2.0)).is_identity
 
 
-def one_probe_f_c(inst, cs, h):
-    """F_C at h as H evaluates it: block_objectives for one probe."""
-    return float(block_objectives(inst, cs, h.beta[None])[1][0])
+def one_probe_f_c(inst, cs, beta):
+    """F_C at beta as H evaluates it: block_objectives for one probe."""
+    return float(block_objectives(inst, cs, beta[None])[1][0])
 
 
 def kernel_h(inst, cs, beta):
     """H at beta from the per-probe kernel, a path independent of
     block_objectives: F_C by weighted_objective_grad, F by full_objective."""
-    full = full_objective(inst, Hypothesis(beta=beta))
+    full = full_objective(inst, beta)
     return abs(full - weighted_objective_grad(inst, cs, beta, grad=False)[0]) / full
 
 
 class TestObjectives:
     def test_full_objective_example(self):
         inst = two_point_instance()
-        h = Hypothesis(beta=np.array([1.0, 0.0]))
+        h = np.array([1.0, 0.0])
         expect = 0.31326168751822286 + 1.3132616875182228 + math.sqrt(2)
         assert full_objective(inst, h) == pytest.approx(expect, rel=1e-9)
 
     def test_point_objective_example(self):
         # f_0 is the objective of the unit-weight coreset {0}
         inst = two_point_instance()
-        h = Hypothesis(beta=np.array([1.0, 0.0]))
+        h = np.array([1.0, 0.0])
         expect = 0.31326168751822286 + math.sqrt(2) / 2
         point = WeightedCoreset(indices=[0], weights=[1.0])
         assert one_probe_f_c(inst, point, h) == pytest.approx(expect, rel=1e-9)
@@ -219,26 +218,26 @@ class TestObjectives:
     def test_point_objective_difference_is_loss_difference(self, rng):
         # every point carries the same share of the regularizer
         inst = random_instance(rng, n=10)
-        h = Hypothesis(beta=rng.standard_normal(3))
+        h = rng.standard_normal(3)
         f2, f7 = (one_probe_f_c(inst, WeightedCoreset(indices=[i], weights=[1.0]), h)
                   for i in (2, 7))
-        loss2, loss7 = loss_eval(inst.loss, -inst.y[[2, 7]] * (inst.X[[2, 7]] @ h.beta))
+        loss2, loss7 = loss_eval(inst.loss, -inst.y[[2, 7]] * (inst.X[[2, 7]] @ h))
         assert f2 - f7 == pytest.approx(loss2 - loss7, rel=1e-12)
 
     def test_full_objective_at_zero(self, rng):
         inst = random_instance(rng, n=17)
-        z = Hypothesis(beta=np.zeros(3))
+        z = np.zeros(3)
         assert full_objective(inst, z) == pytest.approx(17 * math.log(2), rel=1e-12)
 
     def test_full_equals_sum_of_point_objectives(self, rng):
         inst = random_instance(rng, n=23)
-        h = Hypothesis(beta=rng.standard_normal(3))
+        h = rng.standard_normal(3)
         total = sum(oracle_point_objectives(inst, h))
         assert full_objective(inst, h) == pytest.approx(total, rel=1e-10)
 
     def test_full_objective_deterministic(self, rng):
         inst = random_instance(rng, n=200)
-        h = Hypothesis(beta=rng.standard_normal(3))
+        h = rng.standard_normal(3)
         vals = {full_objective(inst, h) for _ in range(5)}
         assert len(vals) == 1
 
@@ -260,7 +259,7 @@ class TestKernel:
         q = int(rng.integers(1, 2 * inst.n))
         weighted = WeightedCoreset(indices=rng.integers(0, inst.n, size=q),
                                    weights=rng.uniform(0.1, 5.0, size=q))
-        f_i = oracle_point_objectives(inst, Hypothesis(beta=beta))
+        f_i = oracle_point_objectives(inst, beta)
         for cs, expect in (
             (None, sum(f_i)),
             (weighted, sum(w * f_i[i] for i, w in zip(weighted.indices, weighted.weights))),
@@ -285,16 +284,6 @@ class TestKernel:
         f, g = weighted_objective_grad(inst, None, beta)
         f_id, g_id = weighted_objective_grad(inst, ident, beta)
         assert f == f_id and np.array_equal(g, g_id)
-
-    def test_bias_is_refused(self, rng):
-        # an RlmInstance has no bias coordinate; lifted instances fold it into beta
-        inst = random_instance(rng, n=10)
-        h = Hypothesis(beta=rng.standard_normal(3), bias=0.5)
-        cs = WeightedCoreset(indices=[1, 2], weights=[5.0, 5.0])
-        for evaluate in (lambda: full_objective(inst, h),
-                         lambda: approximation_error(inst, cs, h)):
-            with pytest.raises(ValueError, match="bias"):
-                evaluate()
 
 
 def leaf_instance(n, loss, reg, d=4, seed=0):
@@ -389,7 +378,7 @@ class TestCoresetObjective:
         inst = random_instance(rng, n=30)
         cs = WeightedCoreset(indices=np.arange(30), weights=np.ones(30))
         for _ in range(5):
-            h = Hypothesis(beta=rng.standard_normal(3))
+            h = rng.standard_normal(3)
             assert one_probe_f_c(inst, cs, h) == pytest.approx(
                 full_objective(inst, h), rel=1e-12)
 
@@ -397,22 +386,22 @@ class TestCoresetObjective:
         inst = random_instance(rng, n=40)
         cs = WeightedCoreset(indices=rng.integers(0, 40, size=8),
                              weights=np.full(8, 5.0))
-        assert one_probe_f_c(inst, cs, Hypothesis(beta=np.zeros(3))) == \
+        assert one_probe_f_c(inst, cs, np.zeros(3)) == \
             pytest.approx(40 * math.log(2), rel=1e-12)
 
     def test_singleton(self, rng):
         inst = random_instance(rng, n=10)
-        h = Hypothesis(beta=rng.standard_normal(3))
+        h = rng.standard_normal(3)
         cs = WeightedCoreset(indices=np.array([4]), weights=np.array([3.0]))
-        f4 = float(loss_eval(inst.loss, -inst.y[4] * (inst.X[4] @ h.beta))) \
-            + inst.lam * reg_eval(inst.reg, inst.R * h.beta) / inst.n
+        f4 = float(loss_eval(inst.loss, -inst.y[4] * (inst.X[4] @ h))) \
+            + inst.lam * reg_eval(inst.reg, inst.R * h) / inst.n
         assert one_probe_f_c(inst, cs, h) == pytest.approx(3 * f4, rel=1e-12)
 
     def test_invalid_index(self, rng):
         inst = random_instance(rng, n=10)
         cs = WeightedCoreset(indices=np.array([11]), weights=np.array([1.0]))
         with pytest.raises(IndexError):
-            one_probe_f_c(inst, cs, Hypothesis(beta=np.zeros(3)))
+            one_probe_f_c(inst, cs, np.zeros(3))
 
 
 class TestApproximationError:
@@ -421,7 +410,7 @@ class TestApproximationError:
         cs = WeightedCoreset(indices=rng.integers(0, 50, size=12),
                              weights=rng.uniform(0.5, 8.0, size=12))
         for _ in range(10):
-            h = Hypothesis(beta=rng.standard_normal(4))
+            h = rng.standard_normal(4)
             assert approximation_error(inst, cs, h) == pytest.approx(
                 brute_force_H(inst, cs, h), abs=1e-12)
 
@@ -429,7 +418,7 @@ class TestApproximationError:
         inst = random_instance(rng, n=25)
         cs = WeightedCoreset(indices=np.arange(25), weights=np.ones(25))
         for _ in range(1000):
-            h = Hypothesis(beta=rng.standard_normal(3) * rng.uniform(0, 10))
+            h = rng.standard_normal(3) * rng.uniform(0, 10)
             # the identity coreset is evaluated as the full data, by one kernel
             assert approximation_error(inst, cs, h) == 0.0
 
@@ -442,7 +431,29 @@ class TestApproximationError:
         monkeypatch.setattr("rlm_coreset.model.block_objectives",
                             lambda inst, cs, B: (np.zeros(len(B)), np.zeros(len(B))))
         with pytest.raises(ZeroObjectiveError):
-            approximation_error(inst, cs, Hypothesis(beta=np.array([2.0, 0, 0])))
+            approximation_error(inst, cs, np.array([2.0, 0, 0]))
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_overflowing_objective_is_refused(self, rng, loss, reg):
+        # with the squared norm, a probe of norm 1e160 overflows the
+        # regularizer; with lambda near the largest float, lambda * R**p
+        # overflows, and its product with r(beta) is inf, or NaN at beta = 0.
+        # Either way H would be NaN: refused, with no warning (warnings are
+        # errors in this suite)
+        inst = random_instance(rng, n=200, d=3, loss=loss, reg=reg)
+        cs = WeightedCoreset(indices=rng.integers(0, 200, size=20),
+                             weights=np.full(20, 10.0))
+        B = np.array([[1.0, 0.0, 0.0], [0.0, 1e160, 0.0]])
+        if reg is RegularizerKind.L2_SQUARED:
+            with pytest.raises(NonFiniteError, match="not finite"):
+                approximation_errors(inst, cs, B)
+        huge = RlmInstance(X=inst.X, y=inst.y, loss=loss, reg=reg, kappa=0.5,
+                           lambda_scale=1e307)
+        assert math.isfinite(huge.lam) and not math.isfinite(huge.reg_scale)
+        for evaluate in (lambda: approximation_errors(huge, cs, B[:1]),
+                         lambda: approximation_error(huge, cs, np.zeros(3))):
+            with pytest.raises(NonFiniteError, match="not finite"):
+                evaluate()
 
 
 class TestBlockEvaluator:
@@ -461,8 +472,7 @@ class TestBlockEvaluator:
     @staticmethod
     def assert_matches_reference(inst, cs, B):
         full, core = block_objectives(inst, cs, B)
-        hs = [Hypothesis(beta=b) for b in B]
-        np.testing.assert_allclose(full, [full_objective(inst, h) for h in hs],
+        np.testing.assert_allclose(full, [full_objective(inst, b) for b in B],
                                    rtol=1e-13, atol=0)
         np.testing.assert_allclose(
             core, [weighted_objective_grad(inst, cs, b, grad=False)[0] for b in B],
@@ -561,10 +571,10 @@ class TestOneProbeF:
         assert len(iterates) == len(trace.objectives) > 0
         for beta, f in zip(iterates, trace.objectives):
             one_probe = block_objectives(inst, cs, beta[None])[0][0]
-            assert one_probe.hex() == f.hex() == full_objective(inst, Hypothesis(beta=beta)).hex()
+            assert one_probe.hex() == f.hex() == full_objective(inst, beta).hex()
         beta = rng.standard_normal(d) * rng.uniform(0.01, 5.0)
         one_probe = block_objectives(inst, cs, beta[None])[0][0]
-        assert one_probe.hex() == full_objective(inst, Hypothesis(beta=beta)).hex()
+        assert one_probe.hex() == full_objective(inst, beta).hex()
 
 
 # TestPool's task size: how rows are split into blocks does not depend on it,
@@ -682,7 +692,7 @@ class TestWeightSum:
         cs = WeightedCoreset(indices=np.arange(5), weights=np.full(5, 5.2))
         eps = 0.2
         assert not check_weight_sum(cs, 20, eps)
-        h0 = Hypothesis(beta=np.zeros(3))
+        h0 = np.zeros(3)
         assert approximation_error(inst, cs, h0) == pytest.approx(
             abs(20 - 26.0) / 20, rel=1e-12)
         assert approximation_error(inst, cs, h0) > eps

@@ -21,9 +21,7 @@ class TestUniformSample:
         assert np.array_equal(cs.indices, np.arange(12))
         assert np.all(cs.weights == 1.0)
         for _ in range(5):
-            from rlm_coreset.model import Hypothesis
-            h = Hypothesis(beta=rng.standard_normal(3))
-            assert approximation_error(inst, cs, h) <= 1e-12
+            assert approximation_error(inst, cs, rng.standard_normal(3)) <= 1e-12
 
     def test_weight_arithmetic(self):
         cs = uniform_sample(10**6, q=100, seed=1)

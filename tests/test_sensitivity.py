@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALL_PAIRS, random_instance
+from conftest import ALL_PAIRS, check_scaling, random_instance
 from rlm_coreset.errors import InvalidParameterError
 from rlm_coreset.model import LossKind, RegularizerKind, loss_eval
 from rlm_coreset.sensitivity import (
-    check_scaling,
     sample_size,
     scaling_constants,
     sensitivity_upper_bound,

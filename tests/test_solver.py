@@ -9,7 +9,6 @@ from rlm_coreset import model, solver
 from rlm_coreset.data_io import gen_synthetic
 from rlm_coreset.errors import InvalidParameterError
 from rlm_coreset.model import (
-    Hypothesis,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -133,7 +132,7 @@ class TestValueOnly:
                 assert trace.final_objective == full_objective(inst, beta_hat)
                 assert len(trace.objectives) == len(iterates) > 0
                 for beta, f in zip(iterates, trace.objectives):
-                    assert f == full_objective(inst, Hypothesis(beta=beta))
+                    assert f == full_objective(inst, beta)
 
 
 def stop_rule_cases():
@@ -158,7 +157,7 @@ class TestStopRule:
             inst, cs if cs is not None else identity_cs(inst.n))
         beta_ref, trace_ref = oracle_train_gd(inst, cfg, cs)
         beta_hat, trace = train(inst, cfg, cs)
-        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert beta_hat.tobytes() == beta_ref.tobytes()
         # F of the returned beta, which is the last iterate only when smooth
         assert trace.final_objective == full_objective(inst, beta_hat)
         assert 0 < len(trace.objectives) <= len(trace_ref)
@@ -186,7 +185,7 @@ class TestStopRule:
         assert trace.stop_reason == "stalled" and iters < 500
         beta_ref, trace_ref = oracle_train_gd(inst, TrainConfig(), cs)
         assert len(trace_ref) == 500
-        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert beta_hat.tobytes() == beta_ref.tobytes()
         assert trace.objectives == trace_ref[:iters]
 
     def test_converged(self, rng):
@@ -195,7 +194,7 @@ class TestStopRule:
         beta_hat, trace = train(inst, cfg)
         assert trace.stop_reason == "converged"
         beta_ref, trace_ref = oracle_train_gd(inst, cfg)
-        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert beta_hat.tobytes() == beta_ref.tobytes()
         assert trace.objectives == trace_ref
 
     @pytest.mark.parametrize("method", list(TrainMethod))
@@ -213,8 +212,8 @@ class TestStopRule:
             g0 = weighted_objective_grad(inst, w, np.zeros(3))[1]
             assert 0 < float(np.linalg.norm(g0)) <= solver._kink_bound(inst, w)
             beta_hat, trace = train(inst, TrainConfig(), cs)
-            assert not beta_hat.beta.any() and trace.stop_reason == "converged"
-            zero = full_objective(inst, Hypothesis(beta=np.zeros(3)))
+            assert not beta_hat.any() and trace.stop_reason == "converged"
+            zero = full_objective(inst, np.zeros(3))
             assert trace.objectives == [zero]
 
     def test_kink_rule_is_smooth_branch_only(self, rng):
@@ -258,7 +257,7 @@ class TestBoundedMemory:
         cfg = TrainConfig(max_iters=12, grad_tol=1e-12)
         beta_hat, trace = train(inst, cfg)
         beta_ref, trace_ref = oracle_train_gd(inst, cfg)
-        assert beta_hat.beta.tobytes() == beta_ref.tobytes()
+        assert beta_hat.tobytes() == beta_ref.tobytes()
         assert trace.objectives == trace_ref[:len(trace.objectives)]
 
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
@@ -268,7 +267,7 @@ class TestBoundedMemory:
         cfg = TrainConfig(method=TrainMethod.SGD, epochs=3, batch_size=7, seed=4)
         for cs in (None, identity_cs(inst.n)):
             beta_hat, _ = train(inst, cfg, cs)
-            assert beta_hat.beta.tobytes() == oracle_sgd_beta(inst, cfg).tobytes()
+            assert beta_hat.tobytes() == oracle_sgd_beta(inst, cfg).tobytes()
 
     def test_gd_takes_the_accepted_trial_s_value_and_margins(self, monkeypatch):
         calls = []
@@ -328,7 +327,7 @@ class TestTrainFullBatch:
                            loss=LossKind.LOGISTIC, reg=RegularizerKind.L2_SQUARED,
                            kappa=0.5)
         beta_hat, _ = train(inst, TrainConfig())
-        assert float(np.linalg.norm(beta_hat.beta)) <= 1e-6
+        assert float(np.linalg.norm(beta_hat)) <= 1e-6
 
     def test_separable_improves_on_zero(self, rng):
         X = np.concatenate([rng.normal(2, 0.5, 40), rng.normal(-2, 0.5, 40)])
@@ -336,15 +335,14 @@ class TestTrainFullBatch:
         inst = RlmInstance(X=X.reshape(-1, 1), y=y, loss=LossKind.LOGISTIC,
                            reg=RegularizerKind.L2_SQUARED, kappa=0.5)
         beta_hat, _ = train(inst, TrainConfig())
-        assert np.all(np.isfinite(beta_hat.beta))
-        assert full_objective(inst, beta_hat) < full_objective(
-            inst, Hypothesis(beta=np.zeros(1)))
+        assert np.all(np.isfinite(beta_hat))
+        assert full_objective(inst, beta_hat) < full_objective(inst, np.zeros(1))
 
     def test_gradient_norm_at_exit(self, rng):
         inst = random_instance(rng, n=100)
         cfg = TrainConfig(grad_tol=1e-5, max_iters=2000)
         beta_hat, _ = train(inst, cfg)
-        g = weighted_objective_grad(inst, None, beta_hat.beta)[1]
+        g = weighted_objective_grad(inst, None, beta_hat)[1]
         assert float(np.linalg.norm(g)) <= 1e-5
 
     def test_objective_monotone_smooth(self, rng):
@@ -358,7 +356,7 @@ class TestTrainFullBatch:
         cfg = TrainConfig(max_iters=40, grad_tol=1e-10)
         beta_full, trace_full = train(inst, cfg)
         beta_cs, trace_cs = train(inst, cfg, identity_cs(60))
-        assert np.array_equal(beta_full.beta, beta_cs.beta)
+        assert np.array_equal(beta_full, beta_cs)
         assert trace_full.objectives == trace_cs.objectives
 
     def test_subgradient_path_hinge(self, rng):
@@ -366,8 +364,7 @@ class TestTrainFullBatch:
         beta_hat, trace = train(inst, TrainConfig(max_iters=200))
         # best-iterate return: final objective no worse than the start
         assert trace.objectives[-1] <= 60 * 1.0 + 1e-9 or \
-            full_objective(inst, beta_hat) <= full_objective(
-                inst, Hypothesis(beta=np.zeros(3)))
+            full_objective(inst, beta_hat) <= full_objective(inst, np.zeros(3))
 
     def test_trace_timestamps_monotone(self, rng):
         inst = random_instance(rng, n=50)
@@ -382,13 +379,13 @@ class TestTrainSgd:
         cfg = TrainConfig(method=TrainMethod.SGD, epochs=3, seed=77)
         a, _ = train(inst, cfg)
         b, _ = train(inst, cfg)
-        assert np.array_equal(a.beta, b.beta)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self, rng):
         inst = random_instance(rng, n=200)
         a, _ = train(inst, TrainConfig(method=TrainMethod.SGD, epochs=3, seed=1))
         b, _ = train(inst, TrainConfig(method=TrainMethod.SGD, epochs=3, seed=2))
-        assert not np.array_equal(a.beta, b.beta)
+        assert not np.array_equal(a, b)
 
     def test_large_margins_do_not_overflow(self):
         # the first step takes beta to 1, so both margins are -1e3
@@ -400,7 +397,7 @@ class TestTrainSgd:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             beta_hat, trace = train(inst, cfg)
-        assert beta_hat.beta[0] == pytest.approx(1.0, rel=1e-4)
+        assert beta_hat[0] == pytest.approx(1.0, rel=1e-4)
         assert all(np.isfinite(trace.objectives))
 
     def test_makes_progress(self, rng):
@@ -410,7 +407,7 @@ class TestTrainSgd:
         _, trace = train(
             inst, TrainConfig(method=TrainMethod.SGD, epochs=10, seed=0,
                               learning_rate=0.05))
-        start = full_objective(inst, Hypothesis(beta=np.zeros(2)))
+        start = full_objective(inst, np.zeros(2))
         assert trace.objectives[-1] < start
 
 
