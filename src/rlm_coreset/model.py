@@ -28,7 +28,6 @@ import functools
 import math
 import operator
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -273,10 +272,11 @@ def coreset_rows(
 
 def margins(inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray) -> np.ndarray:
     """The margins z = -y * (X @ beta) on the coreset's rows."""
-    return _margins(*coreset_rows(inst, cs), beta)
+    return row_margins(*coreset_rows(inst, cs), beta)
 
 
-def _margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The margins z = -y * (X @ beta) on the rows X, y."""
     # one gemv, the product with y and its sign taken in place: rounding is
     # symmetric, so -(y * p) is the float (-y) * p
     z = X @ beta
@@ -284,10 +284,10 @@ def _margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.negative(z, out=z)
 
 
-def _loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
+def loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
     """The loss sum at margins z (np.sum, or u @ losses with weights u) when
-    value is set, else 0.0; with dz given, the (weighted) slope times y is
-    written into it."""
+    value is set, else 0.0; with dz given, the slope times y, (u * slope) * y
+    with weights u, is written into it."""
     # the logistic value and slope share one exp(-|z|); the value consumes it
     e = _exp_neg_abs(z) if loss is LossKind.LOGISTIC else None
     if dz is not None:
@@ -316,17 +316,17 @@ def weighted_objective_grad(
     additions is its own, and a split of it would move the bits."""
     X, y = coreset_rows(inst, cs)
     if z is None:
-        z = _margins(X, y, beta)
+        z = row_margins(X, y, beta)
     dz = np.empty(len(z)) if grad else None
     if is_full(inst, cs):
         share = 1.0
         loss_sum = pairwise_sum(
-            lambda lo, hi: _loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
-                                       None if dz is None else dz[lo:hi], value),
+            lambda lo, hi: loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
+                                      None if dz is None else dz[lo:hi], value),
             0, len(z), LEAF_ROWS)
     else:
         share = cs.weight_sum() / inst.n
-        loss_sum = _loss_terms(inst.loss, z, y, cs.weights, dz, value)
+        loss_sum = loss_terms(inst.loss, z, y, cs.weights, dz, value)
     scale = inst.reg_scale
     f = loss_sum + share * (scale * reg_eval(inst.reg, beta)) if value else None
     if not grad:
@@ -346,46 +346,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the executor but none of its threads, and the
-    # lock in whatever state another thread left it
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def ordered_map(fn, items) -> list:
     """[fn(item) for item in items], the calls spread over one thread per
-    usable CPU; numpy releases the GIL inside its loops, so they run in
-    parallel.  The results come back in item order, and the first failing
-    item's exception is raised with its own class.  Each call runs in a copy
-    of the caller's context, so an enclosing np.errstate holds inside it.
-    With one item or one usable CPU the calls run here, one after another.
-    fn must not call ordered_map: a task that waits on the pool can starve it.
+    usable CPU, at most one per item, on a pool that lives for this call;
+    numpy releases the GIL inside its loops, so they run in parallel.  The
+    results come back in item order, and the first failing item's exception
+    is raised with its own class.  Each call runs in a copy of the caller's
+    context, so an enclosing np.errstate holds inside it.  With one item or
+    one usable CPU the calls run here, one after another.
     """
-    global _pool
     items = list(items)
-    workers = _usable_cpus()
-    if len(items) < 2 or workers < 2:
+    workers = min(_usable_cpus(), len(items))
+    if workers < 2:
         return [fn(item) for item in items]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="rlm-coreset")
-        pool = _pool
-    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-    try:
-        return [f.result() for f in futures]
-    finally:
-        for f in futures:  # after a failure, drop the tasks not yet started
-            f.cancel()
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rlm-coreset") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:  # after a failure, drop the tasks not yet started
+                f.cancel()
 
 
 # tile of the block evaluator: ROW_TILE rows of X against PROBE_TILE probes,

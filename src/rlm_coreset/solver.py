@@ -25,9 +25,10 @@ from .model import (
     WeightedCoreset,
     coreset_rows,
     is_full,
-    loss_slope,
+    loss_terms,
     margins,
     reg_grad,
+    row_margins,
     weighted_objective_grad,
 )
 
@@ -69,7 +70,9 @@ class TrainConfig:
 @dataclass
 class TrainTrace:
     """Per-iteration record of (optimizer wall-clock seconds, full-dataset
-    objective).  Objective evaluation time is excluded from the clock.
+    objective).  Objective evaluation time is excluded from the clock.  GD
+    records each new iterate's F stamped with the clock of the step that
+    made it, and once more at exit; SGD records F after each epoch.
 
     stop_reason says why the run ended: ``converged`` (the gradient norm met
     grad_tol, or beta = 0 is the optimum at the 2-norm's kink), ``stalled``
@@ -121,12 +124,9 @@ def train(
     return _train_gd(inst, cs, full_cs, cfg)
 
 
-def _trace_point(inst, full_cs, beta, trace, clock, f_full=None):
-    """Record the full objective at beta; f_full is that value when the
-    caller has already computed it."""
-    if f_full is None:
-        f_full, _ = weighted_objective_grad(inst, full_cs, beta, grad=False)
-    trace.append(clock, f_full)
+def _full_value(inst, full_cs, beta) -> float:
+    """F at beta: one value pass over all rows."""
+    return weighted_objective_grad(inst, full_cs, beta, grad=False)[0]
 
 
 def _kink_bound(inst, cs) -> float:
@@ -147,38 +147,39 @@ def _train_gd(inst, cs, full_cs, cfg):
     smooth = _is_smooth(inst)
     kink = _kink_bound(inst, cs) if smooth else 0.0
     clock = 0.0
-    best_beta, best_f, best_it = beta.copy(), np.inf, 0
+    best_beta, best_f, best_it = beta, np.inf, 0
     step = STEP_INIT
-    # a full-data subgradient iterate whose trace value is the f that the
-    # next iteration computes with its gradient
-    pending = False
     # the margins at beta of the Armijo trial accepted last, whose value f
     # is known: the gradient is computed from them, then they are dropped
     z = None
+    f_full = None  # F at beta, once known
     for it in range(cfg.max_iters):
+        # from iteration 1 on beta is new: its F is recorded with the clock of
+        # the step that made it, on a coreset from one pass off the clock
+        if it and not full:
+            f_full = _full_value(inst, full_cs, beta)
         t0 = time.perf_counter()
         if z is None:
             f, g = weighted_objective_grad(inst, cs, beta)
         else:
             _, g = weighted_objective_grad(inst, cs, beta, z=z, value=False)
             z = None
-        if pending:
-            _trace_point(inst, full_cs, beta, trace, clock, f)
-        if not (np.isfinite(f) and np.all(np.isfinite(g))):
+        if full:
+            f_full = f
+        if it:
+            trace.append(clock, f_full)
+        # a g whose norm overflows is one error, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            gnorm = float(np.linalg.norm(g))
+        if not (np.isfinite(f) and np.isfinite(gnorm)):
             raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
-        gnorm = float(np.linalg.norm(g))
         if f < best_f:
-            best_f, best_beta, best_it = f, beta.copy(), it
+            best_f, best_beta, best_it = f, beta, it
         # at iteration 0 beta = 0 and the regularizer's gradient there is 0,
         # so g is the loss gradient and the kink test is the optimality test
         if gnorm <= cfg.grad_tol or (it == 0 and gnorm <= kink):
-            clock += time.perf_counter() - t0
-            _trace_point(inst, full_cs, beta, trace, clock, f if full else None)
             trace.stop_reason = "converged"
-            break
-        f_next = None
-        stalled = False
-        if smooth:
+        elif smooth:
             step *= 2.0  # warm start from the last accepted step
             backtracked = False
             while True:
@@ -193,24 +194,23 @@ def _train_gd(inst, cs, full_cs, cfg):
                     raise NonFiniteError("Armijo backtracking underflow")
             # the next iteration would see the same (beta, f, g), reject the
             # same doubled step and accept this one again, forever
-            stalled = backtracked and cand.tobytes() == beta.tobytes()
+            if backtracked and cand.tobytes() == beta.tobytes():
+                trace.stop_reason = "stalled"
             beta, f = cand, f_new
-            if full:
-                f_next = f_new
         else:
             beta = beta - STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
-            pending = full
         clock += time.perf_counter() - t0
-        if not pending:
-            _trace_point(inst, full_cs, beta, trace, clock, f_next)
-        if stalled:
-            trace.stop_reason = "stalled"
+        if trace.stop_reason != "max_iters":
             break
-    else:
-        if pending:
-            _trace_point(inst, full_cs, beta, trace, clock)
+    # converged and stalled end at the bytes of f_full's beta; a run out of
+    # budget ends at a new beta, whose F on full data is its trial's value
+    if trace.stop_reason == "max_iters":
+        f_full = f if full and smooth else None
+    if f_full is None:
+        f_full = _full_value(inst, full_cs, beta)
+    trace.append(clock, f_full)
     if smooth:
-        trace.final_objective = trace.objectives[-1]
+        trace.final_objective = f_full
         return beta, trace
     # the trace holds F(beta_1), F(beta_2), ...; on full data best_f is F too
     if full:
@@ -218,14 +218,15 @@ def _train_gd(inst, cs, full_cs, cfg):
     elif best_it:
         trace.final_objective = trace.objectives[best_it - 1]
     else:
-        trace.final_objective, _ = weighted_objective_grad(inst, full_cs, best_beta, grad=False)
+        trace.final_objective = _full_value(inst, full_cs, best_beta)
     return best_beta, trace
 
 
 def _train_sgd(inst, cs, full_cs, cfg):
     rng = np.random.default_rng(cfg.seed)
     X, y = coreset_rows(inst, cs)
-    # on full data every weight is 1: u * dz is dz and sum(u) the batch size
+    # on full data every weight is 1: the slopes go unweighted and sum(u) is
+    # the batch size
     u = None if cs is full_cs else cs.weights
     m = len(y)
     beta = np.zeros(inst.d)
@@ -240,15 +241,11 @@ def _train_sgd(inst, cs, full_cs, cfg):
             for lo in range(0, m, cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
                 Xb, yb = X[batch], y[batch]
-                z = -yb * (Xb @ beta)
-                dz = loss_slope(inst.loss, z)
-                if u is None:
-                    dz *= yb
-                    count = float(len(batch))
-                else:
-                    ub = u[batch]
-                    dz = ub * dz * yb
-                    count = float(np.sum(ub))
+                ub = None if u is None else u[batch]
+                # the kernel's margins and (u * slope) * y
+                dz = np.empty(len(batch))
+                loss_terms(inst.loss, row_margins(Xb, yb, beta), yb, ub, dz, value=False)
+                count = float(len(batch)) if ub is None else float(np.sum(ub))
                 # mean-objective gradient: per-point loss terms plus the 1/n
                 # regularizer share, so the step scale is independent of n
                 g = -(dz @ Xb) / count
@@ -257,7 +254,6 @@ def _train_sgd(inst, cs, full_cs, cfg):
         if not np.all(np.isfinite(beta)):
             raise NonFiniteError(f"SGD diverged in epoch {epoch}")
         clock += time.perf_counter() - t0
-        _trace_point(inst, full_cs, beta, trace, clock)
+        trace.append(clock, _full_value(inst, full_cs, beta))
     trace.final_objective = trace.objectives[-1]
     return beta, trace
-

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +191,23 @@ def oracle_train_gd(inst, cfg, cs=None):
             beta = beta - solver.STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
         objectives.append(oracle_objective_grad(inst, full_cs, beta, grad=False)[0])
     return (beta if smooth else best_beta), objectives
+
+
+@contextlib.contextmanager
+def recorded_iterates():
+    """Within the block, the list of the coefficient vectors the solver holds
+    at each trace entry, in entry order: TrainTrace.append is patched to read
+    the beta of the frame that calls it."""
+    iterates = []
+
+    class Recording(solver.TrainTrace):
+        def append(self, t, f):
+            iterates.append(sys._getframe(1).f_locals["beta"].copy())
+            super().append(t, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "TrainTrace", Recording)
+        yield iterates
 
 
 def oracle_stream_sample(stream, q, seed):

@@ -519,6 +519,11 @@ class TestNumericArguments:
         # an F or F_C that overflows would make H NaN
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:1e160"], 4),
         (["verify", *SYNTH, "--lambda-scale", "1e305", "--coreset", "{huge}"], 4),
+        # a finite gradient whose norm overflows
+        (["train", "--format", "synthetic", "--input", "n=2000,d=3", "--loss", "hinge",
+          "--lambda-scale", "1e305"], 4),
+        (["sweep", "--format", "synthetic", "--input", "n=2000,d=3", "--loss", "hinge",
+          "--lambda-scale", "1e305", "--sizes", "50", "--report", "{tmp}/s.csv"], 4),
         # a circle hypothesis whose squared norm overflows the regularizer
         (["adversary", "--kind", "circle", "--n", "1000", "--k", "4",
           "--norm-override", "1e200"], 4),
@@ -536,6 +541,7 @@ class TestNumericArguments:
             "verify-seed-minus-1", "sweep-seed-minus-1", "train-seed-minus-1",
             "bench-seed-minus-1", "circle-n-401-digits", "two-cluster-n-401-digits",
             "circle-n-past-int64", "verify-probe-norm-1e160", "verify-lambda-scale-1e305",
+            "train-gradient-norm-overflows", "sweep-gradient-norm-overflows",
             "circle-norm-1e200", "circle-norm-1e300"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')

@@ -17,6 +17,7 @@ from conftest import (
     oracle_softplus,
     oracle_tiled_loss_sums,
     random_instance,
+    recorded_iterates,
 )
 from rlm_coreset import model, solver
 from rlm_coreset.errors import NonFiniteError, ZeroObjectiveError
@@ -558,15 +559,7 @@ class TestOneProbeF:
         y = rng.choice([-1.0, 1.0], size=n)
         inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
         cs = WeightedCoreset(indices=[0], weights=[1.0])
-        iterates = []
-        trace_point = solver._trace_point
-
-        def recording(inst, full_cs, beta, trace, clock, f_full=None):
-            iterates.append(beta.copy())
-            trace_point(inst, full_cs, beta, trace, clock, f_full)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_trace_point", recording)
+        with recorded_iterates() as iterates:
             _, trace = solver.train(inst, solver.TrainConfig(max_iters=3))
         assert len(iterates) == len(trace.objectives) > 0
         for beta, f in zip(iterates, trace.objectives):

@@ -1,10 +1,11 @@
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import ALL_PAIRS, oracle_train_gd, random_instance
+from conftest import ALL_PAIRS, oracle_train_gd, random_instance, recorded_iterates
 from rlm_coreset import model, solver
 from rlm_coreset.data_io import gen_synthetic
 from rlm_coreset.errors import InvalidParameterError
@@ -107,18 +108,10 @@ class TestValueOnly:
         assert X.shape == (10, 3) and X is not inst.X
 
     @pytest.mark.parametrize("q", [None, 40])
-    def test_trace_is_full_objective_at_each_iterate(self, monkeypatch, q):
+    def test_trace_is_full_objective_at_each_iterate(self, q):
         # every trace value is the very float full_objective gives at that
-        # iterate: on every pair, for both methods, on full data and a coreset
-        iterates = []
-        trace_point = solver._trace_point
-
-        def recording(inst, full_cs, beta, trace, clock, f_full=None):
-            iterates.append(beta.copy())
-            trace_point(inst, full_cs, beta, trace, clock, f_full)
-
-        monkeypatch.setattr(solver, "_trace_point", recording)
-        # labels from a hyperplane, as the CLI's synthetic data: with random
+        # iterate: on every pair, for both methods, on full data and a coreset.
+        # Labels from a hyperplane, as the CLI's synthetic data: with random
         # labels the logistic/l2 optimum on a coreset is beta = 0, where GD
         # stops at iteration 0 by the kink rule (see TestStopRule)
         X, y, _ = gen_synthetic(120, 3, noise=0.1, seed=7)
@@ -127,8 +120,8 @@ class TestValueOnly:
             cs = None if q is None else uniform_sample(inst, q, seed=3)
             for cfg in (TrainConfig(max_iters=12, grad_tol=1e-12),
                         TrainConfig(method=TrainMethod.SGD, epochs=3)):
-                iterates.clear()
-                beta_hat, trace = train(inst, cfg, cs)
+                with recorded_iterates() as iterates:
+                    beta_hat, trace = train(inst, cfg, cs)
                 assert trace.final_objective == full_objective(inst, beta_hat)
                 assert len(trace.objectives) == len(iterates) > 0
                 for beta, f in zip(iterates, trace.objectives):
@@ -226,6 +219,49 @@ class TestStopRule:
         _, trace = train(inst, cfg)
         assert trace.stop_reason == "max_iters"
         assert trace.objectives == oracle_train_gd(inst, cfg)[1]
+
+
+def kernel_with(monkeypatch, on_all_rows):
+    """Patch the solver's kernel to call on_all_rows(beta) before every value
+    computed over all rows."""
+    kernel = solver.weighted_objective_grad
+
+    def wrapped(inst, cs, beta, grad=True, z=None, value=True):
+        if value and cs.size == inst.n:
+            on_all_rows(beta)
+        return kernel(inst, cs, beta, grad, z, value)
+
+    monkeypatch.setattr(solver, "weighted_objective_grad", wrapped)
+
+
+class TestTraceRule:
+    """Each iterate's F is recorded once, off the clock."""
+
+    @pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(grad_tol=1e-2),
+                                     TrainConfig(max_iters=2)],
+                             ids=["budget-500", "grad-tol-1e-2", "budget-2"])
+    @pytest.mark.parametrize("inst, cs", [c for c in stop_rule_cases() if "weighted" in c.id])
+    def test_coreset_pays_one_full_pass_per_beta(self, monkeypatch, inst, cs, cfg):
+        # converged and stalled runs end at the beta of the last entry, whose
+        # F is already in hand.  Full data is left out: there a stalling
+        # Armijo trial evaluates the old beta's bytes again, as it must
+        betas = []
+        kernel_with(monkeypatch, lambda beta: betas.append(beta.tobytes()))
+        train(inst, cfg, cs)
+        assert betas and len(betas) == len(set(betas))
+
+    @pytest.mark.parametrize("method", list(TrainMethod))
+    def test_full_passes_are_off_the_clock(self, monkeypatch, method):
+        # with every pass over all rows slowed by 20 ms, five short coreset
+        # iterations stay below one such pass on the clock
+        kernel_with(monkeypatch, lambda beta: time.sleep(0.02))
+        X, y, _ = gen_synthetic(200, 3, noise=0.1, seed=7)
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                           reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        cfg = TrainConfig(method=method, max_iters=5, epochs=5, grad_tol=1e-12)
+        _, trace = train(inst, cfg, uniform_sample(inst, 40, seed=3))
+        assert trace.stop_reason == "max_iters" and len(trace.seconds) == 5
+        assert trace.seconds[-1] < 0.02
 
 
 def oracle_sgd_beta(inst, cfg):
