@@ -93,6 +93,12 @@ def _load_instance(args) -> RlmInstance:
     )
 
 
+def _settings(inst) -> dict:
+    """The settings a coreset document records, in the order they are checked."""
+    return {"loss": inst.loss.value, "reg": inst.reg.value, "kappa": inst.kappa,
+            "lambda": inst.lam, "R": inst.R}
+
+
 def _coreset_payload(args, inst, cs):
     return {
         "n": inst.n,
@@ -102,11 +108,7 @@ def _coreset_payload(args, inst, cs):
         "mode": sampling.SampleMode.IID_WITH_REPLACEMENT.value,
         "indices": cs.indices.tolist(),
         "weights": cs.weights.tolist(),
-        "R": inst.R,
-        "lambda": inst.lam,
-        "kappa": inst.kappa,
-        "loss": inst.loss.value,
-        "reg": inst.reg.value,
+        **_settings(inst),
     }
 
 
@@ -122,9 +124,7 @@ def _coreset_from_doc(doc, inst) -> WeightedCoreset:
             f"coreset was built for n={doc['n']} but dataset has n={inst.n}"
         )
     # floats round-trip JSON exactly, so a recorded setting must match bit for bit
-    settings = {"loss": inst.loss.value, "reg": inst.reg.value, "kappa": inst.kappa,
-                "lambda": inst.lam, "R": inst.R}
-    for key, value in settings.items():
+    for key, value in _settings(inst).items():
         if key in doc and doc[key] != value:
             raise SchemaMismatchError(
                 f"coreset was built with {key}={doc[key]!r} but the instance has {value!r}"

@@ -9,9 +9,9 @@ with the per-point share f_i(beta) = loss_i(beta) + lambda*reg(R*beta)/n.
 Its value and (sub)gradient on full data or on a weighted coreset are
 computed in one place, ``weighted_objective_grad``; the solver and
 ``full_objective`` call it.  No pass over X allocates an n x d temporary:
-R and the finiteness check read X in blocks of ROW_BLOCK rows, and the
-full-data loss sum is built from leaves of LEAF_ROWS rows by
-``pairwise_sum``, the same floats as over whole arrays.
+``check_rows`` refuses bad rows and takes R in one pass over blocks of
+ROW_BLOCK rows, and the full-data loss sum is added from leaves of
+ROW_BLOCK rows by ``blocked_sum``.
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
 from the same loss and regularizer terms, in cache-sized tiles of X, and
@@ -119,40 +119,26 @@ def reg_grad(kind: RegularizerKind, v, scale: float = 1.0) -> np.ndarray:
     return scale * np.sign(v)
 
 
-# rows of X per block of the row-norm and finiteness passes: each block's
-# temporaries are ROW_BLOCK x d, never n x d
-ROW_BLOCK = 8192
-# most rows per leaf of the full-data loss sum (at least numpy's pairwise
-# block of 128, below which np.sum stops halving)
-LEAF_ROWS = 1 << 14
+# rows of X per block of the row check and per leaf of the full-data loss
+# sum: each block's temporaries are ROW_BLOCK x d, never n x d (at least
+# numpy's pairwise block of 128, below which np.sum stops halving)
+ROW_BLOCK = 1 << 13
 
 
-def max_row_norm(X: np.ndarray) -> float:
-    """The largest row 2-norm of a 2-D array, 0.0 when it has no rows: the
-    radius R of an instance and of a streamed reservoir.  The norms are
-    np.linalg.norm's, taken ROW_BLOCK rows at a time; a max is exact, so R
-    is the float the whole array gives."""
-    if not X.shape[0]:
-        return 0.0
-    R = np.max(np.linalg.norm(X[:ROW_BLOCK], axis=1))
-    for lo in range(ROW_BLOCK, X.shape[0], ROW_BLOCK):
-        R = np.maximum(R, np.max(np.linalg.norm(X[lo:lo + ROW_BLOCK], axis=1)))
+def check_rows(X: np.ndarray, y: np.ndarray) -> float:
+    """R, the largest row 2-norm of X (0.0 with no rows), after refusing a
+    point that is not finite or a label outside {-1, +1}.  X is read once,
+    ROW_BLOCK rows at a time; a max of np.linalg.norm's is exact, so R is
+    the float the whole array gives."""
+    R = 0.0
+    for lo in range(0, X.shape[0], ROW_BLOCK):
+        block = X[lo:lo + ROW_BLOCK]
+        if not np.isfinite(block).all():
+            raise ValueError("points must be finite")
+        R = max(R, np.max(np.linalg.norm(block, axis=1)))
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError("labels must be in {-1, +1}")
     return float(R)
-
-
-def pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int) -> float:
-    """np.sum of values lo..hi-1 that are never held at once, the same float:
-    the range is halved as numpy's pairwise summation halves an array (the
-    first half's length rounded down to a multiple of 8) down to pieces of
-    at most leaf values, and leaf_sum(a, b) returns np.sum of values a..b-1.
-    leaf must be at least 128, numpy's smallest halved length."""
-    n = hi - lo
-    if n <= leaf:
-        return leaf_sum(lo, hi)
-    n2 = n // 2
-    n2 -= n2 % 8
-    return (pairwise_sum(leaf_sum, lo, lo + n2, leaf)
-            + pairwise_sum(leaf_sum, lo + n2, hi, leaf))
 
 
 @dataclass(frozen=True)
@@ -200,7 +186,7 @@ class WeightedCoreset:
 class RlmInstance:
     """Immutable dataset plus loss/regularizer configuration.
 
-    lambda is derived as lambda_scale * n**kappa; R is the maximum point 2-norm.
+    lambda is derived as lambda_scale * n**kappa; R is check_rows' maximum point 2-norm.
     """
 
     X: np.ndarray
@@ -217,11 +203,7 @@ class RlmInstance:
         y = np.asarray(self.y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y length mismatch")
-        if not all(np.isfinite(X[lo:lo + ROW_BLOCK]).all()
-                   for lo in range(0, X.shape[0], ROW_BLOCK)):
-            raise ValueError("points must be finite")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be in {-1, +1}")
+        R = check_rows(X, y)
         if not (0.0 < self.kappa < 1.0):
             raise InvalidParameterError(f"kappa must lie in (0, 1), got {self.kappa!r}")
         lam = self.lambda_scale * X.shape[0] ** self.kappa
@@ -230,7 +212,6 @@ class RlmInstance:
                                         f"finite, got {self.lambda_scale!r}")
         X.setflags(write=False)
         y.setflags(write=False)
-        R = max_row_norm(X)
         if R == 0.0 and X.shape[0]:
             warnings.warn("all points at the origin: regularizer has no effect")
         object.__setattr__(self, "X", X)
@@ -264,10 +245,13 @@ def coreset_rows(
     inst: RlmInstance, cs: Optional[WeightedCoreset]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The coreset's rows of X and y: the instance's own arrays on full
-    data, a gather of the q rows otherwise."""
+    data, a gather of the q rows otherwise; an index outside [0, n) is refused."""
     if is_full(inst, cs):
         return inst.X, inst.y
-    return inst.X[cs.indices], inst.y[cs.indices]
+    idx = cs.indices
+    if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
+        raise IndexError("coreset index out of range")
+    return inst.X[idx], inst.y[idx]
 
 
 def margins(inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray) -> np.ndarray:
@@ -309,9 +293,9 @@ def weighted_objective_grad(
     same holds for the objective; each is the same float either way.  z,
     when given, is margins(inst, cs, beta), which is then not recomputed.
 
-    On full data the losses are taken LEAF_ROWS rows at a time and their
-    np.sum leaves added as np.sum over all n adds them, so no n-sized array
-    but z and the gradient's dz is held, and every float is the one whole
+    On full data the losses are taken ROW_BLOCK rows at a time and added by
+    blocked_sum, the order of the H pass, so no n-sized array but z and the
+    gradient's dz is held; on at most 2**20 rows every float is the one whole
     arrays give.  The gradient stays one gemv, -(dz @ X): BLAS's order of
     additions is its own, and a split of it would move the bits."""
     X, y = coreset_rows(inst, cs)
@@ -320,10 +304,10 @@ def weighted_objective_grad(
     dz = np.empty(len(z)) if grad else None
     if is_full(inst, cs):
         share = 1.0
-        loss_sum = pairwise_sum(
+        loss_sum = blocked_sum(
             lambda lo, hi: loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
                                       None if dz is None else dz[lo:hi], value),
-            0, len(z), LEAF_ROWS)
+            len(z), ROW_BLOCK, 1)
     else:
         share = cs.weight_sum() / inst.n
         loss_sum = loss_terms(inst.loss, z, y, cs.weights, dz, value)
@@ -379,6 +363,21 @@ PROBE_TILE = 64
 TASK_MARGINS = 1 << 20
 
 
+def pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int) -> float:
+    """np.sum of values lo..hi-1 that are never held at once, the same float:
+    the range is halved as numpy's pairwise summation halves an array (the
+    first half's length rounded down to a multiple of 8) down to pieces of
+    at most leaf values, and leaf_sum(a, b) returns np.sum of values a..b-1.
+    leaf must be at least 128, numpy's smallest halved length."""
+    n = hi - lo
+    if n <= leaf:
+        return leaf_sum(lo, hi)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return (pairwise_sum(leaf_sum, lo, lo + n2, leaf)
+            + pairwise_sum(leaf_sum, lo + n2, hi, leaf))
+
+
 def blocked_sum(leaf_sum, n: int, leaf: int, width: int):
     """The sum of rows 0..n-1 of values that are never held at once, each row
     a float or a vector of width floats, spread over the usable CPUs.  A block
@@ -427,24 +426,21 @@ def block_objectives(
     """F and the coreset objective F_C at every row of the (k, d) probe array
     B, in one tiled pass over X and one over the coreset rows, gathered once.
     The regularizer term of each probe is the float weighted_objective_grad
-    adds.  For one probe on at most 2**20 rows (one block of blocked_sum), F
-    is the float full_objective gives; otherwise only the order in which the
-    loss sums are added differs from it.  For the identity coreset F_C is F
-    itself."""
+    adds.  For one probe, F is the float full_objective gives, at every n;
+    for more, only the order in which the loss sums are added differs from
+    it.  For the identity coreset F_C is F itself."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != inst.d:
         raise ValueError(f"probes must be a (k, {inst.d}) array, got shape {B.shape}")
     if not np.all(np.isfinite(B)):
         raise ValueError("hypothesis components must be finite")
-    idx = cs.indices
-    if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
-        raise IndexError("coreset index out of range")
     scale = inst.reg_scale
     reg = np.array([scale * reg_eval(inst.reg, beta) for beta in B])
     neg_B = -B
     full = _tiled_loss_sums(inst.loss, inst.X, inst.y, None, neg_B) + reg
     if is_full(inst, cs):
         return full, full
+    # gathered after the full pass, so the full pass does not hold the q rows
     Xc, yc = coreset_rows(inst, cs)
     core = _tiled_loss_sums(inst.loss, Xc, yc, cs.weights, neg_B) \
         + (cs.weight_sum() / inst.n) * reg

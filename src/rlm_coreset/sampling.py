@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidParameterError, StreamTooShortError
-from .model import RlmInstance, WeightedCoreset, max_row_norm
+from .model import RlmInstance, WeightedCoreset, check_rows
 
 RNG_ALGORITHM = "numpy-pcg64"
 # pairs the reservoir reads and converts at a time
@@ -58,8 +58,8 @@ def stream_sample(stream: Iterable, q: int, seed: int):
     is below q; one call draws a block's slots, the same draws and generator
     state as one call per row, and a slot drawn twice keeps the later row.
     Returns (points, labels, weights, R, n): weights n/q (1 when all n <= q
-    rows are kept) and R as RlmInstance computes it; a non-finite point is
-    refused as RlmInstance refuses it."""
+    rows are kept) and R from RlmInstance's row check, which refuses a
+    non-finite point or a label outside {-1, +1} here too."""
     if q < 1:
         raise InvalidParameterError("q must be at least 1")
     rng = np.random.default_rng(seed)
@@ -71,11 +71,9 @@ def stream_sample(stream: Iterable, q: int, seed: int):
         xs, ys = zip(*block)
         X = np.array(xs, dtype=float).reshape(len(block), -1)
         y = np.array(ys, dtype=float).reshape(len(block))
-        if not np.all(np.isfinite(X)):
-            raise ValueError("points must be finite")
+        R = max(R, check_rows(X, y))
         if head_X and X.shape[1] != head_X[0].shape[1]:
             raise ValueError(f"stream rows have {head_X[0].shape[1]} and {X.shape[1]} features")
-        R = max(R, max_row_norm(X))
         lo, n = n, n + len(block)
         if lo < q:
             head_X.append(X[:q - lo])

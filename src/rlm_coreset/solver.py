@@ -215,6 +215,8 @@ def _train_gd(inst, cs, full_cs, cfg):
     # the trace holds F(beta_1), F(beta_2), ...; on full data best_f is F too
     if full:
         trace.final_objective = best_f
+    elif best_beta is beta:  # the exit record's beta
+        trace.final_objective = f_full
     elif best_it:
         trace.final_objective = trace.objectives[best_it - 1]
     else:

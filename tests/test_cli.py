@@ -529,6 +529,16 @@ class TestNumericArguments:
           "--norm-override", "1e200"], 4),
         (["adversary", "--kind", "circle", "--n", "1000", "--k", "4",
           "--norm-override", "1e300"], 4),
+        (["adversary", "--kind", "circle", "--n", "1000", "--kappa", "1.5"], 3),
+        (["sweep", *SYNTH, "--sizes", "1..10:linear:2", "--report", "{tmp}/s.csv"], 2),
+        (["sample", "--format", "csv", "--input", "{tmp}/empty.csv", "--size", "3",
+          "--output", "{tmp}/o.json"], 2),
+        (["sample", "--format", "csv", "--input", "{tmp}/data.csv", "--label-column", "nope",
+          "--size", "3", "--output", "{tmp}/o.json"], 2),
+        (["train", *SYNTH, "--method", "sgd", "--batch-size", "0"], 3),
+        # lambda R^2 of 7e307 outgrows the decrease of every step above 1e-308
+        (["train", "--format", "synthetic", "--input", "n=2000,d=3",
+          "--lambda-scale", "1e305"], 4),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
@@ -542,10 +552,14 @@ class TestNumericArguments:
             "bench-seed-minus-1", "circle-n-401-digits", "two-cluster-n-401-digits",
             "circle-n-past-int64", "verify-probe-norm-1e160", "verify-lambda-scale-1e305",
             "train-gradient-norm-overflows", "sweep-gradient-norm-overflows",
-            "circle-norm-1e200", "circle-norm-1e300"])
+            "circle-norm-1e200", "circle-norm-1e300", "circle-kappa-1.5",
+            "sweep-unknown-progression", "csv-empty-file", "csv-no-label-column",
+            "sgd-batch-size-0", "armijo-underflow"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "data.csv").write_text("a,b,label\n1,2,1\n3,4,0\n")
         huge = tmp_path / "huge.json"  # a coreset of the instance with lambda_scale 1e305
         if "{huge}" in argv:
             assert run(["sample", *SYNTH, "--lambda-scale", "1e305", "--size", "10",

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -308,8 +309,8 @@ class TestBlockedKernel:
     """The kernel's leaf sums and margin reuse give the floats of the
     one-array formula, oracle_objective_grad."""
 
-    @pytest.mark.parametrize("n", [model.LEAF_ROWS - 1, model.LEAF_ROWS, model.LEAF_ROWS + 1,
-                                   2 * model.LEAF_ROWS + 5, 100_000])
+    @pytest.mark.parametrize("n", [model.ROW_BLOCK - 1, model.ROW_BLOCK, model.ROW_BLOCK + 1,
+                                   2 * model.ROW_BLOCK + 5, 100_000])
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_bytes_equal_to_the_oracle(self, loss, reg, n):
         inst = leaf_instance(n, loss, reg)
@@ -341,13 +342,14 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("n", [model.ROW_BLOCK - 1, model.ROW_BLOCK, model.ROW_BLOCK + 1])
     def test_blocked_max_row_norm(self, rng, n, d):
         X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+        y = np.ones(n)
         expect = float(np.max(np.linalg.norm(X, axis=1)))
-        assert model.max_row_norm(X).hex() == expect.hex()
+        assert model.check_rows(X, y).hex() == expect.hex()
         # the largest row in the last block
         X[-1] *= 1e4
         expect = float(np.max(np.linalg.norm(X, axis=1)))
-        assert model.max_row_norm(X).hex() == expect.hex()
-        assert model.max_row_norm(X[:0]) == 0.0
+        assert model.check_rows(X, y).hex() == expect.hex()
+        assert model.check_rows(X[:0], y[:0]) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_in_the_last_block(self, bad):
@@ -640,6 +642,39 @@ class TestPool:
             cs = WeightedCoreset(indices=np.arange(n)[::-1], weights=weights)
             serial, pooled = serial_and_pooled(lambda: approximation_errors(inst, cs, B[:k]))
             assert serial.tobytes() == pooled.tobytes()
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_kernel_f_is_the_one_probe_f(self, serial_and_pooled, loss, reg):
+        # past one task the kernel adds its loss sum in the H pass's blocks, so
+        # one probe's F is full_objective's at every n; the gradient stays one
+        # gemv
+        n = 3 * block_rows(1) + 5
+        inst = leaf_instance(n, loss, reg, d=2)
+        cs = WeightedCoreset(indices=[0], weights=[1.0])
+        rng = np.random.default_rng(n)
+        for beta in (np.zeros(2), *rng.standard_normal((3, 2))):
+            serial, pooled = serial_and_pooled(lambda: weighted_objective_grad(inst, None, beta))
+            assert_same_bits(pooled, serial)
+            assert serial[1].tobytes() == oracle_objective_grad(inst, None, beta)[1].tobytes()
+            one_probe = block_objectives(inst, cs, beta[None])[0][0]
+            assert serial[0].hex() == one_probe.hex() == full_objective(inst, beta).hex()
+
+    def test_kernel_tasks_under_thread_stress(self, monkeypatch):
+        # four tasks on four threads, switching every microsecond: each task
+        # writes only its own rows of dz, so the bytes stay the serial ones
+        inst = leaf_instance(3 * block_rows(1) + 5, LossKind.LOGISTIC,
+                             RegularizerKind.L2_SQUARED, d=2)
+        beta = np.array([0.3, -0.7])
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        serial = weighted_objective_grad(inst, None, beta)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert_same_bits(weighted_objective_grad(inst, None, beta), serial)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_task_error_keeps_its_class(self, monkeypatch):
         class TaskError(Exception):

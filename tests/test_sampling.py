@@ -187,6 +187,15 @@ class TestBlockReservoir:
         with pytest.raises(ValueError, match="points must be finite"):
             stream_sample(zip(X, y), 5, seed=0)
 
+    @pytest.mark.parametrize("bad", [0.0, 5.0, -2.0, np.nan])
+    @pytest.mark.parametrize("row", [0, 7, STREAM_BLOCK + 3])
+    def test_label_outside_plus_minus_one_is_refused(self, bad, row):
+        # the instance's row check: a reservoir the instance would refuse
+        X, y = _stream_data(STREAM_BLOCK + 10, 3, seed=1)
+        y[row] = bad
+        with pytest.raises(ValueError, match="labels must be in"):
+            stream_sample(zip(X, y), 5, seed=0)
+
     def test_rows_of_another_width_are_refused(self):
         rows = [(np.zeros(3), 1.0)] * STREAM_BLOCK + [(np.zeros(1), 1.0)]
         with pytest.raises(ValueError, match="3 and 1 features"):

@@ -238,8 +238,8 @@ class TestTraceRule:
     """Each iterate's F is recorded once, off the clock."""
 
     @pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(grad_tol=1e-2),
-                                     TrainConfig(max_iters=2)],
-                             ids=["budget-500", "grad-tol-1e-2", "budget-2"])
+                                     TrainConfig(max_iters=2), TrainConfig(grad_tol=1e9)],
+                             ids=["budget-500", "grad-tol-1e-2", "budget-2", "grad-tol-1e9"])
     @pytest.mark.parametrize("inst, cs", [c for c in stop_rule_cases() if "weighted" in c.id])
     def test_coreset_pays_one_full_pass_per_beta(self, monkeypatch, inst, cs, cfg):
         # converged and stalled runs end at the beta of the last entry, whose
@@ -288,7 +288,7 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_gd_past_one_leaf_matches_the_oracle(self, loss, reg):
-        X, y, _ = gen_synthetic(2 * model.LEAF_ROWS + 5, 3, noise=0.1, seed=7)
+        X, y, _ = gen_synthetic(2 * model.ROW_BLOCK + 5, 3, noise=0.1, seed=7)
         inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
         cfg = TrainConfig(max_iters=12, grad_tol=1e-12)
         beta_hat, trace = train(inst, cfg)
@@ -354,6 +354,16 @@ class TestTrainConfig:
     def test_rejects_a_tolerance_or_rate_not_positive(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
             TrainConfig(**{field: value})
+
+
+class TestCoresetIndices:
+    @pytest.mark.parametrize("method", list(TrainMethod))
+    @pytest.mark.parametrize("bad", [-1, 10])  # numpy would gather row n-1 for -1
+    def test_out_of_range_is_refused_as_h_refuses_it(self, rng, method, bad):
+        inst = random_instance(rng, n=10)
+        cs = WeightedCoreset(indices=[bad, 0], weights=[5.0, 5.0])
+        with pytest.raises(IndexError, match="coreset index out of range"):
+            train(inst, TrainConfig(method=method), cs)
 
 
 class TestTrainFullBatch:
