@@ -20,6 +20,7 @@ from .errors import (
     EXIT_INPUT,
     PREFIXES,
     InvalidParameterError,
+    NonFiniteError,
     RlmError,
     SchemaMismatchError,
 )
@@ -236,13 +237,15 @@ def cmd_verify(args) -> int:
 
 def _parse_sizes(spec: str, n: int):
     if ":" in spec:
-        rng_part, kind, factor = spec.split(":")
-        lo_s, hi_s = rng_part.split("..")
-        lo = int(lo_s)
-        hi = n if hi_s == "n" else int(hi_s)
+        try:
+            rng_part, kind, factor = spec.split(":")
+            lo_s, hi_s = rng_part.split("..")
+            lo, hi, f = int(lo_s), n if hi_s == "n" else int(hi_s), float(factor)
+        except ValueError:
+            raise ValueError(
+                f"--sizes {spec!r} is not of the form LO..HI:geometric:FACTOR") from None
         if kind != "geometric":
             raise ValueError(f"unknown size progression {kind!r}")
-        f = float(factor)
         if not (math.isfinite(f) and f > 1.0):
             raise InvalidParameterError(f"geometric factor must be finite and > 1, got {factor!r}")
         if lo < 1:
@@ -376,10 +379,14 @@ def cmd_train(args) -> int:
         cs = _coreset_from_doc(data_io.read_coreset(args.coreset), inst)
     cfg = _train_config(args, solver.TrainMethod(args.method))
     beta_hat, trace = solver.train(inst, cfg, cs)
+    # under l1 a finite F allows a beta whose 2-norm overflows
+    with np.errstate(over="ignore"):
+        beta_norm = float(np.linalg.norm(beta_hat))
+    if not math.isfinite(beta_norm):
+        raise NonFiniteError("the trained beta's 2-norm is not finite")
     if args.trace:
         _write_trace(args.trace, trace)
-    print(f"final_objective={trace.final_objective!r} "
-          f"beta_norm={float(np.linalg.norm(beta_hat))!r}")
+    print(f"final_objective={trace.final_objective!r} beta_norm={beta_norm!r}")
     return EXIT_OK
 
 

@@ -127,15 +127,19 @@ ROW_BLOCK = 1 << 13
 
 def check_rows(X: np.ndarray, y: np.ndarray) -> float:
     """R, the largest row 2-norm of X (0.0 with no rows), after refusing a
-    point that is not finite or a label outside {-1, +1}.  X is read once,
-    ROW_BLOCK rows at a time; a max of np.linalg.norm's is exact, so R is
-    the float the whole array gives."""
+    point that is not finite, an R that overflows or a label outside
+    {-1, +1}.  X is read once, ROW_BLOCK rows at a time; a max of
+    np.linalg.norm's is exact, so R is the float the whole array gives."""
     R = 0.0
-    for lo in range(0, X.shape[0], ROW_BLOCK):
-        block = X[lo:lo + ROW_BLOCK]
-        if not np.isfinite(block).all():
-            raise ValueError("points must be finite")
-        R = max(R, np.max(np.linalg.norm(block, axis=1)))
+    # a finite row whose squares overflow has norm inf, refused below
+    with np.errstate(over="ignore"):
+        for lo in range(0, X.shape[0], ROW_BLOCK):
+            block = X[lo:lo + ROW_BLOCK]
+            if not np.isfinite(block).all():
+                raise ValueError("points must be finite")
+            R = max(R, np.max(np.linalg.norm(block, axis=1)))
+    if not np.isfinite(R):
+        raise ValueError("a point's 2-norm is not finite")
     if not ((y == 1.0) | (y == -1.0)).all():
         raise ValueError("labels must be in {-1, +1}")
     return float(R)
@@ -251,12 +255,7 @@ def coreset_rows(
     idx = cs.indices
     if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
         raise IndexError("coreset index out of range")
-    return inst.X[idx], inst.y[idx]
-
-
-def margins(inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray) -> np.ndarray:
-    """The margins z = -y * (X @ beta) on the coreset's rows."""
-    return row_margins(*coreset_rows(inst, cs), beta)
+    return inst.X.take(idx, axis=0), inst.y.take(idx)
 
 
 def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -290,8 +289,8 @@ def weighted_objective_grad(
     """Objective sum_C u_i f_i(beta) and its (sub)gradient; with cs None or
     the identity coreset this is F(beta).  With grad=False the gradient is
     not computed and None is returned in its place, with value=False the
-    same holds for the objective; each is the same float either way.  z,
-    when given, is margins(inst, cs, beta), which is then not recomputed.
+    same holds for the objective; each is the same float either way.  z, when
+    given, holds the margins on the coreset's rows, which are not recomputed.
 
     On full data the losses are taken ROW_BLOCK rows at a time and added by
     blocked_sum, the order of the H pass, so no n-sized array but z and the

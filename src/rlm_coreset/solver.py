@@ -26,7 +26,6 @@ from .model import (
     coreset_rows,
     is_full,
     loss_terms,
-    margins,
     reg_grad,
     row_margins,
     weighted_objective_grad,
@@ -116,17 +115,22 @@ def train(
     """Train beta from 0 on the (weighted) objective and return it with the
     trace, which always records the objective evaluated on the full
     instance."""
-    full_cs = _AllRows(inst.n)
     if is_full(inst, cs):
-        cs = full_cs
-    if cfg.method is TrainMethod.SGD:
-        return _train_sgd(inst, cs, full_cs, cfg)
-    return _train_gd(inst, cs, full_cs, cfg)
+        cs = _AllRows(inst.n)
+    # the one numeric guard: an overflow ends as a non-finite F or gradient
+    # norm, which the optimizers refuse with NonFiniteError, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.method is TrainMethod.SGD:
+            return _train_sgd(inst, cs, cfg)
+        return _train_gd(inst, cs, cfg)
 
 
-def _full_value(inst, full_cs, beta) -> float:
-    """F at beta: one value pass over all rows."""
-    return weighted_objective_grad(inst, full_cs, beta, grad=False)[0]
+def _full_value(inst, beta) -> float:
+    """F at beta: one value pass over all rows, refused when not finite."""
+    f = weighted_objective_grad(inst, _AllRows(inst.n), beta, grad=False)[0]
+    if not np.isfinite(f):
+        raise NonFiniteError("objective over all rows is not finite")
+    return f
 
 
 def _kink_bound(inst, cs) -> float:
@@ -138,12 +142,14 @@ def _kink_bound(inst, cs) -> float:
     return (cs.weight_sum() / inst.n) * inst.reg_scale
 
 
-def _train_gd(inst, cs, full_cs, cfg):
+def _train_gd(inst, cs, cfg):
     beta = np.zeros(inst.d)
     trace = TrainTrace()
     # on full data every value computed on cs is the full objective the
     # trace records, so the trace reuses it instead of evaluating again
-    full = cs is full_cs
+    full = is_full(inst, cs)
+    # the rows of cs, gathered once: each Armijo trial's margins come from them
+    X, y = coreset_rows(inst, cs)
     smooth = _is_smooth(inst)
     kink = _kink_bound(inst, cs) if smooth else 0.0
     clock = 0.0
@@ -157,7 +163,7 @@ def _train_gd(inst, cs, full_cs, cfg):
         # from iteration 1 on beta is new: its F is recorded with the clock of
         # the step that made it, on a coreset from one pass off the clock
         if it and not full:
-            f_full = _full_value(inst, full_cs, beta)
+            f_full = _full_value(inst, beta)
         t0 = time.perf_counter()
         if z is None:
             f, g = weighted_objective_grad(inst, cs, beta)
@@ -168,9 +174,7 @@ def _train_gd(inst, cs, full_cs, cfg):
             f_full = f
         if it:
             trace.append(clock, f_full)
-        # a g whose norm overflows is one error, not a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            gnorm = float(np.linalg.norm(g))
+        gnorm = float(np.linalg.norm(g))
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
         if f < best_f:
@@ -184,7 +188,7 @@ def _train_gd(inst, cs, full_cs, cfg):
             backtracked = False
             while True:
                 cand = beta - step * g
-                z = margins(inst, cs, cand)
+                z = row_margins(X, y, cand)
                 f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False, z=z)
                 if f_new <= f - ARMIJO_C * step * gnorm * gnorm:
                     break
@@ -207,7 +211,7 @@ def _train_gd(inst, cs, full_cs, cfg):
     if trace.stop_reason == "max_iters":
         f_full = f if full and smooth else None
     if f_full is None:
-        f_full = _full_value(inst, full_cs, beta)
+        f_full = _full_value(inst, beta)
     trace.append(clock, f_full)
     if smooth:
         trace.final_objective = f_full
@@ -220,42 +224,38 @@ def _train_gd(inst, cs, full_cs, cfg):
     elif best_it:
         trace.final_objective = trace.objectives[best_it - 1]
     else:
-        trace.final_objective = _full_value(inst, full_cs, best_beta)
+        trace.final_objective = _full_value(inst, best_beta)
     return best_beta, trace
 
 
-def _train_sgd(inst, cs, full_cs, cfg):
+def _train_sgd(inst, cs, cfg):
     rng = np.random.default_rng(cfg.seed)
     X, y = coreset_rows(inst, cs)
     # on full data every weight is 1: the slopes go unweighted and sum(u) is
     # the batch size
-    u = None if cs is full_cs else cs.weights
+    u = None if is_full(inst, cs) else cs.weights
     m = len(y)
     beta = np.zeros(inst.d)
     trace = TrainTrace()
     clock = 0.0
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(m)
-        # a diverging run overflows inside the epoch; the check below
-        # reports it as one error instead of numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, m, cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
-                Xb, yb = X[batch], y[batch]
-                ub = None if u is None else u[batch]
-                # the kernel's margins and (u * slope) * y
-                dz = np.empty(len(batch))
-                loss_terms(inst.loss, row_margins(Xb, yb, beta), yb, ub, dz, value=False)
-                count = float(len(batch)) if ub is None else float(np.sum(ub))
-                # mean-objective gradient: per-point loss terms plus the 1/n
-                # regularizer share, so the step scale is independent of n
-                g = -(dz @ Xb) / count
-                g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
-                beta = beta - cfg.learning_rate * g
-        if not np.all(np.isfinite(beta)):
-            raise NonFiniteError(f"SGD diverged in epoch {epoch}")
+        for lo in range(0, m, cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            Xb, yb = X.take(batch, axis=0), y.take(batch)
+            ub = None if u is None else u.take(batch)
+            # the kernel's margins and (u * slope) * y
+            dz = np.empty(len(batch))
+            loss_terms(inst.loss, row_margins(Xb, yb, beta), yb, ub, dz, value=False)
+            count = float(len(batch)) if ub is None else float(np.sum(ub))
+            # mean-objective gradient: per-point loss terms plus the 1/n
+            # regularizer share, so the step scale is independent of n
+            g = -(dz @ Xb) / count
+            g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
+            beta = beta - cfg.learning_rate * g
         clock += time.perf_counter() - t0
-        trace.append(clock, _full_value(inst, full_cs, beta))
+        # a diverging run ends in a non-finite beta, whose F is not finite
+        trace.append(clock, _full_value(inst, beta))
     trace.final_objective = trace.objectives[-1]
     return beta, trace

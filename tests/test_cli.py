@@ -1,12 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rlm_coreset
 from rlm_coreset import adversary, cli, data_io, model, sampling, solver
@@ -379,6 +387,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             cli._parse_sizes(spec, 50)
 
+    @pytest.mark.parametrize("spec", ["1..n:geometric", "1..2..3:geometric:2", "5:geometric:2",
+                                      "1..n:geometric:2:3", "a..n:geometric:2",
+                                      "1..m:geometric:2", "1..n:geometric:x"])
+    def test_malformed_progression_names_its_form(self, spec):
+        with pytest.raises(ValueError, match="LO..HI:geometric:FACTOR"):
+            cli._parse_sizes(spec, 50)
+
     def test_geometric_factor_one_exits_3(self, tmp_path):
         code = run(["sweep", *SYNTH, "--sizes", "10..n:geometric:1",
                     "--report", str(tmp_path / "sweep.csv")])
@@ -539,6 +554,24 @@ class TestNumericArguments:
         # lambda R^2 of 7e307 outgrows the decrease of every step above 1e-308
         (["train", "--format", "synthetic", "--input", "n=2000,d=3",
           "--lambda-scale", "1e305"], 4),
+        # finite points whose 2-norm overflows
+        (["sample", "--format", "csv", "--input", "{tmp}/big.csv", "--size", "2",
+          "--output", "{tmp}/o.json"], 2),
+        (["train", "--format", "synthetic", "--input", "n=200,d=3,margin=1e200"], 2),
+        (["verify", "--format", "synthetic", "--input", "n=400,d=3,noise=0.1,seed=1,margin=1e200",
+          "--coreset", "{coreset}"], 2),
+        # an SGD run whose F over all rows overflows, with beta finite or not
+        (["train", "--format", "synthetic", "--input", "n=200,d=3", "--method", "sgd",
+          "--learning-rate", "5e10", "--epochs", "2"], 4),
+        (["train", "--format", "synthetic", "--input", "n=200,d=3", "--method", "sgd",
+          "--learning-rate", "6e10", "--epochs", "2"], 4),
+        (["bench", "--format", "synthetic", "--input", "n=200,d=3",
+          "--learning-rate", "5e10", "--epochs", "2"], 4),
+        # under l1 a finite F, with a beta whose 2-norm overflows
+        (["train", "--format", "synthetic", "--input", "n=200,d=3", "--method", "sgd",
+          "--learning-rate", "1e200", "--epochs", "1", "--loss", "hinge", "--reg", "l1"], 4),
+        (["sweep", *SYNTH, "--sizes", "1..n:geometric", "--report", "{tmp}/s.csv"], 2),
+        (["sweep", *SYNTH, "--sizes", "1..2..3:geometric:2", "--report", "{tmp}/s.csv"], 2),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
@@ -554,12 +587,16 @@ class TestNumericArguments:
             "train-gradient-norm-overflows", "sweep-gradient-norm-overflows",
             "circle-norm-1e200", "circle-norm-1e300", "circle-kappa-1.5",
             "sweep-unknown-progression", "csv-empty-file", "csv-no-label-column",
-            "sgd-batch-size-0", "armijo-underflow"])
+            "sgd-batch-size-0", "armijo-underflow", "sample-r-overflows",
+            "train-r-overflows", "verify-r-overflows", "sgd-objective-overflows",
+            "sgd-beta-overflows", "bench-sgd-objective-overflows",
+            "sgd-l1-beta-norm-overflows", "sizes-no-factor", "sizes-three-bounds"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "data.csv").write_text("a,b,label\n1,2,1\n3,4,0\n")
+        (tmp_path / "big.csv").write_text("a,b,label\n1e200,1e200,1\n1,2,0\n3,4,1\n")
         huge = tmp_path / "huge.json"  # a coreset of the instance with lambda_scale 1e305
         if "{huge}" in argv:
             assert run(["sample", *SYNTH, "--lambda-scale", "1e305", "--size", "10",
@@ -677,3 +714,65 @@ class TestTrainBench:
         assert (tmp_path / "bench.coreset_gd.csv").exists()
         out = capsys.readouterr().out
         assert "full_sgd" in out and "coreset_gd" in out
+
+
+# the fuzzed commands; {tmp} is a fresh directory and {cs} a coreset document
+# of the data there, which records only n, indices and weights
+_FUZZ_COMMANDS = [
+    ["train"],
+    ["train", "--method", "sgd"],
+    ["train", "--coreset", "{cs}"],
+    ["sample", "--size", "5", "--output", "{tmp}/o.json"],
+    ["sample", "--output", "{tmp}/o.json"],
+    ["verify", "--coreset", "{cs}", "--betas", "random:3"],
+    ["verify", "--coreset", "{cs}", "--betas", "random:3:1e160"],
+    ["verify", "--coreset", "{cs}", "--betas", "trained"],
+    ["sweep", "--sizes", "5,10", "--trials", "1", "--report", "{tmp}/s.csv"],
+    ["bench"],
+]
+_EDGE = [1e-310, 1e-300, 1e-9, 1.0, 5e10, 1e200, 1e300, 1e305]
+
+
+class TestFuzz:
+    """The error contract over tiny synthetic inputs: every run exits 0, 2, 3
+    or 4, with no Python warning, no traceback, at most one stderr line
+    besides the full-dataset warning, and on success no printed value that is
+    NaN or infinite.  S_prime may be: a lambda-scale of 1e-310 makes the
+    loss-agnostic bound overflow, and q then clamps to n."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(command=st.sampled_from(_FUZZ_COMMANDS), n=st.integers(1, 60),
+           d=st.integers(1, 3),
+           margin=st.sampled_from([0.0, 0.5, 3.0, 1e150, 1e160, 1e300, math.nan])
+           | st.floats(0.0, 1e300),
+           loss=st.sampled_from(sorted(cli._LOSSES)), reg=st.sampled_from(sorted(cli._REGS)),
+           lambda_scale=st.sampled_from(_EDGE), learning_rate=st.sampled_from(_EDGE),
+           epochs=st.sampled_from([0, 1, 2]))
+    def test_exit_code_and_output(self, command, n, d, margin, loss, reg, lambda_scale,
+                                  learning_rate, epochs):
+        with tempfile.TemporaryDirectory() as tmp:
+            cs = os.path.join(tmp, "cs.json")
+            indices = list(range(0, n, 2))
+            data_io.write_coreset(cs, {"n": n, "indices": indices,
+                                       "weights": [n / len(indices)] * len(indices)})
+            argv = [a.format(tmp=tmp, cs=cs) for a in command]
+            argv += ["--format", "synthetic", "--input", f"n={n},d={d},margin={margin!r}",
+                     "--loss", loss, "--reg", reg, "--lambda-scale", repr(lambda_scale)]
+            if argv[0] in ("train", "bench"):
+                argv += ["--learning-rate", repr(learning_rate), "--epochs", str(epochs)]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert not [str(w.message) for w in caught], argv
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines()
+                 if not (line.startswith("warning: ") and line.endswith("using the full dataset"))]
+        assert len(lines) <= 1, (argv, err)
+        if code == 0:
+            for key, value in re.findall(r"(\w+)=([^\s):]+)", out):
+                with contextlib.suppress(ValueError):
+                    assert key == "S_prime" or math.isfinite(float(value)), (argv, out)

@@ -31,11 +31,12 @@ from rlm_coreset.model import (
     approximation_errors,
     block_objectives,
     check_weight_sum,
+    coreset_rows,
     full_objective,
     loss_eval,
     loss_slope,
-    margins,
     reg_eval,
+    row_margins,
     weighted_objective_grad,
 )
 
@@ -320,7 +321,7 @@ class TestBlockedKernel:
         for cs in (None, weighted):
             # beta = 0 puts every margin at a signed zero
             for beta in (np.zeros(inst.d), 0.7 * rng.standard_normal(inst.d)):
-                z = margins(inst, cs, beta)
+                z = row_margins(*coreset_rows(inst, cs), beta)
                 f, g = oracle_objective_grad(inst, cs, beta)
                 for got in (weighted_objective_grad(inst, cs, beta),
                             weighted_objective_grad(inst, cs, beta, z=z)):
@@ -350,6 +351,14 @@ class TestBlockedKernel:
         expect = float(np.max(np.linalg.norm(X, axis=1)))
         assert model.check_rows(X, y).hex() == expect.hex()
         assert model.check_rows(X[:0], y[:0]) == 0.0
+
+    @pytest.mark.parametrize("row", [0, model.ROW_BLOCK + 3])
+    def test_finite_point_whose_norm_overflows_is_refused(self, row):
+        # finite entries whose squares, and so whose 2-norm, overflow
+        X = np.ones((model.ROW_BLOCK + 5, 2))
+        X[row] = 1e200
+        with pytest.raises(ValueError, match="2-norm is not finite"):
+            model.check_rows(X, np.ones(len(X)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_in_the_last_block(self, bad):

@@ -187,6 +187,13 @@ class TestBlockReservoir:
         with pytest.raises(ValueError, match="points must be finite"):
             stream_sample(zip(X, y), 5, seed=0)
 
+    @pytest.mark.parametrize("row", [0, STREAM_BLOCK + 3])
+    def test_point_whose_norm_overflows_is_refused(self, row):
+        X, y = _stream_data(STREAM_BLOCK + 10, 3, seed=1)
+        X[row] = 1e200
+        with pytest.raises(ValueError, match="2-norm is not finite"):
+            stream_sample(zip(X, y), 5, seed=0)
+
     @pytest.mark.parametrize("bad", [0.0, 5.0, -2.0, np.nan])
     @pytest.mark.parametrize("row", [0, 7, STREAM_BLOCK + 3])
     def test_label_outside_plus_minus_one_is_refused(self, bad, row):

@@ -326,6 +326,31 @@ class TestBoundedMemory:
         assert set(grads[1:]) == {(True, False, True)}
         assert {c for c in calls if not c[0]} == {(False, True, True)}
 
+    def test_coreset_gd_gathers_its_rows_once(self, monkeypatch):
+        # the kernel gathers once per call; every Armijo trial takes its
+        # margins from the rows GD gathered at the start of the run
+        X, y, _ = gen_synthetic(300, 3, noise=0.1, seed=7)
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                           reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        cs = uniform_sample(inst, 60, seed=3)
+        gathers, kernel_calls = [], []
+        gather, kernel = model.coreset_rows, solver.weighted_objective_grad
+
+        def counting_gather(inst, c):
+            gathers.append(c is cs)
+            return gather(inst, c)
+
+        def counting_kernel(inst, c, *args, **kwargs):
+            kernel_calls.append(c is cs)
+            return kernel(inst, c, *args, **kwargs)
+
+        monkeypatch.setattr(model, "coreset_rows", counting_gather)
+        monkeypatch.setattr(solver, "coreset_rows", counting_gather)
+        monkeypatch.setattr(solver, "weighted_objective_grad", counting_kernel)
+        _, trace = train(inst, TrainConfig(max_iters=20, grad_tol=1e-12), cs)
+        assert trace.stop_reason == "max_iters" and len(trace.objectives) == 20
+        assert sum(gathers) == 1 + sum(kernel_calls)
+
     @pytest.mark.parametrize("cfg", [TrainConfig(max_iters=3),
                                      TrainConfig(method=TrainMethod.SGD, epochs=1)],
                              ids=["gd", "sgd"])
