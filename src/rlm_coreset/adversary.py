@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInstanceError,
-    InvalidParameterError,
-    NoChunkFoundError,
-    NonFiniteError,
-)
-from .model import LossKind, blocked_sum, loss_eval
+from .errors import DegenerateInstanceError, InvalidParameterError, NoChunkFoundError
+from .model import LossKind, blocked_sum, loss_eval, relative_errors
 
 _PIECE = 1 << 15  # most angles evaluated at once (cache-sized)
 # the circle's indices are int64, and find_chunk adds up to n//2 to one
@@ -50,7 +45,6 @@ class TwoClusterInstance:
 
     n: int
     kappa: float
-    gamma: float
     loss: LossKind
     lam: float
     count_a: int
@@ -68,13 +62,15 @@ def gen_two_cluster(
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError("gamma must lie in (0, 1)")
     lam = float(n) ** kappa
-    count_b = int(round(lam * float(n) ** (gamma / 2.0)))
+    size = lam * float(n) ** (gamma / 2.0)
+    # a size that overflows is past n; round() of inf would raise
+    count_b = int(round(size)) if math.isfinite(size) else size
     if not (1 <= count_b < n):
         raise DegenerateInstanceError(
             f"minority cluster size {count_b} outside [1, {n})"
         )
     return TwoClusterInstance(
-        n=n, kappa=kappa, gamma=gamma, loss=loss, lam=lam,
+        n=n, kappa=kappa, loss=loss, lam=lam,
         count_a=n - count_b, count_b=count_b,
     )
 
@@ -86,24 +82,17 @@ def beta0(n: int, gamma: float) -> float:
     return float(n) ** (gamma / 4.0)
 
 
-def two_cluster_H(
-    inst: TwoClusterInstance,
-    sample_in_a: bool,
-    c: int,
-    u: float,
-    beta: float,
-) -> float:
-    """Exact H at the 1-d hypothesis beta for a coreset of c equal-weight
-    points drawn entirely from one cluster; O(1) via group multiplicities."""
+def two_cluster_H(inst: TwoClusterInstance, c: int, u: float, beta: float) -> float:
+    """Exact H at the 1-d hypothesis beta for a coreset of c points of weight
+    u drawn entirely from the big cluster; O(1) via group multiplicities."""
     if c < 1:
         raise InvalidParameterError("c must be at least 1")
     loss_a = float(loss_eval(inst.loss, -beta))  # x=+1, y=+1
     loss_b = float(loss_eval(inst.loss, beta))  # x=-1, y=+1
     reg = inst.lam * beta * beta  # R = 1, squared 2-norm
     full = inst.count_a * loss_a + inst.count_b * loss_b + reg
-    sample_loss = loss_a if sample_in_a else loss_b
-    coreset = c * u * sample_loss + (c * u / inst.n) * reg
-    return abs(full - coreset) / full
+    coreset = c * u * loss_a + (c * u / inst.n) * reg
+    return float(relative_errors(full, coreset))
 
 
 def prob_sample_misses_b(inst: TwoClusterInstance, c: int) -> float:
@@ -149,7 +138,6 @@ class Chunk:
     window_start: int
     window_length: int
     n: int
-    k: int
 
     @property
     def indices(self) -> np.ndarray:
@@ -201,8 +189,7 @@ def find_chunk(n: int, k: int, coreset_indices) -> Chunk:
     start = (window_start + (window - length) // 2) % n
     return Chunk(
         start=start, length=length,
-        window_start=window_start, window_length=window,
-        n=n, k=k,
+        window_start=window_start, window_length=window, n=n,
     )
 
 
@@ -264,7 +251,7 @@ def circle_H(inst: CircleInstance, indices, weights, h: np.ndarray,
     reg = 2.0 * inst.lam * _squared_norm(h)
     full = loss_sum + reg
     coreset += float(np.sum(np.asarray(weights, dtype=float))) / inst.n * reg
-    return abs(full - coreset) / full
+    return float(relative_errors(full, coreset))
 
 
 def lemma_ratios(inst: CircleInstance, indices, weights, h: np.ndarray, sums=None):
@@ -278,14 +265,12 @@ def lemma_ratios(inst: CircleInstance, indices, weights, h: np.ndarray, sums=Non
 
 
 def circle_witness(inst: CircleInstance, indices, weights, h: np.ndarray):
-    """(H, r1, r2) of ``circle_H`` and ``lemma_ratios`` from one streamed pass,
-    refused with NonFiniteError when any of them overflows."""
-    # an overflow ends as inf or NaN in the witness, which is checked below
+    """(H, r1, r2) of ``circle_H`` and ``lemma_ratios`` from one streamed pass.
+    circle_H refuses an F or F_C that overflows.  When both are finite, so
+    are r1 and r2: each chunk point's loss is at least log 2, and so is the
+    loss sum they divide by."""
+    # an overflow ends as inf in F or F_C, which circle_H refuses
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _circle_sums(inst, indices, weights, h)
-        witness = (circle_H(inst, indices, weights, h, sums),
-                   *lemma_ratios(inst, indices, weights, h, sums))
-    if not all(map(math.isfinite, witness)):
-        raise NonFiniteError(f"circle witness (H, r1, r2) = {witness!r} is not finite; "
-                             f"the hypothesis norm is too large")
-    return witness
+        return (circle_H(inst, indices, weights, h, sums),
+                *lemma_ratios(inst, indices, weights, h, sums))

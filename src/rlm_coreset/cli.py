@@ -236,28 +236,28 @@ def cmd_verify(args) -> int:
 
 
 def _parse_sizes(spec: str, n: int):
-    if ":" in spec:
-        try:
-            rng_part, kind, factor = spec.split(":")
-            lo_s, hi_s = rng_part.split("..")
-            lo, hi, f = int(lo_s), n if hi_s == "n" else int(hi_s), float(factor)
-        except ValueError:
-            raise ValueError(
-                f"--sizes {spec!r} is not of the form LO..HI:geometric:FACTOR") from None
-        if kind != "geometric":
-            raise ValueError(f"unknown size progression {kind!r}")
-        if not (math.isfinite(f) and f > 1.0):
-            raise InvalidParameterError(f"geometric factor must be finite and > 1, got {factor!r}")
-        if lo < 1:
-            raise InvalidParameterError(f"geometric sizes must start at 1 or more, got {lo}")
-        sizes, cur = [], float(lo)
-        while round(cur) <= hi:
-            q = int(round(cur))
-            if not sizes or q != sizes[-1]:
-                sizes.append(q)
-            cur *= f
-        return sizes
-    return [int(tok) for tok in spec.split(",") if tok]
+    try:
+        if ":" not in spec:
+            return [int(tok) for tok in spec.split(",") if tok]
+        rng_part, kind, factor = spec.split(":")
+        lo_s, hi_s = rng_part.split("..")
+        lo, hi, f = int(lo_s), n if hi_s == "n" else int(hi_s), float(factor)
+    except ValueError:
+        raise ValueError(f"--sizes {spec!r} is neither a comma list of sizes "
+                         f"nor of the form LO..HI:geometric:FACTOR") from None
+    if kind != "geometric":
+        raise ValueError(f"unknown size progression {kind!r}")
+    if not (math.isfinite(f) and f > 1.0):
+        raise InvalidParameterError(f"geometric factor must be finite and > 1, got {factor!r}")
+    if lo < 1:
+        raise InvalidParameterError(f"geometric sizes must start at 1 or more, got {lo}")
+    sizes, cur = [], float(lo)
+    while round(cur) <= hi:
+        q = int(round(cur))
+        if not sizes or q != sizes[-1]:
+            sizes.append(q)
+        cur *= f
+    return sizes
 
 
 def cmd_sweep(args) -> int:
@@ -300,7 +300,7 @@ def cmd_adversary(args) -> int:
         )
         b0 = adversary.beta0(args.n, args.gamma)
         c = max(1, int(round(args.n ** (1.0 - args.kappa - args.gamma))))
-        h_val = adversary.two_cluster_H(inst, sample_in_a=True, c=c, u=inst.n / c, beta=b0)
+        h_val = adversary.two_cluster_H(inst, c=c, u=inst.n / c, beta=b0)
         report = {
             "args": _flag_dict(args),
             "instance": "two-cluster",

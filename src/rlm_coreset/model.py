@@ -14,8 +14,9 @@ ROW_BLOCK rows, and the full-data loss sum is added from leaves of
 ROW_BLOCK rows by ``blocked_sum``.
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
-from the same loss and regularizer terms, in cache-sized tiles of X, and
-``approximation_error`` is its one-probe call.
+from the same loss and regularizer terms, in cache-sized tiles of X,
+``relative_errors`` turns F and F_C into H, here and in the adversary's
+witnesses, and ``approximation_error`` is its one-probe call.
 Every streamed loss sum, here and in the adversary's circle, is added by
 ``blocked_sum``: pairwise within blocks that ``ordered_map`` spreads over
 the usable CPUs, block sums in block order.
@@ -175,8 +176,12 @@ class WeightedCoreset:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "is_identity", bool(
             np.all(w == 1.0) and np.array_equal(idx, np.arange(len(idx)))))
-        # fsum: exactly rounded, so the sum-equals-n invariant survives float
-        object.__setattr__(self, "_weight_sum", math.fsum(w))
+        # fsum: exactly rounded, so the sum-equals-n invariant survives float;
+        # it raises OverflowError for a sum past the largest float
+        try:
+            object.__setattr__(self, "_weight_sum", math.fsum(w))
+        except OverflowError:
+            raise ValueError("weights must have a finite sum") from None
 
     @property
     def size(self) -> int:
@@ -446,13 +451,10 @@ def block_objectives(
     return full, core
 
 
-def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarray:
-    """H(beta) for every row of the (k, d) probe array B: approximation_error
-    for a block of probes, evaluated by block_objectives.  A probe whose F or
-    F_C overflows is refused with NonFiniteError, not reported as NaN."""
-    # an overflow ends as inf in F or F_C, which the check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        full, core = block_objectives(inst, cs, B)
+def relative_errors(full, core):
+    """H = |F - F_C| / F, elementwise: every H here and in the adversary.
+    An F or F_C that is not finite is refused with NonFiniteError and an F
+    of zero or less with ZeroObjectiveError, so H is never NaN."""
     if not (np.all(np.isfinite(full)) and np.all(np.isfinite(core))):
         raise NonFiniteError(
             "objective is not finite at some hypothesis; H is undefined"
@@ -462,6 +464,15 @@ def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarra
             "full objective is zero at this hypothesis; H is undefined"
         )
     return np.abs(full - core) / full
+
+
+def approximation_errors(inst: RlmInstance, cs: WeightedCoreset, B) -> np.ndarray:
+    """H(beta) for every row of the (k, d) probe array B: approximation_error
+    for a block of probes, evaluated by block_objectives and relative_errors."""
+    # an overflow ends as inf in F or F_C, which relative_errors refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        full, core = block_objectives(inst, cs, B)
+    return relative_errors(full, core)
 
 
 def approximation_error(inst: RlmInstance, cs: WeightedCoreset, beta: np.ndarray) -> float:

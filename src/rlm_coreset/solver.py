@@ -153,7 +153,8 @@ def _train_gd(inst, cs, cfg):
     smooth = _is_smooth(inst)
     kink = _kink_bound(inst, cs) if smooth else 0.0
     clock = 0.0
-    best_beta, best_f, best_it = beta, np.inf, 0
+    # the best iterate, its value on cs and its F, once known
+    best_beta, best_f, best_full = beta, np.inf, None
     step = STEP_INIT
     # the margins at beta of the Armijo trial accepted last, whose value f
     # is known: the gradient is computed from them, then they are dropped
@@ -178,7 +179,7 @@ def _train_gd(inst, cs, cfg):
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
         if f < best_f:
-            best_f, best_beta, best_it = f, beta, it
+            best_f, best_beta, best_full = f, beta, f_full
         # at iteration 0 beta = 0 and the regularizer's gradient there is 0,
         # so g is the loss gradient and the kink test is the optimality test
         if gnorm <= cfg.grad_tol or (it == 0 and gnorm <= kink):
@@ -216,15 +217,10 @@ def _train_gd(inst, cs, cfg):
     if smooth:
         trace.final_objective = f_full
         return beta, trace
-    # the trace holds F(beta_1), F(beta_2), ...; on full data best_f is F too
-    if full:
-        trace.final_objective = best_f
-    elif best_beta is beta:  # the exit record's beta
-        trace.final_objective = f_full
-    elif best_it:
-        trace.final_objective = trace.objectives[best_it - 1]
-    else:
-        trace.final_objective = _full_value(inst, best_beta)
+    # F of the best iterate is unknown only for beta_0 on a coreset
+    if best_full is None:
+        best_full = f_full if best_beta is beta else _full_value(inst, best_beta)
+    trace.final_objective = best_full
     return best_beta, trace
 
 

@@ -196,7 +196,7 @@ def test_criterion_6_two_cluster_witness():
         inst = adv.gen_two_cluster(n, kappa, gamma)
         c = max(1, round(float(n) ** (1.0 - kappa - gamma)))
         b0 = adv.beta0(n, gamma)
-        vals.append(adv.two_cluster_H(inst, True, c, n / c, b0))
+        vals.append(adv.two_cluster_H(inst, c, n / c, b0))
     h6 = vals[2]  # n = 10^6
     ok = (abs(h6 - frozen) <= 1e-9 and h6 > 0.5
           and all(a <= b for a, b in zip(vals, vals[1:])))

@@ -65,7 +65,7 @@ class TestTwoCluster:
 
     def test_H_zero_at_origin_with_uniform_weights(self):
         inst = adv.gen_two_cluster(10**5, 0.5, 0.4)
-        assert adv.two_cluster_H(inst, True, 10, inst.n / 10, 0.0) == 0.0
+        assert adv.two_cluster_H(inst, 10, inst.n / 10, 0.0) == 0.0
 
     def test_grouped_matches_materialized(self, rng):
         for loss in LossKind:
@@ -77,7 +77,7 @@ class TestTwoCluster:
             u = inst.n / c
             cs = WeightedCoreset(indices=idx, weights=np.full(c, u))
             for beta in (0.5, 2.0, adv.beta0(500, 0.4)):
-                grouped = adv.two_cluster_H(inst, True, c, u, beta)
+                grouped = adv.two_cluster_H(inst, c, u, beta)
                 exact = approximation_error(flat, cs, np.array([beta]))
                 assert grouped == pytest.approx(exact, rel=1e-10)
 
@@ -86,7 +86,7 @@ class TestTwoCluster:
         # |count_b*(l(b0)-l(-b0))| / (count_a*l(-b0)+count_b*l(b0)+lam*b0^2)
         inst = adv.gen_two_cluster(10**6, 0.5, 0.4)
         b0 = adv.beta0(10**6, 0.4)
-        H = adv.two_cluster_H(inst, True, 10, inst.n / 10, b0)
+        H = adv.two_cluster_H(inst, 10, inst.n / 10, b0)
         assert H == pytest.approx(0.6475469901086592, abs=1e-9)
 
     def test_probability_bound(self):
@@ -100,7 +100,7 @@ class TestTwoCluster:
     def test_requires_c(self):
         inst = adv.gen_two_cluster(10**4, 0.5, 0.4)
         with pytest.raises(InvalidParameterError):
-            adv.two_cluster_H(inst, True, 0, 1.0, 1.0)
+            adv.two_cluster_H(inst, 0, 1.0, 1.0)
 
     def test_n_past_the_largest_float_is_refused(self):
         # 10**308 converts; 10**309 would overflow float(n)
@@ -205,8 +205,7 @@ class TestFindChunk:
 class TestChunkHypothesis:
     def test_geometry_example(self):
         # center angle 0, adjacent points at +-pi/4, unit norm
-        chunk = adv.Chunk(start=0, length=1, window_start=0, window_length=3,
-                          n=8, k=1)
+        chunk = adv.Chunk(start=0, length=1, window_start=0, window_length=3, n=8)
         assert chunk.center_angle == 0.0
         assert chunk.boundary_angle == pytest.approx(math.pi / 4)
         h = adv.chunk_hypothesis(chunk, 1.0)
@@ -246,8 +245,7 @@ class TestChunkHypothesis:
         assert adv.default_beta_norm(n, gamma, k, lam) == pytest.approx(expect)
 
     def test_rejects_nonpositive_norm(self):
-        chunk = adv.Chunk(start=0, length=1, window_start=0, window_length=3,
-                          n=8, k=1)
+        chunk = adv.Chunk(start=0, length=1, window_start=0, window_length=3, n=8)
         with pytest.raises(InvalidParameterError):
             adv.chunk_hypothesis(chunk, 0.0)
 
@@ -428,7 +426,7 @@ class TestMonotoneDegradation:
         for n in (10**4, 10**5, 10**6, 10**7):
             inst = adv.gen_two_cluster(n, 0.5, 0.4)
             b0 = adv.beta0(n, 0.4)
-            vals.append(adv.two_cluster_H(inst, True, 10, inst.n / 10, b0))
+            vals.append(adv.two_cluster_H(inst, 10, inst.n / 10, b0))
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_lemma_ratios_decrease_in_n(self):

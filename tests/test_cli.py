@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rlm_coreset
@@ -389,7 +389,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("spec", ["1..n:geometric", "1..2..3:geometric:2", "5:geometric:2",
                                       "1..n:geometric:2:3", "a..n:geometric:2",
-                                      "1..m:geometric:2", "1..n:geometric:x"])
+                                      "1..m:geometric:2", "1..n:geometric:x", "10,x"])
     def test_malformed_progression_names_its_form(self, spec):
         with pytest.raises(ValueError, match="LO..HI:geometric:FACTOR"):
             cli._parse_sizes(spec, 50)
@@ -572,6 +572,9 @@ class TestNumericArguments:
           "--learning-rate", "1e200", "--epochs", "1", "--loss", "hinge", "--reg", "l1"], 4),
         (["sweep", *SYNTH, "--sizes", "1..n:geometric", "--report", "{tmp}/s.csv"], 2),
         (["sweep", *SYNTH, "--sizes", "1..2..3:geometric:2", "--report", "{tmp}/s.csv"], 2),
+        # a coreset whose weights are finite but whose weight sum is not
+        (["verify", "--format", "synthetic", "--input", "n=50,d=3", "--coreset", "{wide}"], 2),
+        (["train", "--format", "synthetic", "--input", "n=50,d=3", "--coreset", "{wide}"], 2),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
@@ -590,7 +593,8 @@ class TestNumericArguments:
             "sgd-batch-size-0", "armijo-underflow", "sample-r-overflows",
             "train-r-overflows", "verify-r-overflows", "sgd-objective-overflows",
             "sgd-beta-overflows", "bench-sgd-objective-overflows",
-            "sgd-l1-beta-norm-overflows", "sizes-no-factor", "sizes-three-bounds"])
+            "sgd-l1-beta-norm-overflows", "sizes-no-factor", "sizes-three-bounds",
+            "verify-weight-sum-overflows", "train-weight-sum-overflows"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')
@@ -601,8 +605,14 @@ class TestNumericArguments:
         if "{huge}" in argv:
             assert run(["sample", *SYNTH, "--lambda-scale", "1e305", "--size", "10",
                         "--output", str(huge)]) == 0
+        wide = tmp_path / "wide.json"  # a coreset of n = 50 whose weight sum overflows
+        if "{wide}" in argv:
+            assert run(["sample", "--format", "synthetic", "--input", "n=50,d=3",
+                        "--size", "2", "--output", str(wide)]) == 0
+            doc = json.loads(wide.read_text())
+            wide.write_text(json.dumps({**doc, "weights": [1e308, 1e308]}))
         capsys.readouterr()
-        argv = [a.format(tmp=tmp_path, coreset=coreset, huge=huge) for a in argv]
+        argv = [a.format(tmp=tmp_path, coreset=coreset, huge=huge, wide=wide) for a in argv]
         assert run(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -733,19 +743,69 @@ _FUZZ_COMMANDS = [
 _EDGE = [1e-310, 1e-300, 1e-9, 1.0, 5e10, 1e200, 1e300, 1e305]
 
 
+def _run_under_contract(argv) -> int:
+    """Run argv, assert TestFuzz's error contract on its exit code, warnings,
+    stderr and stdout, and return the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert not [str(w.message) for w in caught], argv
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines()
+             if not (line.startswith("warning: ") and line.endswith("using the full dataset"))]
+    assert len(lines) <= 1, (argv, err)
+    if code == 0:
+        for key, value in re.findall(r"(\w+)=([^\s):]+)", out):
+            with contextlib.suppress(ValueError):
+                assert key == "S_prime" or math.isfinite(float(value)), (argv, out)
+    return code
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
+
+
+def _adversary_argv(kind, n, kappa, gamma, loss, circle_flags):
+    return ["adversary", "--kind", kind, "--n", str(n), "--kappa", repr(kappa),
+            "--gamma", repr(gamma), "--loss", loss, *circle_flags]
+
+
+# kappa and gamma at and near the ends of (0, 1), and past them
+_UNIT = st.sampled_from([1e-300, 1e-9, 0.15, 0.4, 0.5, 0.9, 0.999999]) | st.floats(0.0, 1.0)
+_LOSS = st.sampled_from(sorted(cli._LOSSES))
+# two-cluster evaluation is O(1) in n, so n runs past the largest double
+_TWO_CLUSTER_N = st.sampled_from([10**308, int(sys.float_info.max), 2**1024, 10**309]) \
+    | st.integers(-2, 10**6) | st.integers(-2, 10**310)
+_CIRCLE_FLAGS = st.builds(
+    lambda k, c, norm: [*(["--k", str(k)] if k is not None else []), "--c", repr(c),
+                        *(["--norm-override", repr(norm)] if norm is not None else [])],
+    k=st.none() | st.sampled_from([-1, 0, 1, 2, 4, 50, 10**12]),
+    c=st.sampled_from([1e-320, 1.0, 1e150, 1e200]),
+    norm=st.none() | st.sampled_from([1e-320, 1e-9, 1.0, 1e150, 1e154, 1e200, 1e300]))
+_ADVERSARY_ARGV = st.builds(_adversary_argv, st.just("two-cluster"), _TWO_CLUSTER_N,
+                            _UNIT, _UNIT, _LOSS, st.just([])) \
+    | st.builds(_adversary_argv, st.just("circle"), st.integers(-2, 10**5),
+                _UNIT, _UNIT, _LOSS, _CIRCLE_FLAGS)
+
+
 class TestFuzz:
-    """The error contract over tiny synthetic inputs: every run exits 0, 2, 3
-    or 4, with no Python warning, no traceback, at most one stderr line
-    besides the full-dataset warning, and on success no printed value that is
-    NaN or infinite.  S_prime may be: a lambda-scale of 1e-310 makes the
-    loss-agnostic bound overflow, and q then clamps to n."""
+    """The error contract over tiny synthetic inputs and the adversary's
+    instances: every run exits 0, 2, 3 or 4, with no Python warning, no
+    traceback, at most one stderr line besides the full-dataset warning, and
+    on success no printed value that is NaN or infinite.  S_prime may be: a
+    lambda-scale of 1e-310 makes the loss-agnostic bound overflow, and q
+    then clamps to n."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(command=st.sampled_from(_FUZZ_COMMANDS), n=st.integers(1, 60),
            d=st.integers(1, 3),
            margin=st.sampled_from([0.0, 0.5, 3.0, 1e150, 1e160, 1e300, math.nan])
            | st.floats(0.0, 1e300),
-           loss=st.sampled_from(sorted(cli._LOSSES)), reg=st.sampled_from(sorted(cli._REGS)),
+           loss=_LOSS, reg=st.sampled_from(sorted(cli._REGS)),
            lambda_scale=st.sampled_from(_EDGE), learning_rate=st.sampled_from(_EDGE),
            epochs=st.sampled_from([0, 1, 2]))
     def test_exit_code_and_output(self, command, n, d, margin, loss, reg, lambda_scale,
@@ -760,19 +820,19 @@ class TestFuzz:
                      "--loss", loss, "--reg", reg, "--lambda-scale", repr(lambda_scale)]
             if argv[0] in ("train", "bench"):
                 argv += ["--learning-rate", repr(learning_rate), "--epochs", str(epochs)]
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = run(argv)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 2, 3, 4), (argv, err)
-        assert not [str(w.message) for w in caught], argv
-        assert "Traceback" not in err
-        lines = [line for line in err.splitlines()
-                 if not (line.startswith("warning: ") and line.endswith("using the full dataset"))]
-        assert len(lines) <= 1, (argv, err)
-        if code == 0:
-            for key, value in re.findall(r"(\w+)=([^\s):]+)", out):
-                with contextlib.suppress(ValueError):
-                    assert key == "S_prime" or math.isfinite(float(value)), (argv, out)
+            _run_under_contract(argv)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(argv=_ADVERSARY_ARGV)
+    # a two-cluster F past the largest double once gave H=nan, exit 0 and a
+    # report holding NaN; a minority cluster size past it, a traceback
+    @example(argv=_adversary_argv("two-cluster", 10**308, 0.9, 0.15, "logistic", []))
+    @example(argv=_adversary_argv("two-cluster", 10**300, 0.9, 0.9, "logistic", []))
+    def test_adversary_exit_code_and_report(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            report = Path(tmp) / "r.json"
+            code = _run_under_contract([*argv, "--report", str(report)])
+            if code == 0:
+                json.loads(report.read_text(), parse_constant=_refuse_constant)
+            else:
+                assert not report.exists(), argv

@@ -168,6 +168,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             WeightedCoreset(indices=np.arange(3), weights=np.array([1.0, bad, 1.0]))
 
+    def test_coreset_rejects_a_weight_sum_past_the_largest_float(self):
+        # each weight is finite; their sum is not
+        with pytest.raises(ValueError, match="finite sum"):
+            WeightedCoreset(indices=np.arange(2), weights=np.array([1e308, 1e308]))
+
     def test_weight_sum_is_fsum(self, rng):
         for q in (1, 7, 1000):
             cs = WeightedCoreset(indices=rng.integers(0, 50, size=q),
