@@ -34,6 +34,10 @@ def _check_n_at_most(n: int, most) -> None:
             f"n must be at most {most!r}, got one of {int(n).bit_length()} bits")
 
 
+def _huge(k) -> bool:
+    return isinstance(k, int) and k.bit_length() > 64
+
+
 # ---------------------------------------------------------------------------
 # Two-cluster instance (d = 1, squared 2-norm regularizer, R = 1)
 # ---------------------------------------------------------------------------
@@ -66,9 +70,10 @@ def gen_two_cluster(
     # a size that overflows is past n; round() of inf would raise
     count_b = int(round(size)) if math.isfinite(size) else size
     if not (1 <= count_b < n):
-        raise DegenerateInstanceError(
-            f"minority cluster size {count_b} outside [1, {n})"
-        )
+        # a huge int is named by its bit length, so that the message stays short
+        size = f"of {count_b.bit_length()} bits" if _huge(count_b) else count_b
+        bounds = f"[1, n) for n of {n.bit_length()} bits" if _huge(n) else f"[1, {n})"
+        raise DegenerateInstanceError(f"minority cluster size {size} outside {bounds}")
     return TwoClusterInstance(
         n=n, kappa=kappa, loss=loss, lam=lam,
         count_a=n - count_b, count_b=count_b,

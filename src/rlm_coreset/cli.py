@@ -185,7 +185,7 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
     """Expand one --betas spec into a (k, d) array of probe coefficients."""
     if spec == "trained":
         cfg = solver.TrainConfig(seed=seed)
-        beta_hat, _ = solver.train(inst, cfg, cs)
+        beta_hat, _ = solver.train(inst, cfg, cs, full_trace=False)
         return beta_hat[None, :]
     if spec.startswith("file:"):
         with open(spec[5:], encoding="utf-8") as fh:
@@ -274,7 +274,8 @@ def cmd_sweep(args) -> int:
             seed = args.seed + trial
             t0 = time.perf_counter()
             cs = sampling.uniform_sample(inst, q, seed)
-            beta_hat, _ = solver.train(inst, solver.TrainConfig(seed=seed), cs)
+            beta_hat, _ = solver.train(inst, solver.TrainConfig(seed=seed), cs,
+                                       full_trace=False)
             h_val = approximation_error(inst, cs, beta_hat)
             elapsed = time.perf_counter() - t0
             rows.append((q, trial, h_val, elapsed))
@@ -378,7 +379,7 @@ def cmd_train(args) -> int:
     if args.coreset:
         cs = _coreset_from_doc(data_io.read_coreset(args.coreset), inst)
     cfg = _train_config(args, solver.TrainMethod(args.method))
-    beta_hat, trace = solver.train(inst, cfg, cs)
+    beta_hat, trace = solver.train(inst, cfg, cs, full_trace=bool(args.trace))
     # under l1 a finite F allows a beta whose 2-norm overflows
     with np.errstate(over="ignore"):
         beta_norm = float(np.linalg.norm(beta_hat))
@@ -394,8 +395,11 @@ def cmd_bench(args) -> int:
     inst = _load_instance(args)
     q = args.size if args.size is not None else int(round(20 * np.sqrt(inst.n)))
     cs = sampling.uniform_sample(inst, q, args.seed)
-    _, trace_sgd = solver.train(inst, _train_config(args, solver.TrainMethod.SGD))
-    _, trace_gd = solver.train(inst, _train_config(args, solver.TrainMethod.FULL_BATCH), cs)
+    full_trace = bool(args.trace)
+    _, trace_sgd = solver.train(inst, _train_config(args, solver.TrainMethod.SGD),
+                                full_trace=full_trace)
+    _, trace_gd = solver.train(inst, _train_config(args, solver.TrainMethod.FULL_BATCH),
+                               cs, full_trace=full_trace)
     if args.trace:
         _write_trace(args.trace + ".full_sgd.csv", trace_sgd)
         _write_trace(args.trace + ".coreset_gd.csv", trace_gd)

@@ -49,6 +49,8 @@ _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")
 # float() accepts digit-group underscores and non-ASCII decimal digits;
 # numpy's C reader does not.
 _NOT_PLAIN = re.compile(r"_|(?![0-9])\d")
+# Bytes of lines per CSV block, as readlines counts them.
+_CSV_BLOCK_BYTES = 1 << 16
 # Every byte except the ASCII separator controls \x1c-\x1f, which the C
 # reader strips as whitespace and float() refuses.
 _NOT_SEPARATOR_CONTROL = bytes(b for b in range(256) if not 0x1C <= b <= 0x1F)
@@ -106,41 +108,92 @@ def _svmlight_error(path) -> Exception:
     return too_large or ParseError("malformed svmlight file")
 
 
+def _scatter(X, start, counts, idx, val) -> None:
+    """Write one block's triplets into X's rows from start on; a repeated
+    index on a line keeps its last value."""
+    rows = np.repeat(np.arange(start, start + len(counts)), counts)
+    X[rows, idx - 1] = val
+
+
+def _svmlight_blocks(path):
+    """(labels, width, features) of each block of lines, width being the
+    block's widest index.  The features take the smaller of two forms: the
+    dense (rows x width) array when at least half of its cells are set, the
+    rows' feature counts, indices and values otherwise.  Dense rows alone
+    would double the memory of a sparse file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        while lines := list(islice(fh, _BLOCK_LINES)):
+            try:
+                labels, counts, idx, val = _svmlight_block(lines)
+            except (ValueError, OverflowError):
+                raise _svmlight_error(path) from None
+            del lines
+            width = int(idx.max()) if idx.size else 0
+            if 2 * idx.size >= len(labels) * width:
+                dense = np.zeros((len(labels), width))
+                _scatter(dense, 0, counts, idx, val)
+                yield labels, width, dense
+            else:
+                yield labels, width, (counts, idx, val)
+
+
 def load_svmlight(path) -> Tuple[np.ndarray, np.ndarray, int]:
     """Parse 'label idx:val idx:val ...' lines with 1-based indices into a
     dense (points, labels, d) triple.  Labels may be {0,1} or {-1,+1}.
 
     Lines are read in blocks; each block's labels, indices and values are
     converted by one numpy call each, with int()/float() semantics.  A
-    repeated index on a line keeps its last value."""
-    blocks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        while lines := list(islice(fh, _BLOCK_LINES)):
-            try:
-                blocks.append(_svmlight_block(lines))
-            except (ValueError, OverflowError):
-                raise _svmlight_error(path) from None
-    n = sum(len(labels) for labels, _, _, _ in blocks)
+    repeated index on a line keeps its last value.  X is allocated once d
+    is known, and each block is dropped once it is copied in."""
+    blocks = list(_svmlight_blocks(path))
+    n = sum(len(labels) for labels, _, _ in blocks)
     if n == 0:
         raise ParseError("no data rows")
-    d = max((int(idx.max()) for _, _, idx, _ in blocks if idx.size), default=0)
+    d = max(width for _, width, _ in blocks)
     X = np.zeros((n, d))
     start = 0
-    for labels, counts, idx, val in blocks:
-        rows = np.repeat(np.arange(start, start + len(labels)), counts)
-        X[rows, idx - 1] = val
+    for i, (labels, width, features) in enumerate(blocks):
+        blocks[i] = labels  # the features go once they are in X
+        if isinstance(features, np.ndarray):
+            X[start:start + len(labels), :width] = features
+        else:
+            _scatter(X, start, *features)
         start += len(labels)
-    labels = np.concatenate([labels for labels, _, _, _ in blocks])
-    return X, np.where(labels <= 0.0, -1.0, 1.0), d
+    return X, np.where(np.concatenate(blocks) <= 0.0, -1.0, 1.0), d
 
 
-def _checked_lines(fh):
-    """The file's lines, read in blocks; ValueError at a block holding a
-    character that the C reader would take as whitespace but float() refuses."""
-    while block := fh.readlines(1 << 16):
-        if "".join(block).encode().translate(None, _NOT_SEPARATOR_CONTROL):
+def _csv_blocks(fh, n_columns, label_idx):
+    """(feature rows, raw labels) of each block of about 64 KiB of lines, read
+    by numpy's C reader.  A block ends only after an even count of quote
+    characters, so that no quoted cell is split.  ValueError at a block the
+    C reader refuses, whose rows are not n_columns wide, or that holds a
+    character the C reader would take as whitespace but float() refuses."""
+    lines, quotes = [], 0
+    while more := fh.readlines(_CSV_BLOCK_BYTES):
+        text = "".join(more)
+        if text.encode().translate(None, _NOT_SEPARATOR_CONTROL):
             raise ValueError("ASCII separator control character")
-        yield from block
+        lines += more
+        if '"' in text:
+            quotes += text.count('"')
+        if quotes % 2 == 0:
+            yield from _csv_block(lines, n_columns, label_idx)
+            lines = []
+    if lines:
+        yield from _csv_block(lines, n_columns, label_idx)
+
+
+def _csv_block(lines, n_columns, label_idx):
+    """The block's (feature rows, raw labels), or nothing for blank lines."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                          ndmin=2, encoding="utf-8")
+    if len(data) == 0:
+        return
+    if data.shape[1] != n_columns:
+        raise ValueError("rows are not as wide as the header")
+    yield np.delete(data, label_idx, axis=1), data[:, label_idx].copy()
 
 
 def _csv_error(path, n_columns, reason) -> Exception:
@@ -170,9 +223,9 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
     """Load a numeric CSV with header; the label column (default: the last
     one) is mapped onto {-1, +1}, the rest are features in header order.
 
-    The header is read with the csv module, the body by numpy's C reader,
-    which parses values as float() does but refuses digit-group underscores
-    and non-ASCII digits."""
+    The header is read with the csv module, the body block by block by
+    numpy's C reader, which parses values as float() does but refuses
+    digit-group underscores and non-ASCII digits."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -186,19 +239,18 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
         if label_column not in header:
             raise ParseError(f"label column {label_column!r} not in header")
         label_idx = header.index(label_column)
+        rows, raw = [], []
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(_checked_lines(fh), delimiter=",", comments=None,
-                                  quotechar='"', ndmin=2, encoding="utf-8")
+            for block_rows, block_raw in _csv_blocks(fh, len(header), label_idx):
+                rows.append(block_rows)
+                raw.append(block_raw)
         except ValueError as exc:
             raise _csv_error(path, len(header), str(exc)) from None
-    if len(data) == 0:
+    if not rows:
         raise ParseError("no data rows")
-    if data.shape[1] != len(header):
-        raise _csv_error(path, len(header), "rows are not as wide as the header")
-    X = np.delete(data, label_idx, axis=1)
-    y = _map_binary_labels(data[:, label_idx])
+    y = _map_binary_labels(np.concatenate(raw))
+    del raw  # only the feature blocks are held beside X
+    X = np.concatenate(rows)
     return X, y, X.shape[1]
 
 
@@ -223,9 +275,12 @@ def gen_synthetic(
 
 
 def write_coreset(path, payload: dict) -> None:
+    """One top-level key per line.  Each value is encoded by json's C
+    encoder, which json.dumps skips whenever an indent is given."""
     doc = {"schema": SCHEMA}
     doc.update(payload)
-    Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
+    Path(path).write_text("{\n" + lines + "\n}", encoding="utf-8")
 
 
 def read_coreset(path) -> dict:

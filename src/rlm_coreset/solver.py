@@ -71,7 +71,8 @@ class TrainTrace:
     """Per-iteration record of (optimizer wall-clock seconds, full-dataset
     objective).  Objective evaluation time is excluded from the clock.  GD
     records each new iterate's F stamped with the clock of the step that
-    made it, and once more at exit; SGD records F after each epoch.
+    made it, and once more at exit; SGD records F after each epoch.  Without
+    full_trace, only the exit record is kept.
 
     stop_reason says why the run ended: ``converged`` (the gradient norm met
     grad_tol, or beta = 0 is the optimum at the 2-norm's kink), ``stalled``
@@ -110,19 +111,21 @@ def _is_smooth(inst: RlmInstance) -> bool:
 
 
 def train(
-    inst: RlmInstance, cfg: TrainConfig, cs: Optional[WeightedCoreset] = None
+    inst: RlmInstance, cfg: TrainConfig, cs: Optional[WeightedCoreset] = None,
+    full_trace: bool = True,
 ) -> Tuple[np.ndarray, TrainTrace]:
     """Train beta from 0 on the (weighted) objective and return it with the
     trace, which always records the objective evaluated on the full
-    instance."""
+    instance.  With full_trace off the trace holds only the exit record, and
+    a coreset run takes no pass over all rows before its exit."""
     if is_full(inst, cs):
         cs = _AllRows(inst.n)
     # the one numeric guard: an overflow ends as a non-finite F or gradient
     # norm, which the optimizers refuse with NonFiniteError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.method is TrainMethod.SGD:
-            return _train_sgd(inst, cs, cfg)
-        return _train_gd(inst, cs, cfg)
+            return _train_sgd(inst, cs, cfg, full_trace)
+        return _train_gd(inst, cs, cfg, full_trace)
 
 
 def _full_value(inst, beta) -> float:
@@ -142,7 +145,7 @@ def _kink_bound(inst, cs) -> float:
     return (cs.weight_sum() / inst.n) * inst.reg_scale
 
 
-def _train_gd(inst, cs, cfg):
+def _train_gd(inst, cs, cfg, full_trace):
     beta = np.zeros(inst.d)
     trace = TrainTrace()
     # on full data every value computed on cs is the full objective the
@@ -163,7 +166,7 @@ def _train_gd(inst, cs, cfg):
     for it in range(cfg.max_iters):
         # from iteration 1 on beta is new: its F is recorded with the clock of
         # the step that made it, on a coreset from one pass off the clock
-        if it and not full:
+        if it and full_trace and not full:
             f_full = _full_value(inst, beta)
         t0 = time.perf_counter()
         if z is None:
@@ -173,7 +176,7 @@ def _train_gd(inst, cs, cfg):
             z = None
         if full:
             f_full = f
-        if it:
+        if it and full_trace:
             trace.append(clock, f_full)
         gnorm = float(np.linalg.norm(g))
         if not (np.isfinite(f) and np.isfinite(gnorm)):
@@ -224,7 +227,7 @@ def _train_gd(inst, cs, cfg):
     return best_beta, trace
 
 
-def _train_sgd(inst, cs, cfg):
+def _train_sgd(inst, cs, cfg, full_trace):
     rng = np.random.default_rng(cfg.seed)
     X, y = coreset_rows(inst, cs)
     # on full data every weight is 1: the slopes go unweighted and sum(u) is
@@ -234,7 +237,7 @@ def _train_sgd(inst, cs, cfg):
     beta = np.zeros(inst.d)
     trace = TrainTrace()
     clock = 0.0
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(m)
         for lo in range(0, m, cfg.batch_size):
@@ -252,6 +255,7 @@ def _train_sgd(inst, cs, cfg):
             beta = beta - cfg.learning_rate * g
         clock += time.perf_counter() - t0
         # a diverging run ends in a non-finite beta, whose F is not finite
-        trace.append(clock, _full_value(inst, beta))
+        if full_trace or epoch == cfg.epochs:
+            trace.append(clock, _full_value(inst, beta))
     trace.final_objective = trace.objectives[-1]
     return beta, trace

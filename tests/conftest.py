@@ -2,6 +2,7 @@ import contextlib
 import csv
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ def oracle_point_objectives(inst, beta):
     reg_term = inst.lam * reg_eval(inst.reg, inst.R * beta)
     return [float(loss_eval(inst.loss, -inst.y[i] * (inst.X[i] @ beta)))
             + reg_term / inst.n for i in range(inst.n)]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, as tracemalloc
+    traces it, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_H(inst, cs, beta):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from conftest import (
     materialize_circle,
     materialize_two_cluster,
     point_line_distance,
+    traced_peak,
 )
 from rlm_coreset import adversary as adv
 from rlm_coreset import model
@@ -170,12 +170,7 @@ class TestFindChunk:
 
     def test_huge_n_needs_memory_of_order_k(self):
         n = 10**12
-        tracemalloc.start()
-        try:
-            chunk = adv.find_chunk(n, 4, [0, n // 4, n // 2, 3 * n // 4])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        chunk, peak = traced_peak(adv.find_chunk, n, 4, [0, n // 4, n // 2, 3 * n // 4])
         assert chunk.window_start == 1 and chunk.length == n // 16
         assert peak < 100_000
 
@@ -375,12 +370,7 @@ class TestCircleH:
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         inst = adv.gen_circle(2 * CIRCLE_BLOCK + 5, 0.5)
         h = np.array([2.0, -1.5, 0.7])
-        tracemalloc.start()
-        try:
-            adv._circle_loss_sum(inst, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(adv._circle_loss_sum, inst, h)
         assert peak < 4_000_000
 
     def test_observation_margin_sandwich(self):

@@ -575,6 +575,9 @@ class TestNumericArguments:
         # a coreset whose weights are finite but whose weight sum is not
         (["verify", "--format", "synthetic", "--input", "n=50,d=3", "--coreset", "{wide}"], 2),
         (["train", "--format", "synthetic", "--input", "n=50,d=3", "--coreset", "{wide}"], 2),
+        # a degenerate minority cluster of an n with 997 bits
+        (["adversary", "--kind", "two-cluster", "--n", "1" + "0" * 300, "--kappa", "0.9",
+          "--gamma", "0.9"], 3),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
@@ -594,7 +597,8 @@ class TestNumericArguments:
             "train-r-overflows", "verify-r-overflows", "sgd-objective-overflows",
             "sgd-beta-overflows", "bench-sgd-objective-overflows",
             "sgd-l1-beta-norm-overflows", "sizes-no-factor", "sizes-three-bounds",
-            "verify-weight-sum-overflows", "train-weight-sum-overflows"])
+            "verify-weight-sum-overflows", "train-weight-sum-overflows",
+            "two-cluster-degenerate-n-301-digits"])
     def test_refused(self, tmp_path, coreset, capsys, recwarn, argv, code):
         (tmp_path / "nan.json").write_text('{"betas": [[0.5, 1.0, 0.0], [0.1, NaN, 0.2]]}')
         (tmp_path / "inf.json").write_text('{"betas": [[0.1, 0.2, -Infinity]]}')
@@ -617,6 +621,7 @@ class TestNumericArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+        assert len(captured.err) < 200
         assert "Traceback" not in captured.err
         assert not [w for w in recwarn if issubclass(w.category, Warning)]
 

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_load_csv, oracle_load_svmlight
+from conftest import oracle_load_csv, oracle_load_svmlight, traced_peak
 from rlm_coreset import data_io
 from rlm_coreset.errors import (
     LabelError,
@@ -239,6 +241,74 @@ class TestParity:
         assert_same_outcome(got, oracle_load_svmlight(f))
 
 
+def svmlight_lines(rng, rows, indices, label=1):
+    """One line per row, with a value at each index that indices(i) gives."""
+    return [" ".join([str((label + i) % 2)] + [f"{j}:{float(rng.standard_normal())!r}"
+                                               for j in indices(i)])
+            for i in range(rows)]
+
+
+BLOCK = data_io._BLOCK_LINES
+
+
+class TestBlocks:
+    """Files whose blocks the readers keep in different forms or widths."""
+
+    @pytest.mark.parametrize("shape, forms", [
+        # a dense block, then one with a single feature per row up to index 50
+        ([(BLOCK, lambda i: range(1, 6)), (BLOCK, lambda i: [1 + i % 50])],
+         [np.ndarray, tuple]),
+        # the widest index first appears in the last, partial block
+        ([(BLOCK, lambda i: range(1, 4)), (BLOCK, lambda i: range(2, 5)),
+          (7, lambda i: range(1, 9))], [np.ndarray] * 3),
+        # a block without a single feature between two with features
+        ([(BLOCK, lambda i: [2]), (BLOCK, lambda i: []), (3, lambda i: [1, 3])],
+         [np.ndarray] * 3),
+    ], ids=["dense-then-sparse", "wider-index-later", "block-without-features"])
+    def test_svmlight_matches_oracle(self, tmp_path, shape, forms):
+        rng = np.random.default_rng(11)
+        lines = [line for rows, indices in shape for line in svmlight_lines(rng, rows, indices)]
+        f = tmp_path / "d.svm"
+        f.write_text("\n".join(lines) + "\n")
+        assert [type(features) for _, _, features in data_io._svmlight_blocks(f)] == forms
+        assert_same_outcome(outcome(data_io.load_svmlight, f), outcome(oracle_load_svmlight, f))
+
+    def test_csv_across_blocks_matches_oracle(self, tmp_path):
+        rng = np.random.default_rng(12)
+        lines = ["a,b,label"]
+        for i in range(6000):
+            lines.append("" if i % 97 == 0 else ",".join(
+                [repr(float(v)) for v in rng.standard_normal(2)] + [str(i % 2)]))
+        f = tmp_path / "d.csv"
+        f.write_bytes("\r\n".join(lines).encode())  # no line break after the last row
+        assert f.stat().st_size > 3 * data_io._CSV_BLOCK_BYTES
+        assert_same_outcome(outcome(data_io.load_csv, f), outcome(oracle_load_csv, f))
+
+    def test_csv_block_does_not_split_a_quoted_cell(self, tmp_path, monkeypatch):
+        # one line per block, but a cell quoted across two lines stays whole
+        monkeypatch.setattr(data_io, "_CSV_BLOCK_BYTES", 1)
+        f = tmp_path / "d.csv"
+        f.write_text('a,label\n1,0\n"2\n",1\n3,"0\r\n"\n')
+        got = data_io.load_csv(f)
+        assert_same_outcome(got, oracle_load_csv(f))
+        assert got[0][:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("rows, width, per_row, most", [
+        (20_000, 10, 10, 2.6),   # all indices and values at once took 3.45 X
+        (3000, 2000, 12, 1.1),   # dense rows for every block took 2.0 X
+    ], ids=["dense", "sparse"])
+    def test_svmlight_memory(self, tmp_path, rows, width, per_row, most):
+        rng = np.random.default_rng(13)
+        idx = rng.integers(1, width + 1, size=(rows, per_row))
+        idx[:, 0] = np.arange(rows) % width + 1
+        f = tmp_path / "d.svm"
+        f.write_text("".join(" ".join([str(i % 2)] + [f"{j}:{float(v)!r}" for j, v in zip(
+            idx[i], rng.standard_normal(per_row))]) + "\n" for i in range(rows)))
+        (X, _, d), peak = traced_peak(data_io.load_svmlight, f)
+        assert d == width and X.shape == (rows, width)
+        assert peak <= most * X.nbytes
+
+
 MALFORMED = [
     ("csv", "f,label\n1,0\n2\n"),                       # ragged row
     ("csv", "f,label\n1,0\n\n2,1,3\n"),                 # ragged after a blank line
@@ -364,6 +434,20 @@ class TestJsonRoundTrip:
         path.write_text("[1, 2]")
         with pytest.raises(SchemaMismatchError):
             data_io.read_coreset(path)
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 3, "indices": [0, 2], "weights": [1.5, 1.5], "lambda": 0.1},
+        {"H": [0.25, 1e-300], "flags": {"betas": ["random:3"], "seed": None}, "ok": True},
+    ], ids=["coreset", "report"])
+    def test_one_key_per_line(self, tmp_path, payload):
+        path = tmp_path / "d.json"
+        data_io.write_coreset(path, payload)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == {"schema": data_io.SCHEMA, **payload}
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        keys = [list(json.loads("{" + line.rstrip(",") + "}")) for line in lines[1:-1]]
+        assert keys == [[key] for key in ["schema", *payload]]
 
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "r.json"

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from conftest import (
     oracle_tiled_loss_sums,
     random_instance,
     recorded_iterates,
+    traced_peak,
 )
 from rlm_coreset import model, solver
 from rlm_coreset.errors import NonFiniteError, ZeroObjectiveError
@@ -380,13 +380,8 @@ class TestBlockedKernel:
         X = rng.standard_normal((200_000, 10))
         y = rng.choice([-1.0, 1.0], size=len(X))
         beta = rng.standard_normal(10)
-        tracemalloc.start()
-        try:
-            inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
-            weighted_objective_grad(inst, None, beta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: weighted_objective_grad(
+            RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5), None, beta))
         assert peak < X.nbytes / 2
 
 

@@ -1,11 +1,16 @@
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import ALL_PAIRS, oracle_train_gd, random_instance, recorded_iterates
+from conftest import (
+    ALL_PAIRS,
+    oracle_train_gd,
+    random_instance,
+    recorded_iterates,
+    traced_peak,
+)
 from rlm_coreset import model, solver
 from rlm_coreset.data_io import gen_synthetic
 from rlm_coreset.errors import InvalidParameterError
@@ -264,6 +269,29 @@ class TestTraceRule:
         assert trace.seconds[-1] < 0.02
 
 
+    @pytest.mark.parametrize("cfg", [TrainConfig(max_iters=60), TrainConfig(grad_tol=1e9),
+                                     TrainConfig(max_iters=1),
+                                     TrainConfig(method=TrainMethod.SGD, epochs=3)],
+                             ids=["budget-60", "grad-tol-1e9", "budget-1", "sgd"])
+    @pytest.mark.parametrize("inst, cs", [c for c in stop_rule_cases() if "weighted" in c.id])
+    def test_without_full_trace_only_the_exit_is_recorded(self, monkeypatch, inst, cs, cfg):
+        beta_on, trace_on = train(inst, cfg, cs)
+        betas = []
+        kernel_with(monkeypatch, lambda beta: betas.append(beta.tobytes()))
+        beta_off, trace_off = train(inst, cfg, cs, full_trace=False)
+        assert beta_off.tobytes() == beta_on.tobytes()
+        assert trace_off.stop_reason == trace_on.stop_reason
+        assert trace_off.final_objective == trace_on.final_objective
+        assert trace_off.objectives == trace_on.objectives[-1:]
+        assert len(trace_off.seconds) == 1
+        # one pass over all rows, at the returned beta; nonsmooth GD may take
+        # a second one at its best iterate
+        if cfg.method is TrainMethod.SGD or solver._is_smooth(inst):
+            assert betas == [beta_off.tobytes()]
+        else:
+            assert 1 <= len(betas) <= 2
+
+
 def oracle_sgd_beta(inst, cfg):
     """Full-data SGD with every weight 1 kept in the step, u * dz * y over
     sum(u): the reference the weight-free full-data step must match."""
@@ -358,12 +386,7 @@ class TestBoundedMemory:
         X, y, _ = gen_synthetic(200_000, 10, noise=0.1, seed=3)
         inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
                            reg=RegularizerKind.L2_SQUARED, kappa=0.5)
-        tracemalloc.start()
-        try:
-            train(inst, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(train, inst, cfg)
         assert peak < X.nbytes / 2
 
 
