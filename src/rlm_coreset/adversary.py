@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidParameterError, NoChunkFoundError
-from .model import LossKind, blocked_sum, loss_eval, relative_errors
+from .model import (
+    LossKind, blocked_sum, exp_neg_abs, loss_eval, loss_in_place, relative_errors,
+)
 
 _PIECE = 1 << 15  # most angles evaluated at once (cache-sized)
 # the circle's indices are int64, and find_chunk adds up to n//2 to one
@@ -221,15 +223,28 @@ def _circle_loss_sum(inst: CircleInstance, h: np.ndarray) -> float:
     np.sum of each piece of at most _PIECE angles, in blocks of 2**20 angles,
     so the total does not depend on the number of threads."""
     return blocked_sum(
-        lambda lo, hi: float(np.sum(_circle_losses_at(inst, np.arange(lo, hi), h))),
+        lambda lo, hi: float(np.sum(_circle_losses_at(
+            inst, np.arange(lo, hi, dtype=float), h))),
         inst.n, _PIECE, 1)
 
 
-def _circle_losses_at(inst: CircleInstance, idx, h: np.ndarray) -> np.ndarray:
-    theta = 2.0 * np.pi * np.asarray(idx, dtype=float) / inst.n
+def _circle_losses_at(inst: CircleInstance, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The losses at the float point indices t, computed in t and one more
+    array: t is overwritten, and the array that holds the losses returned."""
     bx, by, b = h
-    z = -(bx * np.cos(theta) + by * np.sin(theta) + b)
-    return loss_eval(inst.loss, z)
+    t *= 2.0 * np.pi
+    t /= inst.n  # the angles
+    s = np.sin(t)
+    # -(bx cos + by sin + b), added in that order
+    np.cos(t, out=t)
+    t *= bx
+    s *= by
+    t += s
+    t += b
+    np.negative(t, out=t)
+    if inst.loss is LossKind.LOGISTIC:
+        exp_neg_abs(t, s)
+    return loss_in_place(inst.loss, t, s)
 
 
 def _squared_norm(h: np.ndarray) -> float:
@@ -243,7 +258,8 @@ def _circle_sums(inst: CircleInstance, indices, weights, h: np.ndarray):
     """The two loss sums every circle evaluator reads: the streamed sum over
     all n angles and the weighted sum over the coreset."""
     weights = np.asarray(weights, dtype=float)
-    coreset = float(np.dot(weights, _circle_losses_at(inst, indices, h)))
+    coreset = float(np.dot(weights, _circle_losses_at(
+        inst, np.array(indices, dtype=float), h)))
     return _circle_loss_sum(inst, h), coreset
 
 

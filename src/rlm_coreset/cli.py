@@ -211,8 +211,8 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
 def cmd_verify(args) -> int:
     check_eps(args.epsilon)  # before any data is loaded
     inst = _load_instance(args)
-    doc = data_io.read_coreset(args.coreset)
-    cs = _coreset_from_doc(doc, inst)
+    # the parsed document is dropped here, before the H pass
+    cs = _coreset_from_doc(data_io.read_coreset(args.coreset), inst)
     betas = np.concatenate([_probe_betas(spec, inst, cs, args.seed) for spec in args.betas])
     errors = approximation_errors(inst, cs, betas)
     weight_ok = check_weight_sum(cs, inst.n, args.epsilon)

@@ -42,7 +42,7 @@ def _map_binary_labels(raw: np.ndarray) -> np.ndarray:
 
 # Lines per svmlight block: the block's Python strings are converted to arrays
 # and dropped before the next block is read.
-_BLOCK_LINES = 1024
+_BLOCK_LINES = 512
 # Every byte except the two separators of "idx:val idx:val ..."; what is left
 # after deleting them must be ": " repeated, one ':' per feature token.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")

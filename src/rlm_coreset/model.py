@@ -14,9 +14,11 @@ ROW_BLOCK rows, and the full-data loss sum is added from leaves of
 ROW_BLOCK rows by ``blocked_sum``.
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
-from the same loss and regularizer terms, in cache-sized tiles of X,
-``relative_errors`` turns F and F_C into H, here and in the adversary's
-witnesses, and ``approximation_error`` is its one-probe call.
+from the same loss and regularizer terms, in cache-sized tiles of X, each
+leaf inside two buffers of one tile that ``loss_in_place`` reuses for every
+tile's margins and losses; ``relative_errors`` turns F and F_C into H, here
+and in the adversary's witnesses, and ``approximation_error`` is its
+one-probe call.
 Every streamed loss sum, here and in the adversary's circle, is added by
 ``blocked_sum``: pairwise within blocks that ``ordered_map`` spreads over
 the usable CPUs, block sums in block order.
@@ -56,33 +58,44 @@ def vc_bound(d: int) -> int:
     return d + 1
 
 
-def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
-    """exp(-|z|) in one new array: the one exponential that softplus and the
-    sigmoid share, and never of a positive argument, so it cannot overflow."""
-    e = np.abs(z, out=np.empty(np.shape(z)))
+def exp_neg_abs(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-|z|), in out when given, else in one new array: the one
+    exponential that softplus and the sigmoid share, and never of a positive
+    argument, so it cannot overflow."""
+    e = np.abs(z, out=np.empty(np.shape(z)) if out is None else out)
     np.negative(e, out=e)
     return np.exp(e, out=e)
+
+
+def loss_in_place(kind: LossKind, z: np.ndarray, e: Optional[np.ndarray]) -> np.ndarray:
+    """The loss at margins z, computed in z and e, which are overwritten; the
+    one of them that holds the losses is returned, and nothing is allocated.
+    For the logistic loss e is exp(-|z|), of z's shape; the hinge loss does
+    not read it.  The one place each loss formula is written."""
+    if kind is LossKind.LOGISTIC:
+        # softplus: max(z, 0) + log1p(exp(-|z|))
+        np.log1p(e, out=e)
+        e += np.maximum(z, 0.0, out=z)
+        return e
+    np.add(1.0, z, out=z)
+    return np.maximum(0.0, z, out=z)
 
 
 def softplus(z, e=None):
     """Numerically stable log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|));
     works on scalars (a 0-d array comes back) and arrays.  e, when given, is
     exp(-|z|) and is overwritten with the result."""
-    z = np.asarray(z, dtype=float)
-    if e is None:
-        e = _exp_neg_abs(z)
-    np.log1p(e, out=e)
-    e += np.maximum(z, 0.0)
-    return e
+    return loss_eval(LossKind.LOGISTIC, z, e)
 
 
 def loss_eval(kind: LossKind, z, e=None):
-    """Evaluate the loss at margin z. Vectorized over z; e is passed on to
-    softplus."""
-    z = np.asarray(z, dtype=float)
-    if kind is LossKind.LOGISTIC:
-        return softplus(z, e)
-    return np.maximum(0.0, 1.0 + z)
+    """Evaluate the loss at margin z, which is not changed.  Vectorized over
+    z; a scalar gives a 0-d array.  For the logistic loss e, when given, is
+    exp(-|z|) and is overwritten with the result."""
+    z = np.array(z, dtype=float)  # a copy, which loss_in_place overwrites
+    if kind is LossKind.LOGISTIC and e is None:
+        e = exp_neg_abs(z)
+    return loss_in_place(kind, z, e)
 
 
 def loss_slope(kind: LossKind, z: np.ndarray, e=None) -> np.ndarray:
@@ -91,7 +104,7 @@ def loss_slope(kind: LossKind, z: np.ndarray, e=None) -> np.ndarray:
     if kind is LossKind.LOGISTIC:
         # sigmoid(z) = 1/(1+e) for z >= 0 and e/(1+e) below: one division
         if e is None:
-            e = _exp_neg_abs(z)
+            e = exp_neg_abs(z)
         s = np.where(z >= 0, 1.0, e)
         s /= 1.0 + e
         return s
@@ -277,7 +290,7 @@ def loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
     value is set, else 0.0; with dz given, the slope times y, (u * slope) * y
     with weights u, is written into it."""
     # the logistic value and slope share one exp(-|z|); the value consumes it
-    e = _exp_neg_abs(z) if loss is LossKind.LOGISTIC else None
+    e = exp_neg_abs(z) if loss is LossKind.LOGISTIC else None
     if dz is not None:
         slope = loss_slope(loss, z, e)
         np.multiply(slope if u is None else u * slope, y, out=dz)
@@ -405,19 +418,27 @@ def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
     ROW_TILE rows.  Unweighted, it grows as the probes fall below PROBE_TILE,
     so that a tile of margins stays ROW_TILE x PROBE_TILE: a leaf's
     sum(axis=1) continues numpy's pairwise halving, so a leaf of any power of
-    two from 128 rows up gives the same blocks and the same floats.  neg_B holds the probes negated, so that
-    X @ neg_B.T * y is the margin with no n-sized copy of -y."""
+    two from 128 rows up gives the same blocks and the same floats.  neg_B
+    holds the probes negated, so that X @ neg_B.T * y is the margin with no
+    n-sized copy of -y.  Each leaf allocates its margins and, for the
+    logistic loss, exp(-|z|) once, one tile in size; every tile's margins and
+    losses are taken inside them by loss_in_place."""
     k = neg_B.shape[0]
+    tile = min(k, PROBE_TILE)
     leaf = ROW_TILE if u is not None else \
-        ROW_TILE * PROBE_TILE >> (min(k, PROBE_TILE) - 1).bit_length()
+        ROW_TILE * PROBE_TILE >> (tile - 1).bit_length()
 
     def leaf_sums(lo: int, hi: int) -> np.ndarray:
         Xt, yt = X[lo:hi], y[lo:hi]
+        zbuf = np.empty((tile, hi - lo))
+        ebuf = np.empty_like(zbuf) if loss is LossKind.LOGISTIC else None
         out = np.empty(k)
         for p in range(0, k, PROBE_TILE):
-            z = neg_B[p:p + PROBE_TILE] @ Xt.T
+            m = min(k - p, PROBE_TILE)  # a tile's first rows are contiguous
+            z = np.matmul(neg_B[p:p + m], Xt.T, out=zbuf[:m])
             z *= yt
-            losses = loss_eval(loss, z)
+            e = None if ebuf is None else exp_neg_abs(z, ebuf[:m])
+            losses = loss_in_place(loss, z, e)
             out[p:p + PROBE_TILE] = losses.sum(axis=1) if u is None else losses @ u[lo:hi]
         return out
 

@@ -83,12 +83,16 @@ class TestLossEval:
 
 
 # margins up to |z| = 800, past where exp(-|z|) underflows, with both zeros
-MARGINS = st.one_of(st.floats(-800, 800), st.sampled_from([0.0, -0.0, 800.0, -800.0]))
+# and the hinge kink
+MARGINS = st.one_of(st.floats(-800, 800), st.sampled_from(
+    [0.0, -0.0, -1.0, 750.0, -750.0, 800.0, -800.0]))
 
 
 class TestLogisticKernel:
     """softplus and the sigmoid share one exp(-|z|) and compute in place; the
-    floats must be the two-exponential, two-division forms' to the bit."""
+    floats must be the two-exponential, two-division forms' to the bit.  The
+    H pass's loss_in_place, inside the margins and one buffer, gives the same
+    floats for both losses."""
 
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=20),
                       elements=MARGINS))
@@ -100,9 +104,17 @@ class TestLogisticKernel:
         assert slope.tobytes() == np.asarray(oracle_sigmoid(z)).tobytes()
         assert value.shape == slope.shape == z.shape
         # the kernel's path: the slope reads e, then the value consumes it
-        e = model._exp_neg_abs(z)
+        e = model.exp_neg_abs(z)
         assert loss_slope(LossKind.LOGISTIC, z, e).tobytes() == slope.tobytes()
         assert loss_eval(LossKind.LOGISTIC, z, e).tobytes() == value.tobytes()
+        # the H pass's path: the margins and exp(-|z|) are overwritten
+        zc = z.copy()
+        e = model.exp_neg_abs(zc, np.empty(z.shape))
+        assert model.loss_in_place(LossKind.LOGISTIC, zc, e).tobytes() == value.tobytes()
+        hinge = np.asarray(np.maximum(0.0, 1.0 + z))
+        assert np.asarray(loss_eval(LossKind.HINGE, z)).tobytes() == hinge.tobytes()
+        assert model.loss_in_place(LossKind.HINGE, z.copy(), None).tobytes() == \
+            hinge.tobytes()
 
     @given(st.floats(-800, 800))
     def test_scalar_softplus_is_zero_dimensional(self, z):
@@ -113,8 +125,9 @@ class TestLogisticKernel:
     def test_input_is_not_modified(self):
         z = np.array([-3.0, 0.0, 2.5])
         before = z.copy()
-        loss_eval(LossKind.LOGISTIC, z)
-        loss_slope(LossKind.LOGISTIC, z)
+        for kind in LossKind:
+            loss_eval(kind, z)
+            loss_slope(kind, z)
         assert np.array_equal(z, before)
 
 
@@ -544,6 +557,22 @@ class TestBlockEvaluator:
         B[2, 1] = bad
         with pytest.raises(ValueError, match="must be finite"):
             approximation_errors(inst, cs, B)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_pass_holds_two_tiles_per_cpu(self, monkeypatch, loss, cpus):
+        # each leaf works inside its margins and exp(-|z|), one tile each; a
+        # fresh margins, exp and max(z, 0) per tile held four tiles per CPU
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(21)
+        n = 12 * model.ROW_TILE * 8 + 5  # 13 blocks of rows at 200 probes
+        inst = RlmInstance(X=rng.standard_normal((n, 10)), y=rng.choice([-1.0, 1.0], size=n),
+                           loss=loss, reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        cs = WeightedCoreset(indices=rng.integers(0, n, size=1000),
+                             weights=np.full(1000, n / 1000))
+        _, peak = traced_peak(approximation_errors, inst, cs, rng.standard_normal((200, 10)))
+        tile = model.PROBE_TILE * model.ROW_TILE * 8
+        assert peak < cpus * 2.4 * tile
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
     def test_probes_of_another_shape_are_refused(self, rng, shape):
