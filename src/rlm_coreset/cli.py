@@ -100,16 +100,16 @@ def _settings(inst) -> dict:
             "lambda": inst.lam, "R": inst.R}
 
 
-def _coreset_payload(args, inst, cs):
+def _coreset_payload(args, n, settings, cs):
     return {
-        "n": inst.n,
+        "n": n,
         "q": cs.size,
         "seed": args.seed,
         "rng": sampling.RNG_ALGORITHM,
         "mode": sampling.SampleMode.IID_WITH_REPLACEMENT.value,
         "indices": cs.indices.tolist(),
         "weights": cs.weights.tolist(),
-        **_settings(inst),
+        **settings,
     }
 
 
@@ -159,8 +159,10 @@ def cmd_sample(args) -> int:
         print(f"warning: {asked} {q} is at least n={inst.n}; using the full dataset",
               file=sys.stderr)
     cs = sampling.uniform_sample(inst, q, args.seed)
-    data_io.write_coreset(args.output, _coreset_payload(args, inst, cs))
-    print(f"q={cs.size} S_prime={s_total!r} lambda={inst.lam!r} R={inst.R!r}")
+    n, settings = inst.n, _settings(inst)
+    del inst  # X goes before the document's lists are built
+    data_io.write_coreset(args.output, _coreset_payload(args, n, settings, cs))
+    print(f"q={cs.size} S_prime={s_total!r} lambda={settings['lambda']!r} R={settings['R']!r}")
     return EXIT_OK
 
 

@@ -40,9 +40,9 @@ def _map_binary_labels(raw: np.ndarray) -> np.ndarray:
     return np.where(raw == lo, -1.0, 1.0)
 
 
-# Lines per svmlight block: the block's Python strings are converted to arrays
-# and dropped before the next block is read.
-_BLOCK_LINES = 512
+# Lines per svmlight block: the block's Python strings, the loader's largest
+# transient, are converted to arrays and dropped before the next block is read.
+_BLOCK_LINES = 256
 # Every byte except the two separators of "idx:val idx:val ..."; what is left
 # after deleting them must be ": " repeated, one ':' per feature token.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")
@@ -108,6 +108,35 @@ def _svmlight_error(path) -> Exception:
     return too_large or ParseError("malformed svmlight file")
 
 
+def _line_bound(path) -> int:
+    """The lines of a file as its line feeds split them, counted in one
+    binary pass over the file, 64 KiB at a time: an upper bound on its data
+    rows.  A lone '\r' also ends a line in text mode, so a file with such
+    line ends can hold more."""
+    lines, last, buf = 0, ord("\n"), bytearray(1 << 16)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buf):
+            lines += buf.count(b"\n", 0, size)
+            last = buf[size - 1]
+    return lines + (last != ord("\n"))
+
+
+def _fit(a, used, rows, width=None):
+    """a if it holds rows rows and, for a matrix, width columns; else a zeroed
+    array that does, with at least twice a's rows if more rows are needed,
+    holding a copy of a's first used rows."""
+    shape = list(a.shape)
+    if rows > shape[0]:
+        shape[0] = max(rows, 2 * shape[0])
+    if width is not None and width > shape[1]:
+        shape[1] = width
+    if shape == list(a.shape):
+        return a
+    grown = np.zeros(shape)
+    grown[tuple(map(slice, (used, *a.shape[1:])))] = a[:used]
+    return grown
+
+
 def _scatter(X, start, counts, idx, val) -> None:
     """Write one block's triplets into X's rows from start on; a repeated
     index on a line keeps its last value."""
@@ -116,25 +145,16 @@ def _scatter(X, start, counts, idx, val) -> None:
 
 
 def _svmlight_blocks(path):
-    """(labels, width, features) of each block of lines, width being the
-    block's widest index.  The features take the smaller of two forms: the
-    dense (rows x width) array when at least half of its cells are set, the
-    rows' feature counts, indices and values otherwise.  Dense rows alone
-    would double the memory of a sparse file."""
+    """The labels, the rows' feature counts, indices and values of each block
+    of lines."""
     with open(path, "r", encoding="utf-8") as fh:
         while lines := list(islice(fh, _BLOCK_LINES)):
             try:
-                labels, counts, idx, val = _svmlight_block(lines)
+                block = _svmlight_block(lines)
             except (ValueError, OverflowError):
                 raise _svmlight_error(path) from None
             del lines
-            width = int(idx.max()) if idx.size else 0
-            if 2 * idx.size >= len(labels) * width:
-                dense = np.zeros((len(labels), width))
-                _scatter(dense, 0, counts, idx, val)
-                yield labels, width, dense
-            else:
-                yield labels, width, (counts, idx, val)
+            yield block
 
 
 def load_svmlight(path) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -142,32 +162,32 @@ def load_svmlight(path) -> Tuple[np.ndarray, np.ndarray, int]:
     dense (points, labels, d) triple.  Labels may be {0,1} or {-1,+1}.
 
     Lines are read in blocks; each block's labels, indices and values are
-    converted by one numpy call each, with int()/float() semantics.  A
-    repeated index on a line keeps its last value.  X is allocated once d
-    is known, and each block is dropped once it is copied in."""
-    blocks = list(_svmlight_blocks(path))
-    n = sum(len(labels) for labels, _, _ in blocks)
-    if n == 0:
+    converted by one numpy call each, with int()/float() semantics, and
+    scattered into X at once.  A repeated index on a line keeps its last
+    value.  X has a row for each line of the file (_line_bound) and is as
+    wide as the widest index read so far: a block with a wider index than
+    any before it, or rows past the bound, cost one copy of X."""
+    bound = _line_bound(path)
+    X, raw, rows = np.zeros((bound, 0)), np.zeros(bound), 0
+    for labels, counts, idx, val in _svmlight_blocks(path):
+        end = rows + len(labels)
+        X = _fit(X, rows, end, int(idx.max(initial=0)))
+        raw = _fit(raw, rows, end)
+        _scatter(X, rows, counts, idx, val)
+        raw[rows:end] = labels
+        rows = end
+    if rows == 0:
         raise ParseError("no data rows")
-    d = max(width for _, width, _ in blocks)
-    X = np.zeros((n, d))
-    start = 0
-    for i, (labels, width, features) in enumerate(blocks):
-        blocks[i] = labels  # the features go once they are in X
-        if isinstance(features, np.ndarray):
-            X[start:start + len(labels), :width] = features
-        else:
-            _scatter(X, start, *features)
-        start += len(labels)
-    return X, np.where(np.concatenate(blocks) <= 0.0, -1.0, 1.0), d
+    return X[:rows], np.where(raw[:rows] <= 0.0, -1.0, 1.0), X.shape[1]
 
 
-def _csv_blocks(fh, n_columns, label_idx):
-    """(feature rows, raw labels) of each block of about 64 KiB of lines, read
-    by numpy's C reader.  A block ends only after an even count of quote
-    characters, so that no quoted cell is split.  ValueError at a block the
-    C reader refuses, whose rows are not n_columns wide, or that holds a
-    character the C reader would take as whitespace but float() refuses."""
+def _csv_blocks(fh, n_columns):
+    """The (rows, n_columns) array of each block of about 64 KiB of lines,
+    read by numpy's C reader.  A block ends only after an even count of
+    quote characters, so that no quoted cell is split.  ValueError at a
+    block the C reader refuses, whose rows are not n_columns wide, or that
+    holds a character the C reader would take as whitespace but float()
+    refuses."""
     lines, quotes = [], 0
     while more := fh.readlines(_CSV_BLOCK_BYTES):
         text = "".join(more)
@@ -177,14 +197,14 @@ def _csv_blocks(fh, n_columns, label_idx):
         if '"' in text:
             quotes += text.count('"')
         if quotes % 2 == 0:
-            yield from _csv_block(lines, n_columns, label_idx)
+            yield from _csv_block(lines, n_columns)
             lines = []
     if lines:
-        yield from _csv_block(lines, n_columns, label_idx)
+        yield from _csv_block(lines, n_columns)
 
 
-def _csv_block(lines, n_columns, label_idx):
-    """The block's (feature rows, raw labels), or nothing for blank lines."""
+def _csv_block(lines, n_columns):
+    """The block's rows, or nothing for blank lines."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
@@ -193,7 +213,7 @@ def _csv_block(lines, n_columns, label_idx):
         return
     if data.shape[1] != n_columns:
         raise ValueError("rows are not as wide as the header")
-    yield np.delete(data, label_idx, axis=1), data[:, label_idx].copy()
+    yield data
 
 
 def _csv_error(path, n_columns, reason) -> Exception:
@@ -225,7 +245,10 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
 
     The header is read with the csv module, the body block by block by
     numpy's C reader, which parses values as float() does but refuses
-    digit-group underscores and non-ASCII digits."""
+    digit-group underscores and non-ASCII digits.  Each block is written
+    into X as it is read: X has a row for each line of the file past the
+    header (_line_bound) and is copied only if the file holds more rows."""
+    bound = _line_bound(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -239,19 +262,21 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
         if label_column not in header:
             raise ParseError(f"label column {label_column!r} not in header")
         label_idx = header.index(label_column)
-        rows, raw = [], []
+        bound -= 1  # the header's line
+        X, raw, rows = np.zeros((bound, len(header) - 1)), np.zeros(bound), 0
         try:
-            for block_rows, block_raw in _csv_blocks(fh, len(header), label_idx):
-                rows.append(block_rows)
-                raw.append(block_raw)
+            for data in _csv_blocks(fh, len(header)):
+                end = rows + len(data)
+                X, raw = _fit(X, rows, end), _fit(raw, rows, end)
+                X[rows:end, :label_idx] = data[:, :label_idx]
+                X[rows:end, label_idx:] = data[:, label_idx + 1:]
+                raw[rows:end] = data[:, label_idx]
+                rows = end
         except ValueError as exc:
             raise _csv_error(path, len(header), str(exc)) from None
     if not rows:
         raise ParseError("no data rows")
-    y = _map_binary_labels(np.concatenate(raw))
-    del raw  # only the feature blocks are held beside X
-    X = np.concatenate(rows)
-    return X, y, X.shape[1]
+    return X[:rows], _map_binary_labels(raw[:rows]), X.shape[1]
 
 
 def gen_synthetic(

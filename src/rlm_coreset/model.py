@@ -10,13 +10,14 @@ Its value and (sub)gradient on full data or on a weighted coreset are
 computed in one place, ``weighted_objective_grad``; the solver and
 ``full_objective`` call it.  No pass over X allocates an n x d temporary:
 ``check_rows`` refuses bad rows and takes R in one pass over blocks of
-ROW_BLOCK rows, and the full-data loss sum is added from leaves of
+ROW_TILE rows, and the full-data loss sum is added from leaves of
 ROW_BLOCK rows by ``blocked_sum``.
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
 from the same loss and regularizer terms, in cache-sized tiles of X, each
 leaf inside two buffers of one tile that ``loss_in_place`` reuses for every
-tile's margins and losses; ``relative_errors`` turns F and F_C into H, here
+tile's margins and losses; the coreset's rows are gathered leaf by leaf;
+``relative_errors`` turns F and F_C into H, here
 and in the adversary's witnesses, and ``approximation_error`` is its
 one-probe call.
 Every streamed loss sum, here and in the adversary's circle, is added by
@@ -133,25 +134,35 @@ def reg_grad(kind: RegularizerKind, v, scale: float = 1.0) -> np.ndarray:
     return scale * np.sign(v)
 
 
-# rows of X per block of the row check and per leaf of the full-data loss
-# sum: each block's temporaries are ROW_BLOCK x d, never n x d (at least
-# numpy's pairwise block of 128, below which np.sum stops halving)
+# rows of X per leaf of the full-data loss sum: each leaf's temporaries are
+# ROW_BLOCK long, never n (at least numpy's pairwise block of 128, below
+# which np.sum stops halving)
 ROW_BLOCK = 1 << 13
+# tile of the block evaluator: ROW_TILE rows of X against PROBE_TILE probes,
+# a (PROBE_TILE, ROW_TILE) block of margins that stays in cache; the row
+# check reads X ROW_TILE rows at a time too
+ROW_TILE = 1024
+PROBE_TILE = 64
 
 
 def check_rows(X: np.ndarray, y: np.ndarray) -> float:
     """R, the largest row 2-norm of X (0.0 with no rows), after refusing a
     point that is not finite, an R that overflows or a label outside
-    {-1, +1}.  X is read once, ROW_BLOCK rows at a time; a max of
-    np.linalg.norm's is exact, so R is the float the whole array gives."""
+    {-1, +1}.  X is read once, ROW_TILE rows at a time, their squares taken
+    in one reused buffer and reduced as np.linalg.norm(axis=1) reduces them
+    on real input; a max of those norms is exact, so R is the float the
+    whole array gives."""
     R = 0.0
+    squares = np.empty((min(X.shape[0], ROW_TILE), X.shape[1]))
     # a finite row whose squares overflow has norm inf, refused below
     with np.errstate(over="ignore"):
-        for lo in range(0, X.shape[0], ROW_BLOCK):
-            block = X[lo:lo + ROW_BLOCK]
+        for lo in range(0, X.shape[0], ROW_TILE):
+            block = X[lo:lo + ROW_TILE]
             if not np.isfinite(block).all():
                 raise ValueError("points must be finite")
-            R = max(R, np.max(np.linalg.norm(block, axis=1)))
+            sq = np.multiply(block, block, out=squares[:len(block)])
+            norms = np.add.reduce(sq, axis=1)
+            R = max(R, np.max(np.sqrt(norms, out=norms)))
     if not np.isfinite(R):
         raise ValueError("a point's 2-norm is not finite")
     if not ((y == 1.0) | (y == -1.0)).all():
@@ -179,16 +190,21 @@ class WeightedCoreset:
         w = np.asarray(self.weights, dtype=float)
         if idx.shape != w.shape or idx.ndim != 1:
             raise ValueError("indices and weights must be 1-d of equal length")
-        if not np.all(np.isfinite(w)):
+        # one min/max pair: a NaN or an infinity shows in one of them; an
+        # empty coreset has unit weights
+        lo, hi = (float(w.min()), float(w.max())) if w.size else (1.0, 1.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights must be finite")
-        if np.any(w < 0):
+        if lo < 0:
             raise ValueError("weights must be nonnegative")
         idx.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "is_identity", bool(
-            np.all(w == 1.0) and np.array_equal(idx, np.arange(len(idx)))))
+        # the first and last index decide most cases before the full comparison
+        object.__setattr__(self, "is_identity", lo == hi == 1.0 and (
+            not idx.size or bool(idx[0] == 0 and idx[-1] == idx.size - 1
+                                 and np.array_equal(idx, np.arange(idx.size)))))
         # fsum: exactly rounded, so the sum-equals-n invariant survives float;
         # it raises OverflowError for a sum past the largest float
         try:
@@ -267,13 +283,19 @@ def coreset_rows(
     inst: RlmInstance, cs: Optional[WeightedCoreset]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The coreset's rows of X and y: the instance's own arrays on full
-    data, a gather of the q rows otherwise; an index outside [0, n) is refused."""
+    data, a gather of the q rows otherwise."""
     if is_full(inst, cs):
         return inst.X, inst.y
+    idx = _checked_indices(inst, cs)
+    return inst.X.take(idx, axis=0), inst.y.take(idx)
+
+
+def _checked_indices(inst: RlmInstance, cs: WeightedCoreset) -> np.ndarray:
+    """cs's indices, refused with IndexError unless each lies in [0, n)."""
     idx = cs.indices
     if len(idx) and (idx.min() < 0 or idx.max() >= inst.n):
         raise IndexError("coreset index out of range")
-    return inst.X.take(idx, axis=0), inst.y.take(idx)
+    return idx
 
 
 def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -369,10 +391,6 @@ def ordered_map(fn, items) -> list:
                 f.cancel()
 
 
-# tile of the block evaluator: ROW_TILE rows of X against PROBE_TILE probes,
-# a (PROBE_TILE, ROW_TILE) block of margins that stays in cache
-ROW_TILE = 1024
-PROBE_TILE = 64
 # values (rows x width) one ordered_map task of blocked_sum adds at least:
 # enough to outweigh handing it to a thread.  It also fixes where the
 # circle's loss sum is split into blocks (2**20 angles), and so the circle's
@@ -411,49 +429,62 @@ def blocked_sum(leaf_sum, n: int, leaf: int, width: int):
 
 
 def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
-                     u: Optional[np.ndarray], neg_B: np.ndarray) -> np.ndarray:
+                     u: Optional[np.ndarray], neg_B: np.ndarray,
+                     idx: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-probe sums of the losses at margins -y_i x_i.beta, weighted by u
-    when given, added by blocked_sum.  A leaf reads its rows of X once,
-    against one tile of PROBE_TILE probes at a time.  Weighted, a leaf has
-    ROW_TILE rows.  Unweighted, it grows as the probes fall below PROBE_TILE,
-    so that a tile of margins stays ROW_TILE x PROBE_TILE: a leaf's
-    sum(axis=1) continues numpy's pairwise halving, so a leaf of any power of
-    two from 128 rows up gives the same blocks and the same floats.  neg_B
-    holds the probes negated, so that X @ neg_B.T * y is the margin with no
-    n-sized copy of -y.  Each leaf allocates its margins and, for the
-    logistic loss, exp(-|z|) once, one tile in size; every tile's margins and
-    losses are taken inside them by loss_in_place."""
+    when given, added by blocked_sum; with idx given, the rows are X[idx] and
+    y[idx], gathered leaf by leaf.  A leaf reads its rows of X once, against
+    one tile of PROBE_TILE probes at a time.  Weighted, a leaf has ROW_TILE
+    rows.  Unweighted, it grows as the probes fall below PROBE_TILE, so that
+    a tile of margins stays ROW_TILE x PROBE_TILE: a leaf's sum(axis=1)
+    continues numpy's pairwise halving, so a leaf of any power of two from
+    128 rows up gives the same blocks and the same floats.  neg_B holds the
+    probes negated, so that neg_B @ (y * X).T is the margin.  The labels are
+    folded into the leaf's rows once (exact, as y is +-1 and rounding is
+    symmetric) when those rows are no larger than a tile of margins, d at
+    most the tile's probes; otherwise each tile's margins are multiplied by
+    them.  Each leaf allocates its margins and, for the logistic loss,
+    exp(-|z|) once, one tile in size; every tile's margins and losses are
+    taken inside them by loss_in_place."""
     k = neg_B.shape[0]
     tile = min(k, PROBE_TILE)
     leaf = ROW_TILE if u is not None else \
         ROW_TILE * PROBE_TILE >> (tile - 1).bit_length()
+    fold = X.shape[1] <= tile
 
     def leaf_sums(lo: int, hi: int) -> np.ndarray:
-        Xt, yt = X[lo:hi], y[lo:hi]
+        if idx is None:
+            Xt, yt = X[lo:hi], y[lo:hi]
+        else:
+            Xt, yt = X.take(idx[lo:hi], axis=0), y.take(idx[lo:hi])
+        if fold:  # in place when the rows are a gathered copy
+            Xt = np.multiply(Xt, yt[:, None], out=None if idx is None else Xt)
         zbuf = np.empty((tile, hi - lo))
         ebuf = np.empty_like(zbuf) if loss is LossKind.LOGISTIC else None
         out = np.empty(k)
         for p in range(0, k, PROBE_TILE):
             m = min(k - p, PROBE_TILE)  # a tile's first rows are contiguous
             z = np.matmul(neg_B[p:p + m], Xt.T, out=zbuf[:m])
-            z *= yt
+            if not fold:
+                z *= yt
             e = None if ebuf is None else exp_neg_abs(z, ebuf[:m])
             losses = loss_in_place(loss, z, e)
             out[p:p + PROBE_TILE] = losses.sum(axis=1) if u is None else losses @ u[lo:hi]
         return out
 
-    return blocked_sum(leaf_sums, X.shape[0], leaf, k)
+    return blocked_sum(leaf_sums, X.shape[0] if idx is None else len(idx), leaf, k)
 
 
 def block_objectives(
     inst: RlmInstance, cs: WeightedCoreset, B
 ) -> Tuple[np.ndarray, np.ndarray]:
     """F and the coreset objective F_C at every row of the (k, d) probe array
-    B, in one tiled pass over X and one over the coreset rows, gathered once.
-    The regularizer term of each probe is the float weighted_objective_grad
-    adds.  For one probe, F is the float full_objective gives, at every n;
-    for more, only the order in which the loss sums are added differs from
-    it.  For the identity coreset F_C is F itself."""
+    B, in one tiled pass over X and one over the coreset rows, gathered leaf
+    by leaf.  The regularizer term of each probe is the float
+    weighted_objective_grad adds.  For one probe, F is the float
+    full_objective gives, at every n; for more, only the order in which the
+    loss sums are added differs from it.  For the identity coreset F_C is F
+    itself."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != inst.d:
         raise ValueError(f"probes must be a (k, {inst.d}) array, got shape {B.shape}")
@@ -465,9 +496,8 @@ def block_objectives(
     full = _tiled_loss_sums(inst.loss, inst.X, inst.y, None, neg_B) + reg
     if is_full(inst, cs):
         return full, full
-    # gathered after the full pass, so the full pass does not hold the q rows
-    Xc, yc = coreset_rows(inst, cs)
-    core = _tiled_loss_sums(inst.loss, Xc, yc, cs.weights, neg_B) \
+    core = _tiled_loss_sums(inst.loss, inst.X, inst.y, cs.weights, neg_B,
+                            _checked_indices(inst, cs)) \
         + (cs.weight_sum() / inst.n) * reg
     return full, core
 

@@ -169,6 +169,7 @@ class TestFindChunk:
             assert chunk.length == max(n // (4 * k), 1)
 
     def test_huge_n_needs_memory_of_order_k(self):
+        adv.find_chunk(64, 2, [0])  # numpy's one-time set-up is not find_chunk's
         n = 10**12
         chunk, peak = traced_peak(adv.find_chunk, n, 4, [0, n // 4, n // 2, 3 * n // 4])
         assert chunk.window_start == 1 and chunk.length == n // 16

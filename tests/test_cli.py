@@ -200,7 +200,7 @@ class TestCoresetPayload:
                                               "--output", str(out)])
         inst = cli._load_instance(args)
         cs = sampling.uniform_sample(inst, 37, 3)
-        payload = cli._coreset_payload(args, inst, cs)
+        payload = cli._coreset_payload(args, inst.n, cli._settings(inst), cs)
         payload["indices"] = [int(i) for i in cs.indices]
         payload["weights"] = [float(w) for w in cs.weights]
         expected = tmp_path / "expected.json"

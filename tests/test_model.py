@@ -386,6 +386,16 @@ class TestBlockedKernel:
             RlmInstance(X=X, y=np.ones(len(X)), loss=LossKind.LOGISTIC,
                         reg=RegularizerKind.L2, kappa=0.5)
 
+    def test_instance_allocates_a_tile_of_squares(self):
+        # the squares of ROW_TILE rows in one buffer; ROW_BLOCK rows' norms
+        # by np.linalg.norm took 0.79 MB
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((3 * model.ROW_BLOCK + 5, 10))
+        y = rng.choice([-1.0, 1.0], size=len(X))
+        _, peak = traced_peak(lambda: RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                                                  reg=RegularizerKind.L2, kappa=0.5))
+        assert peak < 0.2e6
+
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_instance_and_one_evaluation_allocate_under_half_of_X(self, loss, reg):
         # one n x d temporary, or five n-vectors, would pass this bound
@@ -537,7 +547,7 @@ class TestBlockEvaluator:
         inst = random_instance(rng, n=5, loss=LossKind.HINGE)
         cs = WeightedCoreset(indices=np.array([0]), weights=np.array([1.0]))
         monkeypatch.setattr("rlm_coreset.model._tiled_loss_sums",
-                            lambda loss, X, y, u, neg_B: np.zeros(len(neg_B)))
+                            lambda loss, X, y, u, neg_B, idx=None: np.zeros(len(neg_B)))
         B = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         with pytest.raises(ZeroObjectiveError):
             approximation_errors(inst, cs, B)
@@ -573,6 +583,19 @@ class TestBlockEvaluator:
         _, peak = traced_peak(approximation_errors, inst, cs, rng.standard_normal((200, 10)))
         tile = model.PROBE_TILE * model.ROW_TILE * 8
         assert peak < cpus * 2.4 * tile
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_coreset_rows_are_gathered_per_leaf(self, monkeypatch, loss):
+        # the q rows gathered at once beside a leaf's buffers took 4.8 tiles
+        # (logistic) and 3.8 (hinge)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        rng = np.random.default_rng(22)
+        n, d, q = 20_000, 20, 8 * model.ROW_TILE + 3
+        inst = RlmInstance(X=rng.standard_normal((n, d)), y=rng.choice([-1.0, 1.0], size=n),
+                           loss=loss, reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        cs = WeightedCoreset(indices=rng.integers(0, n, size=q), weights=np.full(q, n / q))
+        _, peak = traced_peak(block_objectives, inst, cs, rng.standard_normal((200, d)))
+        assert peak < 3 * model.PROBE_TILE * model.ROW_TILE * 8
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
     def test_probes_of_another_shape_are_refused(self, rng, shape):
