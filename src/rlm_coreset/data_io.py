@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import stat
 import warnings
 from itertools import islice
 from pathlib import Path
@@ -51,6 +53,13 @@ _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b": ")
 _NOT_PLAIN = re.compile(r"_|(?![0-9])\d")
 # Bytes of lines per CSV block, as readlines counts them.
 _CSV_BLOCK_BYTES = 1 << 16
+# Bytes of rows _widen moves at a time.
+_MOVE_BYTES = 1 << 16
+# svmlight blocks wider than X are held until they take 1/_HELD_SHARE of
+# X's bytes, then X is widened once for all of them: X plus a sixteenth,
+# and a file whose widest index rises block after block widens X a bounded
+# number of times.
+_HELD_SHARE = 16
 # Every byte except the ASCII separator controls \x1c-\x1f, which the C
 # reader strips as whitespace and float() refuses.
 _NOT_SEPARATOR_CONTROL = bytes(b for b in range(256) if not 0x1C <= b <= 0x1F)
@@ -109,10 +118,13 @@ def _svmlight_error(path) -> Exception:
 
 
 def _line_bound(path) -> int:
-    """The lines of a file as its line feeds split them, counted in one
-    binary pass over the file, 64 KiB at a time: an upper bound on its data
-    rows.  A lone '\r' also ends a line in text mode, so a file with such
-    line ends can hold more."""
+    """The lines of a regular file as its line feeds split them, counted in
+    one binary pass over the file, 64 KiB at a time: an upper bound on its
+    data rows.  A lone '\r' also ends a line in text mode, so a file with
+    such line ends can hold more.  0 for a pipe or any other file that can
+    be read only once."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return 0
     lines, last, buf = 0, ord("\n"), bytearray(1 << 16)
     with open(path, "rb") as fh:
         while size := fh.readinto(buf):
@@ -121,20 +133,44 @@ def _line_bound(path) -> int:
     return lines + (last != ord("\n"))
 
 
-def _fit(a, used, rows, width=None):
-    """a if it holds rows rows and, for a matrix, width columns; else a zeroed
-    array that does, with at least twice a's rows if more rows are needed,
-    holding a copy of a's first used rows."""
-    shape = list(a.shape)
-    if rows > shape[0]:
-        shape[0] = max(rows, 2 * shape[0])
-    if width is not None and width > shape[1]:
-        shape[1] = width
-    if shape == list(a.shape):
-        return a
-    grown = np.zeros(shape)
-    grown[tuple(map(slice, (used, *a.shape[1:])))] = a[:used]
-    return grown
+def _resize(a, shape) -> None:
+    """Resize a in place (ndarray.resize), zero-filling what it adds; no view
+    of a may be alive.  A failed allocation is raised as np.zeros raises it,
+    naming the shape."""
+    try:
+        a.resize(shape, refcheck=False)
+    except MemoryError:
+        np.zeros(shape)
+        raise
+
+
+def _reserve(a, rows) -> None:
+    """Give a at least rows rows, and at least twice its rows when it needs
+    more."""
+    if rows > len(a):
+        _resize(a, (max(rows, 2 * len(a)), *a.shape[1:]))
+
+
+def _widen(X, used, width) -> None:
+    """Widen X to width columns: its first used rows move to their new
+    places, last row first, _MOVE_BYTES of them at a time through one
+    buffer, and the cells they leave are zeroed.  The rows from used on
+    must be all zero; they stay so."""
+    n, w = X.shape
+    if width <= w:
+        return
+    _resize(X, (n, width))
+    if not (used and w):
+        return
+    flat = X.reshape(-1)  # a view of X, dropped on return
+    step = max(1, _MOVE_BYTES // X[:1, :w].nbytes)
+    moved = np.empty((min(step, used), w))
+    for hi in range(used, 0, -step):
+        lo = max(hi - step, 0)
+        rows = moved[:hi - lo]
+        rows[...] = flat[lo * w:hi * w].reshape(hi - lo, w)
+        X[lo:hi, w:] = 0.0
+        X[lo:hi, :w] = rows
 
 
 def _scatter(X, start, counts, idx, val) -> None:
@@ -164,21 +200,43 @@ def load_svmlight(path) -> Tuple[np.ndarray, np.ndarray, int]:
     Lines are read in blocks; each block's labels, indices and values are
     converted by one numpy call each, with int()/float() semantics, and
     scattered into X at once.  A repeated index on a line keeps its last
-    value.  X has a row for each line of the file (_line_bound) and is as
-    wide as the widest index read so far: a block with a wider index than
-    any before it, or rows past the bound, cost one copy of X."""
-    bound = _line_bound(path)
-    X, raw, rows = np.zeros((bound, 0)), np.zeros(bound), 0
+    value.  X starts with a row for each line of a regular file
+    (_line_bound) and doubles its rows when it needs more.  It is as wide
+    as the widest index scattered so far: a block with a wider index is
+    held as its triplets, and X widened in place (_widen) once the held
+    blocks take 1/_HELD_SHARE of X's bytes or the file ends.  X's unused
+    rows are cut off in place, so it is returned exactly n x d."""
+    X = np.zeros((_line_bound(path), 0))
+    raw, rows = np.zeros(len(X)), 0
+    held, held_bytes, d = [], 0, 0
+
+    def scatter_held():
+        _widen(X, rows, d)
+        for block in held:
+            _scatter(X, *block)
+        held.clear()
+
     for labels, counts, idx, val in _svmlight_blocks(path):
         end = rows + len(labels)
-        X = _fit(X, rows, end, int(idx.max(initial=0)))
-        raw = _fit(raw, rows, end)
-        _scatter(X, rows, counts, idx, val)
+        _reserve(X, end)
+        _reserve(raw, end)
         raw[rows:end] = labels
+        width = int(idx.max(initial=0))
+        if width <= X.shape[1]:
+            _scatter(X, rows, counts, idx, val)
+        else:
+            held.append((rows, counts, idx, val))
+            held_bytes += counts.nbytes + idx.nbytes + val.nbytes
+            d = max(d, width)
         rows = end
+        if held and _HELD_SHARE * held_bytes >= X.nbytes:
+            scatter_held()
+            held_bytes = 0
     if rows == 0:
         raise ParseError("no data rows")
-    return X[:rows], np.where(raw[:rows] <= 0.0, -1.0, 1.0), X.shape[1]
+    scatter_held()
+    _resize(X, (rows, X.shape[1]))
+    return X, np.where(raw[:rows] <= 0.0, -1.0, 1.0), X.shape[1]
 
 
 def _csv_blocks(fh, n_columns):
@@ -246,9 +304,11 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
     The header is read with the csv module, the body block by block by
     numpy's C reader, which parses values as float() does but refuses
     digit-group underscores and non-ASCII digits.  Each block is written
-    into X as it is read: X has a row for each line of the file past the
-    header (_line_bound) and is copied only if the file holds more rows."""
-    bound = _line_bound(path)
+    into X as it is read.  X starts with a row for each line of a regular
+    file past the header (_line_bound), doubles its rows in place when it
+    needs more, and has its unused rows cut off in place, so it is returned
+    exactly n x d."""
+    bound = max(_line_bound(path) - 1, 0)  # less the header's line
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -262,12 +322,12 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
         if label_column not in header:
             raise ParseError(f"label column {label_column!r} not in header")
         label_idx = header.index(label_column)
-        bound -= 1  # the header's line
         X, raw, rows = np.zeros((bound, len(header) - 1)), np.zeros(bound), 0
         try:
             for data in _csv_blocks(fh, len(header)):
                 end = rows + len(data)
-                X, raw = _fit(X, rows, end), _fit(raw, rows, end)
+                _reserve(X, end)
+                _reserve(raw, end)
                 X[rows:end, :label_idx] = data[:, :label_idx]
                 X[rows:end, label_idx:] = data[:, label_idx + 1:]
                 raw[rows:end] = data[:, label_idx]
@@ -276,7 +336,8 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
             raise _csv_error(path, len(header), str(exc)) from None
     if not rows:
         raise ParseError("no data rows")
-    return X[:rows], _map_binary_labels(raw[:rows]), X.shape[1]
+    _resize(X, (rows, X.shape[1]))
+    return X, _map_binary_labels(raw[:rows]), X.shape[1]
 
 
 def gen_synthetic(

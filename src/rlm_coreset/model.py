@@ -201,10 +201,8 @@ class WeightedCoreset:
         w.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", w)
-        # the first and last index decide most cases before the full comparison
-        object.__setattr__(self, "is_identity", lo == hi == 1.0 and (
-            not idx.size or bool(idx[0] == 0 and idx[-1] == idx.size - 1
-                                 and np.array_equal(idx, np.arange(idx.size)))))
+        object.__setattr__(self, "is_identity", bool(
+            lo == hi == 1.0 and np.array_equal(idx, np.arange(len(idx)))))
         # fsum: exactly rounded, so the sum-equals-n invariant survives float;
         # it raises OverflowError for a sum past the largest float
         try:
@@ -439,34 +437,27 @@ def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
     a tile of margins stays ROW_TILE x PROBE_TILE: a leaf's sum(axis=1)
     continues numpy's pairwise halving, so a leaf of any power of two from
     128 rows up gives the same blocks and the same floats.  neg_B holds the
-    probes negated, so that neg_B @ (y * X).T is the margin.  The labels are
-    folded into the leaf's rows once (exact, as y is +-1 and rounding is
-    symmetric) when those rows are no larger than a tile of margins, d at
-    most the tile's probes; otherwise each tile's margins are multiplied by
-    them.  Each leaf allocates its margins and, for the logistic loss,
+    probes negated, so that X @ neg_B.T * y is the margin with no n-sized
+    copy of -y.  Each leaf allocates its margins and, for the logistic loss,
     exp(-|z|) once, one tile in size; every tile's margins and losses are
     taken inside them by loss_in_place."""
     k = neg_B.shape[0]
     tile = min(k, PROBE_TILE)
     leaf = ROW_TILE if u is not None else \
         ROW_TILE * PROBE_TILE >> (tile - 1).bit_length()
-    fold = X.shape[1] <= tile
 
     def leaf_sums(lo: int, hi: int) -> np.ndarray:
         if idx is None:
             Xt, yt = X[lo:hi], y[lo:hi]
         else:
             Xt, yt = X.take(idx[lo:hi], axis=0), y.take(idx[lo:hi])
-        if fold:  # in place when the rows are a gathered copy
-            Xt = np.multiply(Xt, yt[:, None], out=None if idx is None else Xt)
         zbuf = np.empty((tile, hi - lo))
         ebuf = np.empty_like(zbuf) if loss is LossKind.LOGISTIC else None
         out = np.empty(k)
         for p in range(0, k, PROBE_TILE):
             m = min(k - p, PROBE_TILE)  # a tile's first rows are contiguous
             z = np.matmul(neg_B[p:p + m], Xt.T, out=zbuf[:m])
-            if not fold:
-                z *= yt
+            z *= yt
             e = None if ebuf is None else exp_neg_abs(z, ebuf[:m])
             losses = loss_in_place(loss, z, e)
             out[p:p + PROBE_TILE] = losses.sum(axis=1) if u is None else losses @ u[lo:hi]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -292,16 +293,26 @@ class TestBlocks:
         assert_same_outcome(got, oracle_load_csv(f))
         assert got[0][:, 0].tolist() == [1.0, 2.0, 3.0]
 
-    @pytest.mark.parametrize("rows, width, per_row, most", [
-        (20_000, 10, 10, 1.8),   # all indices and values at once took 3.45 X,
-                                 # the tokens of 1024-line blocks 2.42 X, all
-                                 # blocks held beside X 2.11 X
-        (3000, 2000, 12, 1.1),   # dense rows for every block took 2.0 X
-    ], ids=["dense", "sparse"])
-    def test_svmlight_memory(self, tmp_path, rows, width, per_row, most):
+    @pytest.mark.parametrize("rows, width, per_row, widest, most", [
+        (20_000, 10, 10, "drawn", 1.8),  # all indices and values at once took
+                                         # 3.45 X, the tokens of 1024-line
+                                         # blocks 2.42 X, all blocks held
+                                         # beside X 2.11 X
+        (3000, 2000, 12, "drawn", 1.1),  # dense rows for every block took 2.0 X
+        # X widened by a copy when a wider index appears took 2.0 X
+        (3000, 2000, 12, "last-row", 1.1),
+        (3000, 2000, 12, "rising", 1.1),
+    ], ids=["dense", "sparse", "sparse-widest-in-last-row", "sparse-rising"])
+    def test_svmlight_memory(self, tmp_path, rows, width, per_row, widest, most):
         rng = np.random.default_rng(13)
         idx = rng.integers(1, width + 1, size=(rows, per_row))
         idx[:, 0] = np.arange(rows) % width + 1
+        if widest == "last-row":
+            idx = np.minimum(idx, width - 1)
+        elif widest == "rising":  # row i's indices at most about i * width / rows
+            idx = np.minimum(idx, 1 + np.arange(rows)[:, None] * width // rows)
+        if widest != "drawn":
+            idx[-1, 0] = width
         f = tmp_path / "d.svm"
         f.write_text("".join(" ".join([str(i % 2)] + [f"{j}:{float(v)!r}" for j, v in zip(
             idx[i], rng.standard_normal(per_row))]) + "\n" for i in range(rows)))
@@ -325,8 +336,9 @@ class TestBlocks:
 
 
 class TestRowBound:
-    """X is allocated from a count of line feeds; files whose rows that count
-    does not match load as the oracle loads them."""
+    """X is allocated from a count of line feeds and grown or cut in place;
+    files whose rows that count does not match, whose widths rise as they
+    are read, or that can be read only once load as the oracle loads them."""
 
     @pytest.mark.parametrize("text", [
         "a,b,label\r" + "\r".join(f"{i},{i / 7!r},{i % 2}" for i in range(3000)) + "\r",
@@ -338,7 +350,9 @@ class TestRowBound:
     def test_csv(self, tmp_path, text):
         f = tmp_path / "d.csv"
         f.write_bytes(text.encode())
-        assert_same_outcome(outcome(data_io.load_csv, f), outcome(oracle_load_csv, f))
+        got = outcome(data_io.load_csv, f)
+        assert_same_outcome(got, outcome(oracle_load_csv, f))
+        assert got[0].base is None  # X keeps no unused rows
 
     @pytest.mark.parametrize("text", [
         "\r".join(f"{i % 2} 1:{i} 3:0.5" for i in range(2000)),
@@ -349,8 +363,53 @@ class TestRowBound:
     def test_svmlight(self, tmp_path, text):
         f = tmp_path / "d.svm"
         f.write_bytes(text.encode())
-        assert_same_outcome(outcome(data_io.load_svmlight, f),
-                            outcome(oracle_load_svmlight, f))
+        got = outcome(data_io.load_svmlight, f)
+        assert_same_outcome(got, outcome(oracle_load_svmlight, f))
+        assert got[0].base is None  # X keeps no unused rows
+
+    @pytest.mark.parametrize("held_share, move_bytes", [
+        (1, 1 << 16),   # blocks held until they take all of X's bytes
+        (10**9, 1),     # X widened at each wider block, one row moved at a time
+        (16, 24),
+    ])
+    def test_svmlight_widened_while_read(self, tmp_path, monkeypatch, held_share, move_bytes):
+        # the widest index rises every 7 rows, and a block has no feature at all
+        monkeypatch.setattr(data_io, "_HELD_SHARE", held_share)
+        monkeypatch.setattr(data_io, "_MOVE_BYTES", move_bytes)
+        rng = np.random.default_rng(15)
+        lines = svmlight_lines(rng, 3 * BLOCK + 9, lambda i: sorted({1 + i // 7, 1 + i % 5}))
+        lines[BLOCK:2 * BLOCK] = svmlight_lines(rng, BLOCK, lambda i: [])
+        f = tmp_path / "d.svm"
+        f.write_text("\n".join(lines) + "\n")
+        assert_same_outcome(data_io.load_svmlight(f), oracle_load_svmlight(f))
+
+    def test_svmlight_too_wide_for_memory(self, tmp_path):
+        # X cannot be widened in place; the error names the shape as np.zeros does
+        f = tmp_path / "d.svm"
+        f.write_text("1 1:1\n0 99999999999999:1\n")
+        with pytest.raises(MemoryError, match=r"shape \(2, 99999999999999\)"):
+            data_io.load_svmlight(f)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("load, oracle, text", [
+        (data_io.load_csv, oracle_load_csv,
+         "a,b,label\n" + "".join(f"{i},{i / 7!r},{i % 2}\n" for i in range(700))),
+        (data_io.load_svmlight, oracle_load_svmlight,
+         "".join(f"{i % 2} 1:{i} {1 + i // 100}:0.5\n" for i in range(700))),
+    ], ids=["csv", "svmlight"])
+    def test_pipe(self, tmp_path, load, oracle, text):
+        # a pipe can be read once: no row bound is taken, X grows as it is read
+        f = tmp_path / "d"
+        f.write_text(text)
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())  # less than a pipe holds, so it does not block
+            os.close(w)
+            got = outcome(load, f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert_same_outcome(got, oracle(f))
+        assert got[0].base is None
 
 
 MALFORMED = [
