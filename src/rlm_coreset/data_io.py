@@ -276,10 +276,11 @@ def _csv_block(lines, n_columns):
 
 def _csv_error(path, n_columns, reason) -> Exception:
     """Find the first malformed data row, record by record as the csv module
-    reads them, and return its error; only called once the C reader failed."""
+    reads them, and return its error; only called once the C reader failed.
+    A pipe, already read, gives the reason alone."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue

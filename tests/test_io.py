@@ -411,6 +411,22 @@ class TestRowBound:
         assert_same_outcome(got, oracle(f))
         assert got[0].base is None
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("load, text", [
+        (data_io.load_csv, "a,label\n1,0\nx,1\n"),
+        (data_io.load_svmlight, "1 1:1\n0 2:x\n"),
+    ], ids=["csv", "svmlight"])
+    def test_malformed_pipe(self, load, text):
+        # the pipe cannot be read again to name the line, but it is refused
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())
+            os.close(w)
+            with pytest.raises(ParseError, match="^malformed"):
+                load(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
 
 MALFORMED = [
     ("csv", "f,label\n1,0\n2\n"),                       # ragged row
