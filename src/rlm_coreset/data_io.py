@@ -7,6 +7,7 @@ json's repr-based float formatting, which round-trips doubles exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -26,6 +27,7 @@ from .errors import (
     ParseError,
     SchemaMismatchError,
 )
+from .model import ROW_TILE
 
 SCHEMA = "rlm-coreset/1"
 
@@ -87,14 +89,18 @@ def _svmlight_block(lines):
     return labels, counts, idx, np.array(fields[1::2], dtype=float)
 
 
-def _svmlight_error(path) -> Exception:
+def _svmlight_error(path, lines, first) -> Exception:
     """Find the first malformed line the way the format is defined, line by
-    line, and return its error; only called once a block has failed.  An
-    index too large for int64 is reported only if no line breaks the format
-    before or after it."""
+    line, and return its error; only called once the block of lines, whose
+    first is line number first, has failed.  A regular file is read again
+    from its first line; a pipe, whose earlier lines are gone, is scanned in
+    the failed block alone.  An index too large for int64 is reported only
+    if no line scanned breaks the format before or after it."""
     too_large = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with contextlib.ExitStack() as stack:
+        if _is_regular(path):
+            lines, first = stack.enter_context(open(path, "r", encoding="utf-8")), 1
+        for lineno, line in enumerate(lines, start=first):
             parts = line.split("#", 1)[0].split()
             if not parts:
                 continue
@@ -117,13 +123,19 @@ def _svmlight_error(path) -> Exception:
     return too_large or ParseError("malformed svmlight file")
 
 
+def _is_regular(path) -> bool:
+    """Whether path is a regular file, which can be read more than once,
+    unlike a pipe."""
+    return stat.S_ISREG(os.stat(path).st_mode)
+
+
 def _line_bound(path) -> int:
     """The lines of a regular file as its line feeds split them, counted in
     one binary pass over the file, 64 KiB at a time: an upper bound on its
     data rows.  A lone '\r' also ends a line in text mode, so a file with
     such line ends can hold more.  0 for a pipe or any other file that can
     be read only once."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    if not _is_regular(path):
         return 0
     lines, last, buf = 0, ord("\n"), bytearray(1 << 16)
     with open(path, "rb") as fh:
@@ -183,12 +195,14 @@ def _scatter(X, start, counts, idx, val) -> None:
 def _svmlight_blocks(path):
     """The labels, the rows' feature counts, indices and values of each block
     of lines."""
+    first = 1  # the number of the block's first line
     with open(path, "r", encoding="utf-8") as fh:
         while lines := list(islice(fh, _BLOCK_LINES)):
             try:
                 block = _svmlight_block(lines)
             except (ValueError, OverflowError):
-                raise _svmlight_error(path) from None
+                raise _svmlight_error(path, lines, first) from None
+            first += len(lines)
             del lines
             yield block
 
@@ -239,49 +253,55 @@ def load_svmlight(path) -> Tuple[np.ndarray, np.ndarray, int]:
     return X, np.where(raw[:rows] <= 0.0, -1.0, 1.0), X.shape[1]
 
 
-def _csv_blocks(fh, n_columns):
-    """The (rows, n_columns) array of each block of about 64 KiB of lines,
-    read by numpy's C reader.  A block ends only after an even count of
-    quote characters, so that no quoted cell is split.  ValueError at a
-    block the C reader refuses, whose rows are not n_columns wide, or that
-    holds a character the C reader would take as whitespace but float()
-    refuses."""
+def _csv_blocks(fh):
+    """The lines of each block of about 64 KiB of fh's lines.  A block ends
+    only after an even count of quote characters, so that no quoted cell is
+    split."""
     lines, quotes = [], 0
     while more := fh.readlines(_CSV_BLOCK_BYTES):
-        text = "".join(more)
-        if text.encode().translate(None, _NOT_SEPARATOR_CONTROL):
-            raise ValueError("ASCII separator control character")
         lines += more
-        if '"' in text:
-            quotes += text.count('"')
+        quotes += "".join(more).count('"')
         if quotes % 2 == 0:
-            yield from _csv_block(lines, n_columns)
+            yield lines
             lines = []
     if lines:
-        yield from _csv_block(lines, n_columns)
+        yield lines
 
 
 def _csv_block(lines, n_columns):
-    """The block's rows, or nothing for blank lines."""
+    """The (rows, n_columns) array of a block's lines, read by numpy's C
+    reader; no rows for blank lines.  ValueError at a block the C reader
+    refuses, whose rows are not n_columns wide, or that holds a character
+    the C reader would take as whitespace but float() refuses."""
+    if "".join(lines).encode().translate(None, _NOT_SEPARATOR_CONTROL):
+        raise ValueError("ASCII separator control character")
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
                           ndmin=2, encoding="utf-8")
     if len(data) == 0:
-        return
+        return np.empty((0, n_columns))
     if data.shape[1] != n_columns:
         raise ValueError("rows are not as wide as the header")
-    yield data
+    return data
 
 
-def _csv_error(path, n_columns, reason) -> Exception:
+def _csv_error(path, lines, first, n_columns, reason) -> Exception:
     """Find the first malformed data row, record by record as the csv module
-    reads them, and return its error; only called once the C reader failed.
-    A pipe, already read, gives the reason alone."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for lineno, row in enumerate(reader, start=2):
+    reads them, and return its error; only called once the C reader failed
+    on the block of lines whose first is line number first.  A regular file
+    is read again from its first data row; a pipe, whose earlier rows are
+    gone, is scanned in the failed block alone, its records numbered from
+    first."""
+    with contextlib.ExitStack() as stack:
+        if _is_regular(path):
+            reader = csv.reader(stack.enter_context(
+                open(path, "r", encoding="utf-8", newline="")))
+            next(reader, None)
+            first = 2
+        else:
+            reader = csv.reader(lines)
+        for lineno, row in enumerate(reader, start=first):
             if not row:
                 continue
             if len(row) != n_columns:
@@ -324,8 +344,11 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
             raise ParseError(f"label column {label_column!r} not in header")
         label_idx = header.index(label_column)
         X, raw, rows = np.zeros((bound, len(header) - 1)), np.zeros(bound), 0
+        # the block being read, and the number of its first line
+        lines, first = [], reader.line_num + 1
         try:
-            for data in _csv_blocks(fh, len(header)):
+            for lines in _csv_blocks(fh):
+                data = _csv_block(lines, len(header))
                 end = rows + len(data)
                 _reserve(X, end)
                 _reserve(raw, end)
@@ -333,8 +356,9 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
                 X[rows:end, label_idx:] = data[:, label_idx + 1:]
                 raw[rows:end] = data[:, label_idx]
                 rows = end
+                first += len(lines)
         except ValueError as exc:
-            raise _csv_error(path, len(header), str(exc)) from None
+            raise _csv_error(path, lines, first, len(header), str(exc)) from None
     if not rows:
         raise ParseError("no data rows")
     _resize(X, (rows, X.shape[1]))
@@ -346,18 +370,28 @@ def gen_synthetic(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard-normal points labeled by a random hyperplane w*, labels
     flipped with probability noise; margin > 0 pushes points away from the
-    separator along w*.  Returns (X, y, w_star)."""
+    separator along w*.  Returns (X, y, w_star).
+
+    y is built in the buffer of X @ w*, and the labels, the push and the
+    noise are taken ROW_TILE rows at a time, so nothing beside X and y is
+    larger than a tile; the noise is drawn tile by tile, which gives the
+    doubles of one draw of n."""
     if n < 1 or d < 1:
         raise InvalidParameterError("n and d must be at least 1")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
     X = rng.standard_normal((n, d))
-    y = np.where(X @ w >= 0, 1.0, -1.0)
-    if margin > 0:
-        X = X + margin * y[:, None] * w[None, :]
-    if noise > 0:
-        np.negative(y, out=y, where=rng.random(n) < noise)
+    y = X @ w
+    for lo in range(0, n, ROW_TILE):
+        Xt, yt = X[lo:lo + ROW_TILE], y[lo:lo + ROW_TILE]
+        positive = yt >= 0
+        yt.fill(-1.0)
+        np.copyto(yt, 1.0, where=positive)
+        if margin > 0:
+            Xt += margin * yt[:, None] * w
+        if noise > 0:
+            np.negative(yt, out=yt, where=rng.random(len(yt)) < noise)
     return X, y, w
 
 

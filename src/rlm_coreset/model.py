@@ -151,7 +151,7 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> float:
     {-1, +1}.  X is read once, ROW_TILE rows at a time, their squares taken
     in one reused buffer and reduced as np.linalg.norm(axis=1) reduces them
     on real input; a max of those norms is exact, so R is the float the
-    whole array gives."""
+    whole array gives.  y is read after X, ROW_TILE labels at a time."""
     R = 0.0
     squares = np.empty((min(X.shape[0], ROW_TILE), X.shape[1]))
     # a finite row whose squares overflow has norm inf, refused below
@@ -165,8 +165,10 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> float:
             R = max(R, np.max(np.sqrt(norms, out=norms)))
     if not np.isfinite(R):
         raise ValueError("a point's 2-norm is not finite")
-    if not ((y == 1.0) | (y == -1.0)).all():
-        raise ValueError("labels must be in {-1, +1}")
+    for lo in range(0, len(y), ROW_TILE):
+        labels = y[lo:lo + ROW_TILE]
+        if not ((labels == 1.0) | (labels == -1.0)).all():
+            raise ValueError("labels must be in {-1, +1}")
     return float(R)
 
 
@@ -296,11 +298,13 @@ def _checked_indices(inst: RlmInstance, cs: WeightedCoreset) -> np.ndarray:
     return idx
 
 
-def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The margins z = -y * (X @ beta) on the rows X, y."""
+def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The margins z = -y * (X @ beta) on the rows X, y, in out when given,
+    else in one new array."""
     # one gemv, the product with y and its sign taken in place: rounding is
     # symmetric, so -(y * p) is the float (-y) * p
-    z = X @ beta
+    z = np.matmul(X, beta, out=out)
     z *= y
     return np.negative(z, out=z)
 
@@ -308,37 +312,43 @@ def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
     """The loss sum at margins z (np.sum, or u @ losses with weights u) when
     value is set, else 0.0; with dz given, the slope times y, (u * slope) * y
-    with weights u, is written into it."""
+    with weights u, is written into it last, so dz may be z itself."""
     # the logistic value and slope share one exp(-|z|); the value consumes it
     e = exp_neg_abs(z) if loss is LossKind.LOGISTIC else None
+    slope = None if dz is None else loss_slope(loss, z, e)
+    total = 0.0
+    if value:
+        losses = loss_eval(loss, z, e)
+        total = float(np.sum(losses) if u is None else u @ losses)
     if dz is not None:
-        slope = loss_slope(loss, z, e)
         np.multiply(slope if u is None else u * slope, y, out=dz)
-    if not value:
-        return 0.0
-    losses = loss_eval(loss, z, e)
-    return float(np.sum(losses) if u is None else u @ losses)
+    return total
 
 
 def weighted_objective_grad(
     inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray,
     grad: bool = True, z: Optional[np.ndarray] = None, value: bool = True,
+    rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[Optional[float], Optional[np.ndarray]]:
     """Objective sum_C u_i f_i(beta) and its (sub)gradient; with cs None or
     the identity coreset this is F(beta).  With grad=False the gradient is
     not computed and None is returned in its place, with value=False the
-    same holds for the objective; each is the same float either way.  z, when
-    given, holds the margins on the coreset's rows, which are not recomputed.
+    same holds for the objective; each is the same float either way.  rows,
+    when given, is (X_C, y_C), the coreset's rows as coreset_rows gives them,
+    which are then not gathered again.  z, when given, holds the margins on
+    the coreset's rows, which are not recomputed; a gradient call consumes
+    it, writing the gradient's weights over it.
 
     On full data the losses are taken ROW_BLOCK rows at a time and added by
-    blocked_sum, the order of the H pass, so no n-sized array but z and the
-    gradient's dz is held; on at most 2**20 rows every float is the one whole
-    arrays give.  The gradient stays one gemv, -(dz @ X): BLAS's order of
-    additions is its own, and a split of it would move the bits."""
-    X, y = coreset_rows(inst, cs)
+    blocked_sum, the order of the H pass, so no n-sized array but z, which
+    the gradient's weights dz overwrite, is held; on at most 2**20 rows every
+    float is the one whole arrays give.  The gradient stays one gemv,
+    -(dz @ X): BLAS's order of additions is its own, and a split of it would
+    move the bits."""
+    X, y = coreset_rows(inst, cs) if rows is None else rows
     if z is None:
         z = row_margins(X, y, beta)
-    dz = np.empty(len(z)) if grad else None
+    dz = z if grad else None
     if is_full(inst, cs):
         share = 1.0
         loss_sum = blocked_sum(
@@ -436,7 +446,10 @@ def _tiled_loss_sums(loss: LossKind, X: np.ndarray, y: np.ndarray,
     rows.  Unweighted, it grows as the probes fall below PROBE_TILE, so that
     a tile of margins stays ROW_TILE x PROBE_TILE: a leaf's sum(axis=1)
     continues numpy's pairwise halving, so a leaf of any power of two from
-    128 rows up gives the same blocks and the same floats.  neg_B holds the
+    128 rows up adds the losses in the same blocks.  The floats are the same
+    only while gemm rounds each margin the same for every leaf's row count:
+    so it did for d up to 12, but at d = 64 and d = 700 a 128-row leaf moved
+    F's bits against a 1024-row one.  neg_B holds the
     probes negated, so that X @ neg_B.T * y is the margin with no n-sized
     copy of -y.  Each leaf allocates its margins and, for the logistic loss,
     exp(-|z|) once, one tile in size; every tile's margins and losses are

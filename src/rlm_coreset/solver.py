@@ -151,8 +151,9 @@ def _train_gd(inst, cs, cfg, full_trace):
     # on full data every value computed on cs is the full objective the
     # trace records, so the trace reuses it instead of evaluating again
     full = is_full(inst, cs)
-    # the rows of cs, gathered once: each Armijo trial's margins come from them
-    X, y = coreset_rows(inst, cs)
+    # the rows of cs, gathered once: every kernel call and each Armijo
+    # trial's margins read them
+    rows = coreset_rows(inst, cs)
     smooth = _is_smooth(inst)
     kink = _kink_bound(inst, cs) if smooth else 0.0
     clock = 0.0
@@ -160,8 +161,9 @@ def _train_gd(inst, cs, cfg, full_trace):
     best_beta, best_f, best_full = beta, np.inf, None
     step = STEP_INIT
     # the margins at beta of the Armijo trial accepted last, whose value f
-    # is known: the gradient is computed from them, then they are dropped
-    z = None
+    # is known: the gradient is computed from them, consuming them.  Every
+    # trial writes its margins into zbuf, allocated by the first one
+    z = zbuf = None
     f_full = None  # F at beta, once known
     for it in range(cfg.max_iters):
         # from iteration 1 on beta is new: its F is recorded with the clock of
@@ -170,9 +172,9 @@ def _train_gd(inst, cs, cfg, full_trace):
             f_full = _full_value(inst, beta)
         t0 = time.perf_counter()
         if z is None:
-            f, g = weighted_objective_grad(inst, cs, beta)
+            f, g = weighted_objective_grad(inst, cs, beta, rows=rows)
         else:
-            _, g = weighted_objective_grad(inst, cs, beta, z=z, value=False)
+            _, g = weighted_objective_grad(inst, cs, beta, z=z, value=False, rows=rows)
             z = None
         if full:
             f_full = f
@@ -192,8 +194,9 @@ def _train_gd(inst, cs, cfg, full_trace):
             backtracked = False
             while True:
                 cand = beta - step * g
-                z = row_margins(X, y, cand)
-                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False, z=z)
+                z = zbuf = row_margins(*rows, cand, out=zbuf)
+                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False, z=z,
+                                                   rows=rows)
                 if f_new <= f - ARMIJO_C * step * gnorm * gnorm:
                     break
                 step *= ARMIJO_SHRINK
@@ -210,6 +213,8 @@ def _train_gd(inst, cs, cfg, full_trace):
         clock += time.perf_counter() - t0
         if trace.stop_reason != "max_iters":
             break
+    # a pass over all rows holds no coreset rows or margins beside its own
+    del rows, z, zbuf
     # converged and stalled end at the bytes of f_full's beta; a run out of
     # budget ends at a new beta, whose F on full data is its trial's value
     if trace.stop_reason == "max_iters":
@@ -229,33 +234,41 @@ def _train_gd(inst, cs, cfg, full_trace):
 
 def _train_sgd(inst, cs, cfg, full_trace):
     rng = np.random.default_rng(cfg.seed)
-    X, y = coreset_rows(inst, cs)
+    rows = coreset_rows(inst, cs)
     # on full data every weight is 1: the slopes go unweighted and sum(u) is
     # the batch size
     u = None if is_full(inst, cs) else cs.weights
-    m = len(y)
     beta = np.zeros(inst.d)
     trace = TrainTrace()
     clock = 0.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        order = rng.permutation(m)
-        for lo in range(0, m, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            Xb, yb = X.take(batch, axis=0), y.take(batch)
-            ub = None if u is None else u.take(batch)
-            # the kernel's margins and (u * slope) * y
-            dz = np.empty(len(batch))
-            loss_terms(inst.loss, row_margins(Xb, yb, beta), yb, ub, dz, value=False)
-            count = float(len(batch)) if ub is None else float(np.sum(ub))
-            # mean-objective gradient: per-point loss terms plus the 1/n
-            # regularizer share, so the step scale is independent of n
-            g = -(dz @ Xb) / count
-            g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
-            beta = beta - cfg.learning_rate * g
+        beta = _sgd_epoch(inst, cfg, rng, rows, u, beta)
         clock += time.perf_counter() - t0
         # a diverging run ends in a non-finite beta, whose F is not finite
         if full_trace or epoch == cfg.epochs:
             trace.append(clock, _full_value(inst, beta))
     trace.final_objective = trace.objectives[-1]
     return beta, trace
+
+
+def _sgd_epoch(inst, cfg, rng, rows, u, beta):
+    """beta after one epoch of mini-batches over rows in rng's permutation;
+    the permutation and the last batch are dropped on return, before the
+    caller's pass over all rows."""
+    X, y = rows
+    order = rng.permutation(len(y))
+    for lo in range(0, len(y), cfg.batch_size):
+        batch = order[lo : lo + cfg.batch_size]
+        Xb, yb = X.take(batch, axis=0), y.take(batch)
+        ub = None if u is None else u.take(batch)
+        # the kernel's margins, overwritten by (u * slope) * y
+        dz = row_margins(Xb, yb, beta)
+        loss_terms(inst.loss, dz, yb, ub, dz, value=False)
+        count = float(len(batch)) if ub is None else float(np.sum(ub))
+        # mean-objective gradient: per-point loss terms plus the 1/n
+        # regularizer share, so the step scale is independent of n
+        g = -(dz @ Xb) / count
+        g = g + reg_grad(inst.reg, beta, inst.reg_scale) / inst.n
+        beta = beta - cfg.learning_rate * g
+    return beta

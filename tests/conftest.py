@@ -124,6 +124,22 @@ def oracle_load_csv(path, label_column=None):
     return X, y, X.shape[1]
 
 
+def oracle_gen_synthetic(n, d, margin=0.0, noise=0.0, seed=0):
+    """data_io.gen_synthetic over whole arrays: the labels from one
+    np.where, the push as one n x d sum, the noise from one draw of n.  The
+    reference the tiled generator must match byte for byte."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(d)
+    w /= np.linalg.norm(w)
+    X = rng.standard_normal((n, d))
+    y = np.where(X @ w >= 0, 1.0, -1.0)
+    if margin > 0:
+        X = X + margin * y[:, None] * w[None, :]
+    if noise > 0:
+        np.negative(y, out=y, where=rng.random(n) < noise)
+    return X, y, w
+
+
 def oracle_softplus(z):
     """Logistic loss value in its two-exponential form: the reference the
     in-place softplus must match bit for bit."""

@@ -1,12 +1,13 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_load_csv, oracle_load_svmlight, traced_peak
+from conftest import oracle_gen_synthetic, oracle_load_csv, oracle_load_svmlight, traced_peak
 from rlm_coreset import data_io
 from rlm_coreset.errors import (
     LabelError,
@@ -117,6 +118,24 @@ def outcome(load, path, **kwargs):
         return load(path, **kwargs)
     except RlmError as exc:
         return type(exc), str(exc)
+
+
+def outcome_through_a_pipe(load, text):
+    """outcome() of load on text read through a pipe, as /dev/fd/N; a thread
+    writes it, so text may exceed what a pipe holds."""
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return outcome(load, f"/dev/fd/{r}")
+    finally:
+        writer.join()
+        os.close(r)
 
 
 def assert_same_outcome(got, want):
@@ -412,20 +431,18 @@ class TestRowBound:
         assert got[0].base is None
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-    @pytest.mark.parametrize("load, text", [
-        (data_io.load_csv, "a,label\n1,0\nx,1\n"),
-        (data_io.load_svmlight, "1 1:1\n0 2:x\n"),
-    ], ids=["csv", "svmlight"])
-    def test_malformed_pipe(self, load, text):
-        # the pipe cannot be read again to name the line, but it is refused
-        r, w = os.pipe()
-        try:
-            os.write(w, text.encode())
-            os.close(w)
-            with pytest.raises(ParseError, match="^malformed"):
-                load(f"/dev/fd/{r}")
-        finally:
-            os.close(r)
+    @pytest.mark.parametrize("load, text, message", [
+        (data_io.load_csv, "a,label\n1,0\nx,1\n", "line 3: non-numeric value"),
+        (data_io.load_svmlight, "1 1:1\n0 2:x\n", "line 2: bad feature '2:x'"),
+        # the failed block is not the first: its lines are numbered on
+        (data_io.load_csv, "a,label\n" + "1,0\n" * 20_000 + "x,1\n",
+         "line 20002: non-numeric value"),
+        (data_io.load_svmlight, "1 1:1\n" * (2 * BLOCK + 9) + "0 2:x\n",
+         f"line {2 * BLOCK + 10}: bad feature '2:x'"),
+    ], ids=["csv", "svmlight", "csv-later-block", "svmlight-later-block"])
+    def test_malformed_pipe(self, load, text, message):
+        # the pipe cannot be read again: its failed block names the line
+        assert outcome_through_a_pipe(load, text) == (ParseError, message)
 
 
 MALFORMED = [
@@ -464,6 +481,14 @@ class TestMalformed:
         want = outcome(oracle, f)
         assert isinstance(want[0], type), "the oracle accepts this input"
         assert_same_outcome(outcome(load, f), want)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("fmt, text", MALFORMED)
+    def test_same_refusal_through_a_pipe(self, tmp_path, fmt, text):
+        f = tmp_path / "bad"
+        f.write_bytes(text.encode("utf-8"))
+        load = {"csv": data_io.load_csv, "svmlight": data_io.load_svmlight}[fmt]
+        assert outcome_through_a_pipe(load, text) == outcome(load, f)
 
 
 class TestNewlyRefused:
@@ -524,6 +549,23 @@ class TestSynthetic:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             data_io.gen_synthetic(0, 3)
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3 * 1024 + 7, 20_000])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("margin", [0.0, 0.5, 1e200])
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 1.0])
+    def test_bytes_equal_to_the_oracle(self, n, d, margin, noise):
+        got = data_io.gen_synthetic(n, d, margin=margin, noise=noise, seed=n + d)
+        want = oracle_gen_synthetic(n, d, margin=margin, noise=noise, seed=n + d)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("margin", [0.0, 0.5])
+    def test_holds_x_y_and_a_tile(self, margin):
+        # y in the buffer of X @ w, the push and the noise a tile at a time;
+        # the whole-array labels took 1.21 x X and the push 2.22 x X
+        (X, _, _), peak = traced_peak(data_io.gen_synthetic, 100_000, 10, margin, 0.1, 4)
+        assert peak < 1.15 * X.nbytes
 
 
 class TestJsonRoundTrip:

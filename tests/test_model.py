@@ -341,13 +341,15 @@ class TestBlockedKernel:
             for beta in (np.zeros(inst.d), 0.7 * rng.standard_normal(inst.d)):
                 z = row_margins(*coreset_rows(inst, cs), beta)
                 f, g = oracle_objective_grad(inst, cs, beta)
+                # a gradient call consumes the z it is given
                 for got in (weighted_objective_grad(inst, cs, beta),
-                            weighted_objective_grad(inst, cs, beta, z=z)):
+                            weighted_objective_grad(inst, cs, beta, z=z.copy())):
                     assert_same_bits(got, (f, g))
                 for got in (weighted_objective_grad(inst, cs, beta, grad=False),
                             weighted_objective_grad(inst, cs, beta, grad=False, z=z)):
                     assert_same_bits(got, oracle_objective_grad(inst, cs, beta, grad=False))
-                assert_same_bits(weighted_objective_grad(inst, cs, beta, z=z, value=False),
+                assert_same_bits(weighted_objective_grad(inst, cs, beta, z=z.copy(),
+                                                         value=False),
                                  (None, g))
 
     @pytest.mark.parametrize("leaf", [128, 1000])
@@ -386,11 +388,13 @@ class TestBlockedKernel:
             RlmInstance(X=X, y=np.ones(len(X)), loss=LossKind.LOGISTIC,
                         reg=RegularizerKind.L2, kappa=0.5)
 
-    def test_instance_allocates_a_tile_of_squares(self):
-        # the squares of ROW_TILE rows in one buffer; ROW_BLOCK rows' norms
-        # by np.linalg.norm took 0.79 MB
+    @pytest.mark.parametrize("n", [3 * model.ROW_BLOCK + 5, 100_000])
+    def test_instance_allocates_a_tile_of_squares(self, n):
+        # the squares of ROW_TILE rows in one buffer, and the labels checked
+        # ROW_TILE at a time; ROW_BLOCK rows' norms by np.linalg.norm took
+        # 0.79 MB, and three n-byte masks over all labels 0.3 MB at n = 1e5
         rng = np.random.default_rng(6)
-        X = rng.standard_normal((3 * model.ROW_BLOCK + 5, 10))
+        X = rng.standard_normal((n, 10))
         y = rng.choice([-1.0, 1.0], size=len(X))
         _, peak = traced_peak(lambda: RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
                                                   reg=RegularizerKind.L2, kappa=0.5))
@@ -406,6 +410,34 @@ class TestBlockedKernel:
         _, peak = traced_peak(lambda: weighted_objective_grad(
             RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5), None, beta))
         assert peak < X.nbytes / 2
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_one_evaluation_holds_one_n_vector(self, loss, reg):
+        # the gradient's weights overwrite the margins: a second n-vector
+        # for them would fail this bound
+        inst = leaf_instance(200_000, loss, reg)
+        beta = np.random.default_rng(5).standard_normal(inst.d)
+        _, peak = traced_peak(lambda: weighted_objective_grad(inst, None, beta))
+        assert peak < 1.25 * inst.y.nbytes
+
+    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
+    def test_a_given_z_is_consumed_for_the_same_bytes(self, loss, reg):
+        # on full data and on a coreset, with its rows given or gathered
+        inst = leaf_instance(2 * model.ROW_BLOCK + 5, loss, reg)
+        rng = np.random.default_rng(8)
+        cs = WeightedCoreset(indices=rng.integers(0, inst.n, size=500),
+                             weights=rng.uniform(0.1, 5.0, size=500))
+        beta = 0.7 * rng.standard_normal(inst.d)
+        for c in (None, cs):
+            rows = coreset_rows(inst, c)
+            want = weighted_objective_grad(inst, c, beta)
+            z = row_margins(*rows, beta)
+            assert_same_bits(weighted_objective_grad(inst, c, beta, z=z, rows=rows), want)
+            # the gradient's weights were written over the margins
+            assert z.tobytes() != row_margins(*rows, beta).tobytes()
+            z = row_margins(*rows, beta, out=z)
+            assert_same_bits(weighted_objective_grad(inst, c, beta, z=z, value=False),
+                             (None, want[1]))
 
 
 class TestCoresetObjective:
