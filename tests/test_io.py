@@ -126,16 +126,20 @@ def outcome_through_a_pipe(load, text):
     r, w = os.pipe()
 
     def write():
-        with open(w, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        try:
+            with open(w, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        except BrokenPipeError:  # the loader stopped reading early
+            pass
 
     writer = threading.Thread(target=write)
     writer.start()
     try:
         return outcome(load, f"/dev/fd/{r}")
     finally:
-        writer.join()
         os.close(r)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 def assert_same_outcome(got, want):
