@@ -194,6 +194,8 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
             return _betas_from_doc(json.load(fh), inst.d)
     if spec.startswith("random:"):
         parts = spec.split(":")
+        if len(parts) > 3:
+            raise ValueError(f"--betas {spec!r} is not of the form random:K[:max-norm]")
         k = int(parts[1])
         max_norm = float(parts[2]) if len(parts) > 2 else (
             100.0 / inst.R if inst.R > 0 else 100.0

@@ -6,9 +6,10 @@ The objective being approximated is
     F(beta) = sum_i loss(-y_i beta.x_i) + lambda * reg(R * beta)
 
 with the per-point share f_i(beta) = loss_i(beta) + lambda*reg(R*beta)/n.
-Its value and (sub)gradient on full data or on a weighted coreset are
-computed in one place, ``weighted_objective_grad``; the solver and
-``full_objective`` call it.  No pass over X allocates an n x d temporary:
+Its value and (sub)gradient over weighted rows, the ``Rows`` that
+``objective_rows`` builds from an instance and a coreset, are computed in
+one place, ``weighted_objective_grad``; the solver and ``full_objective``
+call it.  No pass over X allocates an n x d temporary:
 ``check_rows`` refuses bad rows and takes R in one pass over blocks of
 ROW_TILE rows, and the full-data loss sum is added from leaves of
 ROW_BLOCK rows by ``blocked_sum``.
@@ -151,7 +152,7 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> float:
     {-1, +1}.  X is read once, ROW_TILE rows at a time, their squares taken
     in one reused buffer and reduced as np.linalg.norm(axis=1) reduces them
     on real input; a max of those norms is exact, so R is the float the
-    whole array gives.  y is read after X, ROW_TILE labels at a time."""
+    whole array gives.  y is read after X, ROW_BLOCK labels at a time."""
     R = 0.0
     squares = np.empty((min(X.shape[0], ROW_TILE), X.shape[1]))
     # a finite row whose squares overflow has norm inf, refused below
@@ -165,9 +166,9 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> float:
             R = max(R, np.max(np.sqrt(norms, out=norms)))
     if not np.isfinite(R):
         raise ValueError("a point's 2-norm is not finite")
-    for lo in range(0, len(y), ROW_TILE):
-        labels = y[lo:lo + ROW_TILE]
-        if not ((labels == 1.0) | (labels == -1.0)).all():
+    for lo in range(0, len(y), ROW_BLOCK):
+        # |t| == 1 refuses what (t == 1) | (t == -1) refuses, NaN included
+        if not (np.abs(y[lo:lo + ROW_BLOCK]) == 1.0).all():
             raise ValueError("labels must be in {-1, +1}")
     return float(R)
 
@@ -279,15 +280,32 @@ def is_full(inst: RlmInstance, cs: Optional[WeightedCoreset]) -> bool:
     return cs is None or (cs.is_identity and cs.size == inst.n)
 
 
-def coreset_rows(
-    inst: RlmInstance, cs: Optional[WeightedCoreset]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The coreset's rows of X and y: the instance's own arrays on full
-    data, a gather of the q rows otherwise."""
+@dataclass(frozen=True)
+class Rows:
+    """The rows an objective sums over: X and y, one weight per row in u, or
+    u None for all n rows of an instance at weight 1, and share = sum(u) / n,
+    the part of the regularizer they carry.  With the instance's loss,
+    regularizer and reg_scale this is all weighted_objective_grad reads."""
+
+    X: np.ndarray
+    y: np.ndarray
+    u: Optional[np.ndarray]
+    share: float
+
+    @property
+    def size(self) -> int:
+        return len(self.y)
+
+
+def objective_rows(inst: RlmInstance, cs: Optional[WeightedCoreset] = None) -> Rows:
+    """The Rows of cs: the instance's own arrays for None or the identity
+    coreset, one gather of the q rows otherwise, refused with IndexError
+    unless every index lies in [0, n)."""
     if is_full(inst, cs):
-        return inst.X, inst.y
+        return Rows(inst.X, inst.y, None, 1.0)
     idx = _checked_indices(inst, cs)
-    return inst.X.take(idx, axis=0), inst.y.take(idx)
+    return Rows(inst.X.take(idx, axis=0), inst.y.take(idx), cs.weights,
+                cs.weight_sum() / inst.n)
 
 
 def _checked_indices(inst: RlmInstance, cs: WeightedCoreset) -> np.ndarray:
@@ -326,43 +344,41 @@ def loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
 
 
 def weighted_objective_grad(
-    inst: RlmInstance, cs: Optional[WeightedCoreset], beta: np.ndarray,
+    inst: RlmInstance, rows: Optional[Rows], beta: np.ndarray,
     grad: bool = True, z: Optional[np.ndarray] = None, value: bool = True,
-    rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[Optional[float], Optional[np.ndarray]]:
-    """Objective sum_C u_i f_i(beta) and its (sub)gradient; with cs None or
-    the identity coreset this is F(beta).  With grad=False the gradient is
+    """Objective sum_i u_i f_i(beta) over rows and its (sub)gradient; rows
+    None means all rows of inst, and gives F(beta).  Of inst only the loss,
+    regularizer and reg_scale are read.  With grad=False the gradient is
     not computed and None is returned in its place, with value=False the
-    same holds for the objective; each is the same float either way.  rows,
-    when given, is (X_C, y_C), the coreset's rows as coreset_rows gives them,
-    which are then not gathered again.  z, when given, holds the margins on
-    the coreset's rows, which are not recomputed; a gradient call consumes
-    it, writing the gradient's weights over it.
+    same holds for the objective; each is the same float either way.  z,
+    when given, holds the margins on rows, which are not recomputed; a
+    gradient call consumes it, writing the gradient's weights over it.
 
-    On full data the losses are taken ROW_BLOCK rows at a time and added by
-    blocked_sum, the order of the H pass, so no n-sized array but z, which
-    the gradient's weights dz overwrite, is held; on at most 2**20 rows every
-    float is the one whole arrays give.  The gradient stays one gemv,
-    -(dz @ X): BLAS's order of additions is its own, and a split of it would
-    move the bits."""
-    X, y = coreset_rows(inst, cs) if rows is None else rows
+    On all rows at weight 1 the losses are taken ROW_BLOCK rows at a time
+    and added by blocked_sum, the order of the H pass, so no n-sized array
+    but z, which the gradient's weights dz overwrite, is held; on at most
+    2**20 rows every float is the one whole arrays give.  The gradient stays
+    one gemv, -(dz @ X): BLAS's order of additions is its own, and a split
+    of it would move the bits."""
+    if rows is None:
+        rows = objective_rows(inst)
+    X, y = rows.X, rows.y
     if z is None:
         z = row_margins(X, y, beta)
     dz = z if grad else None
-    if is_full(inst, cs):
-        share = 1.0
+    if rows.u is None:
         loss_sum = blocked_sum(
             lambda lo, hi: loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
                                       None if dz is None else dz[lo:hi], value),
             len(z), ROW_BLOCK, 1)
     else:
-        share = cs.weight_sum() / inst.n
-        loss_sum = loss_terms(inst.loss, z, y, cs.weights, dz, value)
+        loss_sum = loss_terms(inst.loss, z, y, rows.u, dz, value)
     scale = inst.reg_scale
-    f = loss_sum + share * (scale * reg_eval(inst.reg, beta)) if value else None
+    f = loss_sum + rows.share * (scale * reg_eval(inst.reg, beta)) if value else None
     if not grad:
         return f, None
-    return f, -(dz @ X) + share * reg_grad(inst.reg, beta, scale)
+    return f, -(dz @ X) + rows.share * reg_grad(inst.reg, beta, scale)
 
 
 def full_objective(inst: RlmInstance, beta: np.ndarray) -> float:

@@ -23,9 +23,8 @@ from .model import (
     RegularizerKind,
     RlmInstance,
     WeightedCoreset,
-    coreset_rows,
-    is_full,
     loss_terms,
+    objective_rows,
     reg_grad,
     row_margins,
     weighted_objective_grad,
@@ -91,21 +90,6 @@ class TrainTrace:
         self.objectives.append(f)
 
 
-@dataclass(frozen=True)
-class _AllRows:
-    """Every row of an n-row instance at weight 1, held as n alone: what
-    full-data training passes where a coreset goes, so that no identity
-    coreset's two n-sized arrays are built.  model.is_full reads it as full
-    data, and its weight sum is n.  Unlike None it has a size, which
-    perfbench's count of evaluated rows reads."""
-
-    size: int
-    is_identity = True
-
-    def weight_sum(self) -> float:
-        return float(self.size)
-
-
 def _is_smooth(inst: RlmInstance) -> bool:
     return inst.loss is LossKind.LOGISTIC and inst.reg is not RegularizerKind.L1
 
@@ -118,46 +102,42 @@ def train(
     trace, which always records the objective evaluated on the full
     instance.  With full_trace off the trace holds only the exit record, and
     a coreset run takes no pass over all rows before its exit."""
-    if is_full(inst, cs):
-        cs = _AllRows(inst.n)
+    optimizer = _train_sgd if cfg.method is TrainMethod.SGD else _train_gd
     # the one numeric guard: an overflow ends as a non-finite F or gradient
     # norm, which the optimizers refuse with NonFiniteError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.method is TrainMethod.SGD:
-            return _train_sgd(inst, cs, cfg, full_trace)
-        return _train_gd(inst, cs, cfg, full_trace)
+        # the rows, gathered once, are the optimizer's alone (CPython moves
+        # call arguments into the callee), so GD can drop them before its exit
+        return optimizer(inst, objective_rows(inst, cs), cfg, full_trace)
 
 
 def _full_value(inst, beta) -> float:
     """F at beta: one value pass over all rows, refused when not finite."""
-    f = weighted_objective_grad(inst, _AllRows(inst.n), beta, grad=False)[0]
+    f = weighted_objective_grad(inst, objective_rows(inst), beta, grad=False)[0]
     if not np.isfinite(f):
         raise NonFiniteError("objective over all rows is not finite")
     return f
 
 
-def _kink_bound(inst, cs) -> float:
+def _kink_bound(inst, rows) -> float:
     """For the (non-squared) 2-norm, the radius (sum u / n) * lambda * R of
     the weighted regularizer's subdifferential at beta = 0: beta = 0 is
     optimal when the loss gradient there is no longer.  0 otherwise."""
     if inst.reg is not RegularizerKind.L2:
         return 0.0
-    return (cs.weight_sum() / inst.n) * inst.reg_scale
+    return rows.share * inst.reg_scale
 
 
-def _train_gd(inst, cs, cfg, full_trace):
+def _train_gd(inst, rows, cfg, full_trace):
     beta = np.zeros(inst.d)
     trace = TrainTrace()
-    # on full data every value computed on cs is the full objective the
+    # on full data every value computed on rows is the full objective the
     # trace records, so the trace reuses it instead of evaluating again
-    full = is_full(inst, cs)
-    # the rows of cs, gathered once: every kernel call and each Armijo
-    # trial's margins read them
-    rows = coreset_rows(inst, cs)
+    full = rows.u is None
     smooth = _is_smooth(inst)
-    kink = _kink_bound(inst, cs) if smooth else 0.0
+    kink = _kink_bound(inst, rows) if smooth else 0.0
     clock = 0.0
-    # the best iterate, its value on cs and its F, once known
+    # the best iterate, its value on rows and its F, once known
     best_beta, best_f, best_full = beta, np.inf, None
     step = STEP_INIT
     # the margins at beta of the Armijo trial accepted last, whose value f
@@ -172,9 +152,9 @@ def _train_gd(inst, cs, cfg, full_trace):
             f_full = _full_value(inst, beta)
         t0 = time.perf_counter()
         if z is None:
-            f, g = weighted_objective_grad(inst, cs, beta, rows=rows)
+            f, g = weighted_objective_grad(inst, rows, beta)
         else:
-            _, g = weighted_objective_grad(inst, cs, beta, z=z, value=False, rows=rows)
+            _, g = weighted_objective_grad(inst, rows, beta, z=z, value=False)
             z = None
         if full:
             f_full = f
@@ -194,9 +174,8 @@ def _train_gd(inst, cs, cfg, full_trace):
             backtracked = False
             while True:
                 cand = beta - step * g
-                z = zbuf = row_margins(*rows, cand, out=zbuf)
-                f_new, _ = weighted_objective_grad(inst, cs, cand, grad=False, z=z,
-                                                   rows=rows)
+                z = zbuf = row_margins(rows.X, rows.y, cand, out=zbuf)
+                f_new, _ = weighted_objective_grad(inst, rows, cand, grad=False, z=z)
                 if f_new <= f - ARMIJO_C * step * gnorm * gnorm:
                     break
                 step *= ARMIJO_SHRINK
@@ -232,18 +211,14 @@ def _train_gd(inst, cs, cfg, full_trace):
     return best_beta, trace
 
 
-def _train_sgd(inst, cs, cfg, full_trace):
+def _train_sgd(inst, rows, cfg, full_trace):
     rng = np.random.default_rng(cfg.seed)
-    rows = coreset_rows(inst, cs)
-    # on full data every weight is 1: the slopes go unweighted and sum(u) is
-    # the batch size
-    u = None if is_full(inst, cs) else cs.weights
     beta = np.zeros(inst.d)
     trace = TrainTrace()
     clock = 0.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        beta = _sgd_epoch(inst, cfg, rng, rows, u, beta)
+        beta = _sgd_epoch(inst, cfg, rng, rows, beta)
         clock += time.perf_counter() - t0
         # a diverging run ends in a non-finite beta, whose F is not finite
         if full_trace or epoch == cfg.epochs:
@@ -252,11 +227,12 @@ def _train_sgd(inst, cs, cfg, full_trace):
     return beta, trace
 
 
-def _sgd_epoch(inst, cfg, rng, rows, u, beta):
+def _sgd_epoch(inst, cfg, rng, rows, beta):
     """beta after one epoch of mini-batches over rows in rng's permutation;
     the permutation and the last batch are dropped on return, before the
-    caller's pass over all rows."""
-    X, y = rows
+    caller's pass over all rows.  On full data every weight is 1: the slopes
+    go unweighted and sum(u) is the batch size."""
+    X, y, u = rows.X, rows.y, rows.u
     order = rng.permutation(len(y))
     for lo in range(0, len(y), cfg.batch_size):
         batch = order[lo : lo + cfg.batch_size]

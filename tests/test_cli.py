@@ -113,10 +113,10 @@ class TestVerify:
         args = cli.build_parser().parse_args(argv)
         inst = cli._load_instance(args)
         cs = cli._coreset_from_doc(data_io.read_coreset(out), inst)
-        want = []
+        rows, want = model.objective_rows(inst, cs), []
         for b in np.asarray(betas):
             full = rlm_coreset.full_objective(inst, b)
-            core = model.weighted_objective_grad(inst, cs, b, grad=False)[0]
+            core = model.weighted_objective_grad(inst, rows, b, grad=False)[0]
             want.append(abs(full - core) / full)
         assert doc["num_probes"] == len(betas)
         assert doc["argmax_probe"] == int(np.argmax(want))
@@ -487,6 +487,10 @@ class TestNumericArguments:
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:0"], 3),
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:inf"], 3),
         (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:3:nan"], 3),
+        # a probe spec that is not random:K[:max-norm]
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:"], 2),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:5::"], 2),
+        (["verify", *SYNTH, "--coreset", "{coreset}", "--betas", "random:5:1:junk"], 2),
         (["train", *SYNTH, "--grad-tol", "nan"], 3),
         (["train", *SYNTH, "--method", "sgd", "--learning-rate", "nan"], 3),
         (["train", *SYNTH, "--method", "sgd", "--learning-rate", "1e300"], 4),
@@ -580,6 +584,7 @@ class TestNumericArguments:
           "--gamma", "0.9"], 3),
     ], ids=["sweep-trials-0", "lambda-scale-inf", "lambda-scale-nan", "circle-gamma-5",
             "circle-gamma-nan", "random-0", "random-3-0", "random-3-inf", "random-3-nan",
+            "random-no-k", "random-empty-max-norm", "random-trailing-field",
             "grad-tol-nan", "learning-rate-nan", "learning-rate-1e300", "norm-override-0",
             "sweep-no-sizes", "synthetic-too-large", "verify-epsilon-2", "sample-epsilon-2",
             "sample-kappa-1.5", "verify-kappa-1.5", "two-cluster-kappa-1.5",
@@ -797,6 +802,32 @@ _ADVERSARY_ARGV = st.builds(_adversary_argv, st.just("two-cluster"), _TWO_CLUSTE
                 _UNIT, _UNIT, _LOSS, _CIRCLE_FLAGS)
 
 
+@st.composite
+def _coreset_docs(draw):
+    """(n, a coreset document for n rows), the document valid or damaged in
+    one place as a hand-written file may be: an index negative, n or past
+    int64, a float, a bool, a list or a string; a weight negative, zero,
+    NaN, infinite, a bool, a list or a string; one list longer than the
+    other; or an n that is off by one, a float or a string."""
+    n = draw(st.integers(1, 60))
+    q = draw(st.integers(0, 8))
+    indices = draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))
+    weights = draw(st.lists(st.floats(0.0, 100.0), min_size=q, max_size=q))
+    doc_n = n
+    damage = draw(st.sampled_from([None, "index", "weight", "length", "n"]))
+    if damage == "index" and q:
+        indices[draw(st.integers(0, q - 1))] = draw(st.sampled_from(
+            [-1, n, n + 7, -2**63, 2**63 - 1, 2**63, 10**30, 0.0, 0.5, True, [0], [[0]], "0"]))
+    if damage == "weight" and q:
+        weights[draw(st.integers(0, q - 1))] = draw(st.sampled_from(
+            [-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf, -1, 3, True, [1.0], "1"]))
+    if damage == "length":
+        draw(st.sampled_from([indices, weights])).append(0)
+    if damage == "n":
+        doc_n = draw(st.sampled_from([n + 1, n - 1, float(n), str(n)]))
+    return n, {"n": doc_n, "indices": indices, "weights": weights}
+
+
 class TestFuzz:
     """The error contract over tiny synthetic inputs and the adversary's
     instances: every run exits 0, 2, 3 or 4, with no Python warning, no
@@ -841,3 +872,24 @@ class TestFuzz:
                 json.loads(report.read_text(), parse_constant=_refuse_constant)
             else:
                 assert not report.exists(), argv
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(command=st.sampled_from([["train"], ["train", "--method", "sgd"],
+                                    ["verify", "--betas", "random:3"]]),
+           n_doc=_coreset_docs())
+    # always run: an index of -1 and of n, a NaN weight and a wrong n
+    @example(command=["train"], n_doc=(5, {"n": 5, "indices": [-1, 0], "weights": [2.5, 2.5]}))
+    @example(command=["train", "--method", "sgd"],
+             n_doc=(5, {"n": 5, "indices": [5, 0], "weights": [2.5, 2.5]}))
+    @example(command=["verify", "--betas", "random:3"],
+             n_doc=(5, {"n": 5, "indices": [1, 0], "weights": [math.nan, 2.5]}))
+    @example(command=["verify", "--betas", "random:3"],
+             n_doc=(5, {"n": 6, "indices": [1, 0], "weights": [2.5, 2.5]}))
+    def test_coreset_document(self, command, n_doc):
+        # a document's rows reach the kernel only through objective_rows
+        n, doc = n_doc
+        with tempfile.TemporaryDirectory() as tmp:
+            cs = os.path.join(tmp, "cs.json")
+            data_io.write_coreset(cs, doc)
+            _run_under_contract([*command, "--coreset", cs, "--format", "synthetic",
+                                 "--input", f"n={n},d=2"])

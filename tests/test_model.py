@@ -31,10 +31,10 @@ from rlm_coreset.model import (
     approximation_errors,
     block_objectives,
     check_weight_sum,
-    coreset_rows,
     full_objective,
     loss_eval,
     loss_slope,
+    objective_rows,
     reg_eval,
     row_margins,
     weighted_objective_grad,
@@ -218,7 +218,8 @@ def kernel_h(inst, cs, beta):
     """H at beta from the per-probe kernel, a path independent of
     block_objectives: F_C by weighted_objective_grad, F by full_objective."""
     full = full_objective(inst, beta)
-    return abs(full - weighted_objective_grad(inst, cs, beta, grad=False)[0]) / full
+    core = weighted_objective_grad(inst, objective_rows(inst, cs), beta, grad=False)[0]
+    return abs(full - core) / full
 
 
 class TestObjectives:
@@ -285,7 +286,8 @@ class TestKernel:
             (None, sum(f_i)),
             (weighted, sum(w * f_i[i] for i, w in zip(weighted.indices, weighted.weights))),
         ):
-            f, g = weighted_objective_grad(inst, cs, beta)
+            rows = objective_rows(inst, cs)
+            f, g = weighted_objective_grad(inst, rows, beta)
             assert f == pytest.approx(expect, rel=1e-12)
             g_num = np.zeros(3)
             for j in range(3):
@@ -293,8 +295,8 @@ class TestKernel:
                 up, dn = beta.copy(), beta.copy()
                 up[j] += step
                 dn[j] -= step
-                g_num[j] = (weighted_objective_grad(inst, cs, up, grad=False)[0]
-                            - weighted_objective_grad(inst, cs, dn, grad=False)[0]) / (2 * step)
+                g_num[j] = (weighted_objective_grad(inst, rows, up, grad=False)[0]
+                            - weighted_objective_grad(inst, rows, dn, grad=False)[0]) / (2 * step)
             scale = max(float(np.linalg.norm(g_num)), 1.0)
             assert float(np.linalg.norm(g - g_num)) / scale <= 1e-5
 
@@ -303,7 +305,7 @@ class TestKernel:
         ident = WeightedCoreset(indices=np.arange(30), weights=np.ones(30))
         beta = rng.standard_normal(3)
         f, g = weighted_objective_grad(inst, None, beta)
-        f_id, g_id = weighted_objective_grad(inst, ident, beta)
+        f_id, g_id = weighted_objective_grad(inst, objective_rows(inst, ident), beta)
         assert f == f_id and np.array_equal(g, g_id)
 
 
@@ -337,18 +339,19 @@ class TestBlockedKernel:
         weighted = WeightedCoreset(indices=rng.integers(0, n, size=3000),
                                    weights=rng.uniform(0.1, 5.0, size=3000))
         for cs in (None, weighted):
+            rows = objective_rows(inst, cs)
             # beta = 0 puts every margin at a signed zero
             for beta in (np.zeros(inst.d), 0.7 * rng.standard_normal(inst.d)):
-                z = row_margins(*coreset_rows(inst, cs), beta)
+                z = row_margins(rows.X, rows.y, beta)
                 f, g = oracle_objective_grad(inst, cs, beta)
                 # a gradient call consumes the z it is given
-                for got in (weighted_objective_grad(inst, cs, beta),
-                            weighted_objective_grad(inst, cs, beta, z=z.copy())):
+                for got in (weighted_objective_grad(inst, rows, beta),
+                            weighted_objective_grad(inst, rows, beta, z=z.copy())):
                     assert_same_bits(got, (f, g))
-                for got in (weighted_objective_grad(inst, cs, beta, grad=False),
-                            weighted_objective_grad(inst, cs, beta, grad=False, z=z)):
+                for got in (weighted_objective_grad(inst, rows, beta, grad=False),
+                            weighted_objective_grad(inst, rows, beta, grad=False, z=z)):
                     assert_same_bits(got, oracle_objective_grad(inst, cs, beta, grad=False))
-                assert_same_bits(weighted_objective_grad(inst, cs, beta, z=z.copy(),
+                assert_same_bits(weighted_objective_grad(inst, rows, beta, z=z.copy(),
                                                          value=False),
                                  (None, g))
 
@@ -422,21 +425,21 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_a_given_z_is_consumed_for_the_same_bytes(self, loss, reg):
-        # on full data and on a coreset, with its rows given or gathered
+        # on full data and on a coreset
         inst = leaf_instance(2 * model.ROW_BLOCK + 5, loss, reg)
         rng = np.random.default_rng(8)
         cs = WeightedCoreset(indices=rng.integers(0, inst.n, size=500),
                              weights=rng.uniform(0.1, 5.0, size=500))
         beta = 0.7 * rng.standard_normal(inst.d)
         for c in (None, cs):
-            rows = coreset_rows(inst, c)
-            want = weighted_objective_grad(inst, c, beta)
-            z = row_margins(*rows, beta)
-            assert_same_bits(weighted_objective_grad(inst, c, beta, z=z, rows=rows), want)
+            rows = objective_rows(inst, c)
+            want = weighted_objective_grad(inst, rows, beta)
+            z = row_margins(rows.X, rows.y, beta)
+            assert_same_bits(weighted_objective_grad(inst, rows, beta, z=z), want)
             # the gradient's weights were written over the margins
-            assert z.tobytes() != row_margins(*rows, beta).tobytes()
-            z = row_margins(*rows, beta, out=z)
-            assert_same_bits(weighted_objective_grad(inst, c, beta, z=z, value=False),
+            assert z.tobytes() != row_margins(rows.X, rows.y, beta).tobytes()
+            z = row_margins(rows.X, rows.y, beta, out=z)
+            assert_same_bits(weighted_objective_grad(inst, rows, beta, z=z, value=False),
                              (None, want[1]))
 
 
@@ -541,8 +544,9 @@ class TestBlockEvaluator:
         full, core = block_objectives(inst, cs, B)
         np.testing.assert_allclose(full, [full_objective(inst, b) for b in B],
                                    rtol=1e-13, atol=0)
+        rows = objective_rows(inst, cs)
         np.testing.assert_allclose(
-            core, [weighted_objective_grad(inst, cs, b, grad=False)[0] for b in B],
+            core, [weighted_objective_grad(inst, rows, b, grad=False)[0] for b in B],
             rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
@@ -617,7 +621,7 @@ class TestBlockEvaluator:
         assert peak < cpus * 2.4 * tile
 
     @pytest.mark.parametrize("loss", list(LossKind))
-    def test_coreset_rows_are_gathered_per_leaf(self, monkeypatch, loss):
+    def test_a_coreset_is_gathered_per_leaf(self, monkeypatch, loss):
         # the q rows gathered at once beside a leaf's buffers took 4.8 tiles
         # (logistic) and 3.8 (hinge)
         monkeypatch.setattr(model, "_usable_cpus", lambda: 1)

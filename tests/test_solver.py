@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 
@@ -19,9 +20,9 @@ from rlm_coreset.model import (
     RegularizerKind,
     RlmInstance,
     WeightedCoreset,
-    coreset_rows,
     full_objective,
     loss_slope,
+    objective_rows,
     reg_grad,
 )
 from rlm_coreset.sampling import uniform_sample
@@ -33,15 +34,15 @@ from rlm_coreset.solver import (
 )
 
 
-def numeric_gradient(inst, cs, beta, step=1e-6):
+def numeric_gradient(inst, rows, beta, step=1e-6):
     g = np.zeros_like(beta)
     for j in range(len(beta)):
         h = step * (1 + abs(beta[j]))
         up, dn = beta.copy(), beta.copy()
         up[j] += h
         dn[j] -= h
-        fu, _ = weighted_objective_grad(inst, cs, up)
-        fd, _ = weighted_objective_grad(inst, cs, dn)
+        fu, _ = weighted_objective_grad(inst, rows, up)
+        fd, _ = weighted_objective_grad(inst, rows, dn)
         g[j] = (fu - fd) / (2 * h)
     return g
 
@@ -77,17 +78,17 @@ class TestGradient:
                                    d=3, loss=LossKind.LOGISTIC, reg=reg)
             beta = rng.standard_normal(3)
             beta[np.abs(beta) < 1e-3] = 0.5  # stay clear of the L1 kink
-            cs = identity_cs(inst.n)
-            g = weighted_objective_grad(inst, cs, beta)[1]
-            g_num = numeric_gradient(inst, cs, beta)
+            rows = objective_rows(inst, identity_cs(inst.n))
+            g = weighted_objective_grad(inst, rows, beta)[1]
+            g_num = numeric_gradient(inst, rows, beta)
             assert g == pytest.approx(g_num, rel=1e-5, abs=1e-7)
 
     def test_weighted_gradient_scales(self, rng):
         inst = random_instance(rng, n=20)
         cs = WeightedCoreset(indices=np.arange(20), weights=np.full(20, 3.0))
         beta = rng.standard_normal(3)
-        g1 = weighted_objective_grad(inst, identity_cs(20), beta)[1]
-        g3 = weighted_objective_grad(inst, cs, beta)[1]
+        g1 = weighted_objective_grad(inst, objective_rows(inst, identity_cs(20)), beta)[1]
+        g3 = weighted_objective_grad(inst, objective_rows(inst, cs), beta)[1]
         assert g3 == pytest.approx(3 * g1, rel=1e-12)
 
 
@@ -96,21 +97,11 @@ class TestValueOnly:
     def test_value_only_equals_value_with_gradient(self, rng, loss, reg):
         inst = random_instance(rng, n=40, loss=loss, reg=reg)
         for cs in (identity_cs(40), uniform_sample(inst, 15, seed=1)):
+            rows = objective_rows(inst, cs)
             for beta in (np.zeros(3), *rng.standard_normal((5, 3))):
-                f, _ = weighted_objective_grad(inst, cs, beta)
-                f_only, g = weighted_objective_grad(inst, cs, beta, grad=False)
+                f, _ = weighted_objective_grad(inst, rows, beta)
+                f_only, g = weighted_objective_grad(inst, rows, beta, grad=False)
                 assert f_only == f and g is None
-
-    def test_full_data_read_in_place(self, rng):
-        inst = random_instance(rng, n=20)
-        for full in (None, identity_cs(20)):
-            X, y = coreset_rows(inst, full)
-            assert X is inst.X and y is inst.y
-        X, y = coreset_rows(inst, WeightedCoreset(indices=[3, 3, 0], weights=np.ones(3)))
-        assert np.array_equal(X, inst.X[[3, 3, 0]])
-        # a prefix of the rows with unit weights is not the full instance
-        X, _ = coreset_rows(inst, identity_cs(10))
-        assert X.shape == (10, 3) and X is not inst.X
 
     @pytest.mark.parametrize("q", [None, 40])
     def test_trace_is_full_objective_at_each_iterate(self, q):
@@ -150,9 +141,9 @@ class TestStopRule:
     def test_same_beta_and_a_prefix_of_the_trace(self, inst, cs, max_iters):
         cfg = TrainConfig(max_iters=max_iters)
         # not the kink case: the loss gradient at 0 is outside the bound
-        g0 = weighted_objective_grad(inst, cs, np.zeros(inst.d))[1]
-        assert float(np.linalg.norm(g0)) > solver._kink_bound(
-            inst, cs if cs is not None else identity_cs(inst.n))
+        rows = objective_rows(inst, cs)
+        g0 = weighted_objective_grad(inst, rows, np.zeros(inst.d))[1]
+        assert float(np.linalg.norm(g0)) > solver._kink_bound(inst, rows)
         beta_ref, trace_ref = oracle_train_gd(inst, cfg, cs)
         beta_hat, trace = train(inst, cfg, cs)
         assert beta_hat.tobytes() == beta_ref.tobytes()
@@ -206,9 +197,9 @@ class TestStopRule:
         # subdifferential radius (sum u / n) * lambda * R, so beta = 0 is optimal
         inst = random_instance(rng, n=400, reg=RegularizerKind.L2)
         for cs in (None, uniform_sample(inst, 40, seed=1)):
-            w = identity_cs(inst.n) if cs is None else cs
-            g0 = weighted_objective_grad(inst, w, np.zeros(3))[1]
-            assert 0 < float(np.linalg.norm(g0)) <= solver._kink_bound(inst, w)
+            rows = objective_rows(inst, cs)
+            g0 = weighted_objective_grad(inst, rows, np.zeros(3))[1]
+            assert 0 < float(np.linalg.norm(g0)) <= solver._kink_bound(inst, rows)
             beta_hat, trace = train(inst, TrainConfig(), cs)
             assert not beta_hat.any() and trace.stop_reason == "converged"
             zero = full_objective(inst, np.zeros(3))
@@ -219,7 +210,7 @@ class TestStopRule:
         # gradient there is within the bound the smooth branch tests
         inst = random_instance(rng, n=400, loss=LossKind.HINGE, reg=RegularizerKind.L2)
         g0 = weighted_objective_grad(inst, None, np.zeros(3))[1]
-        assert float(np.linalg.norm(g0)) <= solver._kink_bound(inst, identity_cs(inst.n))
+        assert float(np.linalg.norm(g0)) <= solver._kink_bound(inst, objective_rows(inst))
         cfg = TrainConfig(max_iters=5)
         _, trace = train(inst, cfg)
         assert trace.stop_reason == "max_iters"
@@ -231,10 +222,10 @@ def kernel_with(monkeypatch, on_all_rows):
     computed over all rows."""
     kernel = solver.weighted_objective_grad
 
-    def wrapped(inst, cs, beta, grad=True, z=None, value=True, rows=None):
-        if value and cs.size == inst.n:
+    def wrapped(inst, rows, beta, grad=True, z=None, value=True):
+        if value and rows.size == inst.n:
             on_all_rows(beta)
-        return kernel(inst, cs, beta, grad, z, value, rows)
+        return kernel(inst, rows, beta, grad, z, value)
 
     monkeypatch.setattr(solver, "weighted_objective_grad", wrapped)
 
@@ -337,9 +328,9 @@ class TestBoundedMemory:
         calls = []
         kernel = solver.weighted_objective_grad
 
-        def recording(inst, cs, beta, grad=True, z=None, value=True, rows=None):
+        def recording(inst, rows, beta, grad=True, z=None, value=True):
             calls.append((grad, value, z is not None))
-            return kernel(inst, cs, beta, grad, z, value, rows)
+            return kernel(inst, rows, beta, grad, z, value)
 
         monkeypatch.setattr(solver, "weighted_objective_grad", recording)
         X, y, _ = gen_synthetic(300, 3, noise=0.1, seed=7)
@@ -361,23 +352,25 @@ class TestBoundedMemory:
         inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
                            reg=RegularizerKind.L2_SQUARED, kappa=0.5)
         cs = uniform_sample(inst, 60, seed=3)
-        gathers, kernel_calls = [], []
-        gather, kernel = model.coreset_rows, solver.weighted_objective_grad
+        gathered, kernel_calls = [], []
+        gather, kernel = model.objective_rows, solver.weighted_objective_grad
 
-        def counting_gather(inst, c):
-            gathers.append(c is cs)
-            return gather(inst, c)
+        def counting_gather(inst, c=None):
+            rows = gather(inst, c)
+            if c is cs:
+                gathered.append(rows)
+            return rows
 
-        def counting_kernel(inst, c, *args, **kwargs):
-            kernel_calls.append(c is cs)
-            return kernel(inst, c, *args, **kwargs)
+        def counting_kernel(inst, rows, *args, **kwargs):
+            kernel_calls.append(any(rows is r for r in gathered))
+            return kernel(inst, rows, *args, **kwargs)
 
-        monkeypatch.setattr(model, "coreset_rows", counting_gather)
-        monkeypatch.setattr(solver, "coreset_rows", counting_gather)
+        monkeypatch.setattr(model, "objective_rows", counting_gather)
+        monkeypatch.setattr(solver, "objective_rows", counting_gather)
         monkeypatch.setattr(solver, "weighted_objective_grad", counting_kernel)
         _, trace = train(inst, TrainConfig(max_iters=20, grad_tol=1e-12), cs)
         assert trace.stop_reason == "max_iters" and len(trace.objectives) == 20
-        assert sum(kernel_calls) > 20 and sum(gathers) == 1
+        assert sum(kernel_calls) > 20 and len(gathered) == 1
 
     @pytest.mark.parametrize("cfg", [TrainConfig(max_iters=3),
                                      TrainConfig(method=TrainMethod.SGD, epochs=1)],
@@ -421,6 +414,75 @@ class TestTrainConfig:
     def test_rejects_a_tolerance_or_rate_not_positive(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
             TrainConfig(**{field: value})
+
+
+class TestObjectiveRows:
+    """objective_rows, the one place the rows of an objective are built."""
+
+    def test_full_data_is_read_in_place(self, rng):
+        inst = random_instance(rng, n=20)
+        for cs in (None, identity_cs(20)):
+            rows = objective_rows(inst, cs)
+            assert rows.X is inst.X and rows.y is inst.y
+            assert rows.u is None and rows.share == 1.0 and rows.size == 20
+
+    def test_a_coreset_is_gathered_with_its_share(self, rng):
+        inst = random_instance(rng, n=20)
+        cs = WeightedCoreset(indices=[3, 3, 0], weights=rng.uniform(0.1, 5.0, size=3))
+        rows = objective_rows(inst, cs)
+        assert np.array_equal(rows.X, inst.X[[3, 3, 0]])
+        assert np.array_equal(rows.y, inst.y[[3, 3, 0]])
+        assert rows.u is cs.weights and rows.size == 3
+        assert rows.share.hex() == (math.fsum(cs.weights) / 20).hex()
+
+    def test_an_identity_prefix_is_gathered(self, rng):
+        # a prefix of the rows with unit weights is not the full instance
+        inst = random_instance(rng, n=20)
+        rows = objective_rows(inst, identity_cs(10))
+        assert rows.X.shape == (10, 3) and rows.X is not inst.X
+        assert np.array_equal(rows.X, inst.X[:10]) and np.array_equal(rows.y, inst.y[:10])
+        assert rows.u is not None and rows.share == 0.5
+
+    @pytest.mark.parametrize("bad", [-1, 20])  # train refuses them too: TestCoresetIndices
+    def test_an_index_out_of_range_is_refused(self, rng, bad):
+        inst = random_instance(rng, n=20)
+        cs = WeightedCoreset(indices=[0, bad], weights=[10.0, 10.0])
+        with pytest.raises(IndexError, match="coreset index out of range"):
+            objective_rows(inst, cs)
+
+
+class TestKernelShape:
+    """perfbench's eval counter wraps solver.weighted_objective_grad and reads
+    inst.n and the size of the second argument on every call; this pins what
+    it reads, so that a traced run counts every row it evaluates."""
+
+    @pytest.mark.parametrize("cfg", [TrainConfig(max_iters=8, grad_tol=1e-12),
+                                     TrainConfig(method=TrainMethod.SGD, epochs=3)],
+                             ids=["gd", "sgd"])
+    @pytest.mark.parametrize("q", [None, 40], ids=["full", "coreset"])
+    def test_every_call_passes_rows_with_a_size(self, monkeypatch, cfg, q):
+        X, y, _ = gen_synthetic(200, 3, noise=0.1, seed=7)
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
+                           reg=RegularizerKind.L2_SQUARED, kappa=0.5)
+        cs = None if q is None else uniform_sample(inst, q, seed=3)
+        calls = []
+        kernel = solver.weighted_objective_grad
+
+        def recording(inst, rows, *args, **kwargs):
+            calls.append(rows)
+            return kernel(inst, rows, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "weighted_objective_grad", recording)
+        train(inst, cfg, cs, full_trace=True)
+        assert calls and not any(rows is None for rows in calls)
+        assert all(type(rows.size) is int for rows in calls)
+        # passes over all rows have size n, passes over the coreset size q
+        assert {rows.size for rows in calls if rows.u is None} == {inst.n}
+        core = {rows.size for rows in calls if rows.u is not None}
+        if q is None or cfg.method is TrainMethod.SGD:  # SGD's steps skip the kernel
+            assert core == set()
+        else:
+            assert core == {q}
 
 
 class TestCoresetIndices:
