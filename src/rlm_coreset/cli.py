@@ -139,9 +139,11 @@ def _coreset_from_doc(doc, inst) -> WeightedCoreset:
 
 def _doc_list(doc, key: str, kinds: str, what: str) -> np.ndarray:
     """doc[key] as a 1-d array, refused unless it is a flat list whose
-    elements numpy reads as one of the dtype kinds."""
+    elements numpy reads as one of the dtype kinds and none is a bool,
+    which numpy would read as 0 or 1 among numbers."""
     arr = np.asarray(doc[key])
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds) \
+            or any(isinstance(v, bool) for v in doc[key]):
         raise SchemaMismatchError(f"coreset {key} must be a list of {what}")
     return arr
 

@@ -11,8 +11,8 @@ Its value and (sub)gradient over weighted rows, the ``Rows`` that
 one place, ``weighted_objective_grad``; the solver and ``full_objective``
 call it.  No pass over X allocates an n x d temporary:
 ``check_rows`` refuses bad rows and takes R in one pass over blocks of
-ROW_TILE rows, and the full-data loss sum is added from leaves of
-ROW_BLOCK rows by ``blocked_sum``.
+ROW_TILE rows, and the full-data margins and losses are taken in leaves
+of ROW_BLOCK rows, whose sums ``blocked_sum`` adds.
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
 from the same loss and regularizer terms, in cache-sized tiles of X, each
@@ -104,10 +104,13 @@ def loss_slope(kind: LossKind, z: np.ndarray, e=None) -> np.ndarray:
     """Derivative of the loss at margin z (0 at the hinge kink).  For the
     logistic loss e, when given, is exp(-|z|); it is read, not changed."""
     if kind is LossKind.LOGISTIC:
-        # sigmoid(z) = 1/(1+e) for z >= 0 and e/(1+e) below: one division
+        # sigmoid(z) = 1/(1+e) for z >= 0 and e/(1+e) below: one division.
+        # The numerator, 1 or e, is max(z >= 0, e) with no branch: e <= 1,
+        # and the NaN e of a NaN z wins the maximum
         if e is None:
             e = exp_neg_abs(z)
-        s = np.where(z >= 0, 1.0, e)
+        s = np.greater_equal(z, 0.0, out=np.empty(np.shape(z)))
+        np.maximum(s, e, out=s)
         s /= 1.0 + e
         return s
     return (z > -1.0).astype(float)
@@ -346,33 +349,45 @@ def loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
 def weighted_objective_grad(
     inst: RlmInstance, rows: Optional[Rows], beta: np.ndarray,
     grad: bool = True, z: Optional[np.ndarray] = None, value: bool = True,
+    zbuf: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[float], Optional[np.ndarray]]:
     """Objective sum_i u_i f_i(beta) over rows and its (sub)gradient; rows
     None means all rows of inst, and gives F(beta).  Of inst only the loss,
     regularizer and reg_scale are read.  With grad=False the gradient is
     not computed and None is returned in its place, with value=False the
     same holds for the objective; each is the same float either way.  z,
-    when given, holds the margins on rows, which are not recomputed; a
-    gradient call consumes it, writing the gradient's weights over it.
+    when given, holds the margins on rows, which are not recomputed.
+    Otherwise the margins are computed into zbuf, an array of rows.size
+    floats, when it is given, else into one new array; after a call with
+    grad=False zbuf holds them, to be passed back as z.  A gradient call
+    consumes its margins, writing the gradient's weights over them.
 
-    On all rows at weight 1 the losses are taken ROW_BLOCK rows at a time
-    and added by blocked_sum, the order of the H pass, so no n-sized array
-    but z, which the gradient's weights dz overwrite, is held; on at most
-    2**20 rows every float is the one whole arrays give.  The gradient stays
-    one gemv, -(dz @ X): BLAS's order of additions is its own, and a split
-    of it would move the bits."""
+    On all rows at weight 1 the margins and losses are taken ROW_BLOCK rows
+    at a time, each leaf's margins just before its losses, and added by
+    blocked_sum, the order of the H pass, so no n-sized array but the
+    margins, which the gradient's weights dz overwrite, is held; on at most
+    2**20 rows every float is the one whole arrays give (a margin is one
+    row's dot product, the same float in a leaf's gemv as in the whole
+    one).  The gradient stays one gemv, -(dz @ X): BLAS's order of
+    additions is its own, and a split of it would move the bits."""
     if rows is None:
         rows = objective_rows(inst)
     X, y = rows.X, rows.y
-    if z is None:
-        z = row_margins(X, y, beta)
+    margins = z is None
+    if margins:
+        z = np.empty(len(y)) if zbuf is None else zbuf
     dz = z if grad else None
     if rows.u is None:
-        loss_sum = blocked_sum(
-            lambda lo, hi: loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
-                                      None if dz is None else dz[lo:hi], value),
-            len(z), ROW_BLOCK, 1)
+        def leaf(lo, hi):
+            if margins:
+                row_margins(X[lo:hi], y[lo:hi], beta, out=z[lo:hi])
+            return loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
+                              None if dz is None else dz[lo:hi], value)
+
+        loss_sum = blocked_sum(leaf, len(z), ROW_BLOCK, 1)
     else:
+        if margins:
+            row_margins(X, y, beta, out=z)
         loss_sum = loss_terms(inst.loss, z, y, rows.u, dz, value)
     scale = inst.reg_scale
     f = loss_sum + rows.share * (scale * reg_eval(inst.reg, beta)) if value else None

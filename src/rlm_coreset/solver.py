@@ -4,7 +4,9 @@ The objective and its gradient come from ``model.weighted_objective_grad``;
 this module holds only the optimizers.  Two methods: deterministic
 full-batch gradient descent with Armijo backtracking (subgradient steps with
 1/sqrt(t) decay when the objective is nonsmooth), and a seeded mini-batch
-SGD baseline for timing comparisons.
+SGD baseline for timing comparisons.  An Armijo trial whose regularizer
+term alone exceeds the sufficient-decrease bound is refused before the
+kernel evaluates it, an exact test since no loss is negative.
 Every run starts from beta = 0 and is fully determined by (input, config).
 """
 
@@ -25,6 +27,7 @@ from .model import (
     WeightedCoreset,
     loss_terms,
     objective_rows,
+    reg_eval,
     reg_grad,
     row_margins,
     weighted_objective_grad,
@@ -142,8 +145,8 @@ def _train_gd(inst, rows, cfg, full_trace):
     step = STEP_INIT
     # the margins at beta of the Armijo trial accepted last, whose value f
     # is known: the gradient is computed from them, consuming them.  Every
-    # trial writes its margins into zbuf, allocated by the first one
-    z = zbuf = None
+    # kernel call on rows that takes margins writes them into zbuf
+    z, zbuf = None, np.empty(rows.size)
     f_full = None  # F at beta, once known
     for it in range(cfg.max_iters):
         # from iteration 1 on beta is new: its F is recorded with the clock of
@@ -152,7 +155,7 @@ def _train_gd(inst, rows, cfg, full_trace):
             f_full = _full_value(inst, beta)
         t0 = time.perf_counter()
         if z is None:
-            f, g = weighted_objective_grad(inst, rows, beta)
+            f, g = weighted_objective_grad(inst, rows, beta, zbuf=zbuf)
         else:
             _, g = weighted_objective_grad(inst, rows, beta, z=z, value=False)
             z = None
@@ -174,10 +177,20 @@ def _train_gd(inst, rows, cfg, full_trace):
             backtracked = False
             while True:
                 cand = beta - step * g
-                z = zbuf = row_margins(rows.X, rows.y, cand, out=zbuf)
-                f_new, _ = weighted_objective_grad(inst, rows, cand, grad=False, z=z)
-                if f_new <= f - ARMIJO_C * step * gnorm * gnorm:
-                    break
+                bound = f - ARMIJO_C * step * gnorm * gnorm
+                # the floor: reg is the float the kernel adds to the loss
+                # sum, which is >= 0 since every loss (softplus, hinge) and
+                # every weight is, or NaN, which no bound accepts.  Rounding
+                # is monotone, so the kernel's value fl(loss_sum + reg) is
+                # >= reg: a trial with reg > bound would be refused after a
+                # pass over the rows, and is refused without one
+                reg = rows.share * (inst.reg_scale * reg_eval(inst.reg, cand))
+                if not reg > bound:
+                    f_new, _ = weighted_objective_grad(inst, rows, cand, grad=False,
+                                                       zbuf=zbuf)
+                    if f_new <= bound:
+                        z = zbuf
+                        break
                 step *= ARMIJO_SHRINK
                 backtracked = True
                 if step < 1e-20:
@@ -231,17 +244,20 @@ def _sgd_epoch(inst, cfg, rng, rows, beta):
     """beta after one epoch of mini-batches over rows in rng's permutation;
     the permutation and the last batch are dropped on return, before the
     caller's pass over all rows.  On full data every weight is 1: the slopes
-    go unweighted and sum(u) is the batch size."""
+    go unweighted and sum(u) is the batch size.  A batch of weight sum 0
+    carries no part of the objective and takes no step."""
     X, y, u = rows.X, rows.y, rows.u
     order = rng.permutation(len(y))
     for lo in range(0, len(y), cfg.batch_size):
         batch = order[lo : lo + cfg.batch_size]
-        Xb, yb = X.take(batch, axis=0), y.take(batch)
         ub = None if u is None else u.take(batch)
+        count = float(len(batch)) if ub is None else float(np.sum(ub))
+        if count == 0.0:
+            continue
+        Xb, yb = X.take(batch, axis=0), y.take(batch)
         # the kernel's margins, overwritten by (u * slope) * y
         dz = row_margins(Xb, yb, beta)
         loss_terms(inst.loss, dz, yb, ub, dz, value=False)
-        count = float(len(batch)) if ub is None else float(np.sum(ub))
         # mean-objective gradient: per-point loss terms plus the 1/n
         # regularizer share, so the step scale is independent of n
         g = -(dz @ Xb) / count

@@ -253,6 +253,8 @@ class TestCoresetDocument:
         ("indices", [1.5] * 10), ("indices", [[1]] * 10), ("indices", [True] * 10),
         ("weights", [{}] * 10), ("weights", [[40.0]] * 10), ("weights", ["40"] * 10),
         ("weights", [True] * 10),
+        # numpy would read a bool among numbers as 0 or 1
+        ("indices", [True, 10]), ("weights", [1.5, False]),
     ])
     def test_entries_of_another_type_exit_2(self, coreset, capsys, command, key, values):
         self.edit(coreset, **{key: values})
@@ -279,6 +281,14 @@ class TestCoresetDocument:
         self.edit(coreset, indices=[], weights=[])
         assert run(["verify", *SYNTH, "--coreset", str(coreset)]) == 0
         assert "max_H=1.0 mean_H=1.0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["gd", "sgd"])
+    def test_a_coreset_of_zero_weight_trains(self, coreset, capsys, method):
+        # SGD's one batch carries no weight and takes no step, as GD's
+        # gradient on it is the regularizer's, 0 at beta = 0
+        self.edit(coreset, indices=[3], weights=[0.0])
+        assert run(["train", *SYNTH, "--coreset", str(coreset), "--method", method]) == 0
+        assert "beta_norm=0.0" in capsys.readouterr().out
 
     def test_settings_not_recorded_are_not_checked(self, coreset):
         self.edit(coreset, loss=None, reg=None, kappa=None, R=None, **{"lambda": None})
@@ -640,6 +650,17 @@ class TestNumericArguments:
         capsys.readouterr()
         assert run(["verify", *SYNTH, "--coreset", coreset, "--epsilon", "2"]) == 3
         assert capsys.readouterr().err == "error: eps must lie in (0, 1), got 2.0\n"
+
+    @pytest.mark.parametrize("argv", [["train"],
+                                      ["sweep", "--sizes", "50", "--report", "{tmp}/s.csv"]],
+                             ids=["train", "sweep"])
+    def test_armijo_underflow_is_named(self, tmp_path, capsys, argv):
+        # lambda R^2 of 7e307: every trial's regularizer term overflows, so
+        # the line search refuses every step until the step underflows
+        argv = [argv[0], "--format", "synthetic", "--input", "n=2000,d=3",
+                "--lambda-scale", "1e305", *[a.format(tmp=tmp_path) for a in argv[1:]]]
+        assert run(argv) == 4
+        assert capsys.readouterr().err == "numeric failure: Armijo backtracking underflow\n"
 
 
 class TestSubcommandFlags:

@@ -82,10 +82,19 @@ class TestLossEval:
             assert 0.0 <= vlo <= vhi
 
 
-# margins up to |z| = 800, past where exp(-|z|) underflows, with both zeros
-# and the hinge kink
+# margins up to |z| = 800, past where exp(-|z|) underflows, with both zeros,
+# the hinge kink, both infinities and NaN
 MARGINS = st.one_of(st.floats(-800, 800), st.sampled_from(
-    [0.0, -0.0, -1.0, 750.0, -750.0, 800.0, -800.0]))
+    [0.0, -0.0, -1.0, 750.0, -750.0, 800.0, -800.0, np.inf, -np.inf, np.nan]))
+
+
+def assert_same_floats(got, want):
+    """got and want hold the same bytes, except that a NaN need only be NaN
+    on both sides, whatever its sign and payload."""
+    got, want = np.asarray(got).ravel(), np.asarray(want).ravel()
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestLogisticKernel:
@@ -100,21 +109,27 @@ class TestLogisticKernel:
     def test_value_and_slope_bytes_equal_the_reference(self, z):
         value = np.asarray(loss_eval(LossKind.LOGISTIC, z))
         slope = np.asarray(loss_slope(LossKind.LOGISTIC, z))
-        assert value.tobytes() == np.asarray(oracle_softplus(z)).tobytes()
-        assert slope.tobytes() == np.asarray(oracle_sigmoid(z)).tobytes()
+        assert_same_floats(value, oracle_softplus(z))
+        assert_same_floats(slope, oracle_sigmoid(z))
         assert value.shape == slope.shape == z.shape
         # the kernel's path: the slope reads e, then the value consumes it
         e = model.exp_neg_abs(z)
-        assert loss_slope(LossKind.LOGISTIC, z, e).tobytes() == slope.tobytes()
-        assert loss_eval(LossKind.LOGISTIC, z, e).tobytes() == value.tobytes()
+        assert_same_floats(loss_slope(LossKind.LOGISTIC, z, e), slope)
+        assert_same_floats(loss_eval(LossKind.LOGISTIC, z, e), value)
         # the H pass's path: the margins and exp(-|z|) are overwritten
         zc = z.copy()
         e = model.exp_neg_abs(zc, np.empty(z.shape))
-        assert model.loss_in_place(LossKind.LOGISTIC, zc, e).tobytes() == value.tobytes()
+        assert_same_floats(model.loss_in_place(LossKind.LOGISTIC, zc, e), value)
         hinge = np.asarray(np.maximum(0.0, 1.0 + z))
-        assert np.asarray(loss_eval(LossKind.HINGE, z)).tobytes() == hinge.tobytes()
-        assert model.loss_in_place(LossKind.HINGE, z.copy(), None).tobytes() == \
-            hinge.tobytes()
+        assert_same_floats(loss_eval(LossKind.HINGE, z), hinge)
+        assert_same_floats(model.loss_in_place(LossKind.HINGE, z.copy(), None), hinge)
+        assert_same_floats(loss_slope(LossKind.HINGE, z), (z > -1.0).astype(float))
+
+    def test_infinite_and_nan_margins(self):
+        z = np.array([np.inf, -np.inf, np.nan])
+        assert_same_floats(loss_slope(LossKind.LOGISTIC, z), [1.0, 0.0, np.nan])
+        assert_same_floats(loss_eval(LossKind.LOGISTIC, z), [np.inf, 0.0, np.nan])
+        assert_same_floats(loss_eval(LossKind.HINGE, z), [np.inf, 0.0, np.nan])
 
     @given(st.floats(-800, 800))
     def test_scalar_softplus_is_zero_dimensional(self, z):
@@ -346,11 +361,19 @@ class TestBlockedKernel:
                 f, g = oracle_objective_grad(inst, cs, beta)
                 # a gradient call consumes the z it is given
                 for got in (weighted_objective_grad(inst, rows, beta),
-                            weighted_objective_grad(inst, rows, beta, z=z.copy())):
+                            weighted_objective_grad(inst, rows, beta, z=z.copy()),
+                            weighted_objective_grad(inst, rows, beta,
+                                                    zbuf=np.empty(rows.size))):
                     assert_same_bits(got, (f, g))
+                # a value call leaves the margins it took in a lent buffer,
+                # each leaf's the bytes of the whole gemv's
+                zbuf = np.full(rows.size, np.nan)
                 for got in (weighted_objective_grad(inst, rows, beta, grad=False),
-                            weighted_objective_grad(inst, rows, beta, grad=False, z=z)):
+                            weighted_objective_grad(inst, rows, beta, grad=False, z=z),
+                            weighted_objective_grad(inst, rows, beta, grad=False,
+                                                    zbuf=zbuf)):
                     assert_same_bits(got, oracle_objective_grad(inst, cs, beta, grad=False))
+                assert zbuf.tobytes() == z.tobytes()
                 assert_same_bits(weighted_objective_grad(inst, rows, beta, z=z.copy(),
                                                          value=False),
                                  (None, g))

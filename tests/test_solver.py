@@ -1,4 +1,6 @@
+import contextlib
 import math
+import sys
 import time
 import warnings
 
@@ -222,10 +224,10 @@ def kernel_with(monkeypatch, on_all_rows):
     computed over all rows."""
     kernel = solver.weighted_objective_grad
 
-    def wrapped(inst, rows, beta, grad=True, z=None, value=True):
+    def wrapped(inst, rows, beta, grad=True, z=None, value=True, zbuf=None):
         if value and rows.size == inst.n:
             on_all_rows(beta)
-        return kernel(inst, rows, beta, grad, z, value)
+        return kernel(inst, rows, beta, grad, z, value, zbuf)
 
     monkeypatch.setattr(solver, "weighted_objective_grad", wrapped)
 
@@ -283,6 +285,72 @@ class TestTraceRule:
             assert 1 <= len(betas) <= 2
 
 
+def floor_cases(tight=False):
+    """Logistic loss with both smooth regularizers past one leaf of rows, on
+    full data and a weighted coreset: Armijo's first trials there carry a
+    regularizer term above their bound.  With tight, the rows are separable
+    and lambda_scale is 1e-3, so that the loss sum nearly vanishes and some
+    trials' terms come within 10 % of their bound."""
+    X, y, _ = gen_synthetic(2 * model.ROW_BLOCK + 5, 3, noise=0.0 if tight else 0.1,
+                            margin=1.0 if tight else 0.0, seed=7)
+    for reg in (RegularizerKind.L2, RegularizerKind.L2_SQUARED):
+        inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC, reg=reg, kappa=0.5,
+                           lambda_scale=1e-3 if tight else 1.0)
+        for name, cs in (("full", None), ("weighted", uniform_sample(inst, 500, seed=3))):
+            yield pytest.param(inst, cs, id=f"{reg.value}-{name}" + "-tight" * tight)
+
+
+@contextlib.contextmanager
+def armijo_trials():
+    """Within the block, (trials, evaluated): every Armijo trial GD weighs
+    as (iteration, candidate bytes, regularizer term, Armijo bound), read
+    from the frame that takes the trial's regularizer, and the candidates
+    whose value the kernel computed on the training rows."""
+    trials, evaluated = [], []
+    reg_eval, kernel = solver.reg_eval, solver.weighted_objective_grad
+
+    def spying_reg_eval(kind, v):
+        r = reg_eval(kind, v)
+        frame = sys._getframe(1).f_locals
+        inst, rows, f, step, gnorm = (frame[k] for k in ("inst", "rows", "f", "step", "gnorm"))
+        trials.append((frame["it"], v.tobytes(), rows.share * (inst.reg_scale * r),
+                       f - solver.ARMIJO_C * step * gnorm * gnorm))
+        return r
+
+    def spying_kernel(inst, rows, beta, grad=True, z=None, value=True, zbuf=None):
+        if not grad and zbuf is not None:
+            evaluated.append(beta.tobytes())
+        return kernel(inst, rows, beta, grad, z, value, zbuf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "reg_eval", spying_reg_eval)
+        mp.setattr(solver, "weighted_objective_grad", spying_kernel)
+        yield trials, evaluated
+
+
+class TestArmijoFloor:
+    """A trial whose regularizer term alone exceeds its Armijo bound is
+    refused without a pass over the rows, with every float unchanged."""
+
+    @pytest.mark.parametrize("inst, cs", list(floor_cases()))
+    def test_floats_equal_the_oracle_that_evaluates_every_trial(self, inst, cs):
+        cfg = TrainConfig(max_iters=12, grad_tol=1e-12)
+        with armijo_trials() as (trials, _):
+            beta_hat, trace = train(inst, cfg, cs)
+        assert any(it == 0 and reg > bound for it, _, reg, bound in trials)
+        beta_ref, trace_ref = oracle_train_gd(inst, cfg, cs)
+        assert beta_hat.tobytes() == beta_ref.tobytes()
+        assert trace.objectives == trace_ref[:len(trace.objectives)]
+
+    @pytest.mark.parametrize("inst, cs", [*floor_cases(), *floor_cases(tight=True)])
+    def test_no_trial_above_its_bound_reaches_the_kernel(self, inst, cs):
+        with armijo_trials() as (trials, evaluated):
+            train(inst, TrainConfig(max_iters=12, grad_tol=1e-12), cs)
+        refused = [t for t in trials if t[2] > t[3]]
+        assert refused and len(refused) < len(trials)
+        assert evaluated == [cand for _, cand, reg, bound in trials if not reg > bound]
+
+
 def oracle_sgd_beta(inst, cfg):
     """Full-data SGD with every weight 1 kept in the step, u * dz * y over
     sum(u): the reference the weight-free full-data step must match."""
@@ -328,22 +396,33 @@ class TestBoundedMemory:
         calls = []
         kernel = solver.weighted_objective_grad
 
-        def recording(inst, rows, beta, grad=True, z=None, value=True):
-            calls.append((grad, value, z is not None))
-            return kernel(inst, rows, beta, grad, z, value)
+        def recording(inst, rows, beta, grad=True, z=None, value=True, zbuf=None):
+            calls.append((grad, value, z, zbuf, beta.tobytes()))
+            return kernel(inst, rows, beta, grad, z, value, zbuf)
 
         monkeypatch.setattr(solver, "weighted_objective_grad", recording)
         X, y, _ = gen_synthetic(300, 3, noise=0.1, seed=7)
         inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
                            reg=RegularizerKind.L2_SQUARED, kappa=0.5)
         _, trace = train(inst, TrainConfig(max_iters=20, grad_tol=1e-12))
-        grads = [c for c in calls if c[0]]
+        shapes = [(grad, value, z is not None, zbuf is not None)
+                  for grad, value, z, zbuf, _ in calls]
+        grads = [i for i, (grad, *_) in enumerate(calls) if grad]
         # one full evaluation at beta = 0; after it each gradient comes from
         # the margins of the trial that was accepted, whose value is known
         assert len(grads) == len(trace.objectives) == 20
-        assert grads[0] == (True, True, False)
-        assert set(grads[1:]) == {(True, False, True)}
-        assert {c for c in calls if not c[0]} == {(False, True, True)}
+        assert shapes[grads[0]] == (True, True, False, True)
+        assert {shapes[i] for i in grads[1:]} == {(True, False, True, False)}
+        # every trial lends GD's one buffer, and the kernel takes the
+        # trial's margins into it
+        assert {shapes[i] for i in range(len(calls)) if i not in grads} == \
+            {(False, True, False, True)}
+        assert len({id(zbuf) for *_, zbuf, _ in calls if zbuf is not None}) == 1
+        for i in grads[1:]:
+            # the call before a gradient is the accepted trial, at its beta
+            _, _, z, _, beta = calls[i]
+            assert not calls[i - 1][0]
+            assert calls[i - 1][3] is z and calls[i - 1][4] == beta
 
     def test_coreset_gd_gathers_its_rows_once(self, monkeypatch):
         # every kernel call and every Armijo trial's margins read the rows
@@ -574,6 +653,17 @@ class TestTrainSgd:
             beta_hat, trace = train(inst, cfg)
         assert beta_hat[0] == pytest.approx(1.0, rel=1e-4)
         assert all(np.isfinite(trace.objectives))
+
+    def test_a_batch_of_zero_weight_takes_no_step(self, rng):
+        inst = random_instance(rng, n=50)
+        cfg = TrainConfig(method=TrainMethod.SGD, epochs=2, batch_size=1, seed=3)
+        beta_hat, trace = train(inst, cfg, WeightedCoreset(indices=[3], weights=[0.0]))
+        assert not beta_hat.any()
+        assert trace.objectives == [full_objective(inst, np.zeros(3))] * 2
+        # beside batches that carry weight, beta stays finite and moves
+        cs = WeightedCoreset(indices=[3, 4, 5, 6], weights=[0.0, 0.0, 0.0, 50.0])
+        beta_hat, trace = train(inst, cfg, cs)
+        assert beta_hat.any() and np.all(np.isfinite(trace.objectives))
 
     def test_makes_progress(self, rng):
         X, y, _ = gen_synthetic(500, 2, noise=0.05, seed=3)
