@@ -143,7 +143,7 @@ def _doc_list(doc, key: str, kinds: str, what: str) -> np.ndarray:
     which numpy would read as 0 or 1 among numbers."""
     arr = np.asarray(doc[key])
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds) \
-            or any(isinstance(v, bool) for v in doc[key]):
+            or bool in map(type, doc[key]):
         raise SchemaMismatchError(f"coreset {key} must be a list of {what}")
     return arr
 
