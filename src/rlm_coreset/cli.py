@@ -130,21 +130,31 @@ def _coreset_from_doc(doc, inst) -> WeightedCoreset:
             raise SchemaMismatchError(
                 f"coreset was built with {key}={doc[key]!r} but the instance has {value!r}"
             )
-    indices = _doc_list(doc, "indices", "i", "integers")
+    indices = _doc_array(doc["indices"], (None,), "i",
+                         "coreset indices must be a list of integers")
     if indices.size and (indices.min() < 0 or indices.max() >= inst.n):
         raise SchemaMismatchError(f"coreset indices must lie in [0, {inst.n})")
-    weights = _doc_list(doc, "weights", "iuf", "numbers")
+    weights = _doc_array(doc["weights"], (None,), "iuf",
+                         "coreset weights must be a list of numbers")
     return WeightedCoreset(indices=indices, weights=weights.astype(float))
 
 
-def _doc_list(doc, key: str, kinds: str, what: str) -> np.ndarray:
-    """doc[key] as a 1-d array, refused unless it is a flat list whose
-    elements numpy reads as one of the dtype kinds and none is a bool,
-    which numpy would read as 0 or 1 among numbers."""
-    arr = np.asarray(doc[key])
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds) \
-            or bool in map(type, doc[key]):
-        raise SchemaMismatchError(f"coreset {key} must be a list of {what}")
+def _doc_array(value, shape: tuple, kinds: str, refusal: str) -> np.ndarray:
+    """value, a list read from a document, as an array of one or two
+    dimensions of the given shape (None for any length), refused with the
+    message refusal unless it is a list nested that deep, not ragged, whose
+    elements numpy reads as one of the dtype kinds and none is a bool, which
+    numpy would read as 0 or 1 among numbers."""
+    try:
+        arr = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged rows
+        arr = None
+    # a list that passes the shape test nests evenly, so a bool is a leaf
+    if arr is None or arr.ndim != len(shape) \
+            or any(want not in (None, got) for want, got in zip(shape, arr.shape)) \
+            or (arr.size and arr.dtype.kind not in kinds) \
+            or any(bool in map(type, row) for row in (value if arr.ndim == 2 else [value])):
+        raise SchemaMismatchError(refusal)
     return arr
 
 
@@ -168,23 +178,6 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _betas_from_doc(doc, d: int) -> np.ndarray:
-    """The (k, d) probe coefficients of a betas document, refused unless it is
-    an object whose "betas" is a non-empty list of length-d numeric lists."""
-    betas = doc.get("betas") if isinstance(doc, dict) else None
-    try:
-        arr = np.asarray(betas) if isinstance(betas, list) else None
-    except ValueError:  # ragged rows
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != d \
-            or arr.dtype.kind not in "iuf":
-        raise SchemaMismatchError(
-            f'a betas file must hold {{"betas": [[...], ...]}}, a non-empty list '
-            f"of lists of {d} numbers"
-        )
-    return arr.astype(float)
-
-
 def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
     """Expand one --betas spec into a (k, d) array of probe coefficients."""
     if spec == "trained":
@@ -193,7 +186,11 @@ def _probe_betas(spec: str, inst, cs, seed: int) -> np.ndarray:
         return beta_hat[None, :]
     if spec.startswith("file:"):
         with open(spec[5:], encoding="utf-8") as fh:
-            return _betas_from_doc(json.load(fh), inst.d)
+            doc = json.load(fh)
+        return _doc_array(
+            doc.get("betas") if isinstance(doc, dict) else None, (None, inst.d), "iuf",
+            f'a betas file must hold {{"betas": [[...], ...]}}, a non-empty list '
+            f"of lists of {inst.d} numbers").astype(float)
     if spec.startswith("random:"):
         parts = spec.split(":")
         if len(parts) > 3:

@@ -1,13 +1,16 @@
 """Dataset ingestion (svmlight and CSV), synthetic generation, and JSON
 serialization of coresets and reports.
 
+The loaders read a file once, in blocks of lines.  When a block fails, its
+own lines are scanned one by one, numbered from the block's first line,
+and the first bad line is named: from a regular file as from a pipe.
+
 All JSON documents carry the schema tag "rlm-coreset/1"; numbers go through
 json's repr-based float formatting, which round-trips doubles exactly.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import os
@@ -89,44 +92,31 @@ def _svmlight_block(lines):
     return labels, counts, idx, np.array(fields[1::2], dtype=float)
 
 
-def _svmlight_error(path, lines, first) -> Exception:
-    """Find the first malformed line the way the format is defined, line by
-    line, and return its error; only called once the block of lines, whose
-    first is line number first, has failed.  A regular file is read again
-    from its first line; a pipe, whose earlier lines are gone, is scanned in
-    the failed block alone.  An index too large for int64 is reported only
-    if no line scanned breaks the format before or after it."""
-    too_large = None
-    with contextlib.ExitStack() as stack:
-        if _is_regular(path):
-            lines, first = stack.enter_context(open(path, "r", encoding="utf-8")), 1
-        for lineno, line in enumerate(lines, start=first):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
+def _svmlight_error(lines, first) -> Exception:
+    """Find the first malformed line of a block of lines that failed, whose
+    first is line number first, line by line the way the format is defined,
+    and return its error."""
+    for lineno, line in enumerate(lines, start=first):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            label = float(parts[0])
+        except ValueError:
+            return ParseError(f"bad label {parts[0]!r}", line=lineno)
+        if label not in (0.0, 1.0, -1.0):
+            return LabelError(f"line {lineno}: label {label} not in {{0,1}} or {{-1,+1}}")
+        for token in parts[1:]:
             try:
-                label = float(parts[0])
+                idx_s, val_s = token.split(":", 1)
+                idx, _ = int(idx_s), float(val_s)
             except ValueError:
-                return ParseError(f"bad label {parts[0]!r}", line=lineno)
-            if label not in (0.0, 1.0, -1.0):
-                return LabelError(f"line {lineno}: label {label} not in {{0,1}} or {{-1,+1}}")
-            for token in parts[1:]:
-                try:
-                    idx_s, val_s = token.split(":", 1)
-                    idx, _ = int(idx_s), float(val_s)
-                except ValueError:
-                    return ParseError(f"bad feature {token!r}", line=lineno)
-                if idx < 1:
-                    return ParseError(f"feature index {idx} must be >= 1", line=lineno)
-                if idx > np.iinfo(np.int64).max and too_large is None:
-                    too_large = ParseError(f"feature index {idx} is too large", line=lineno)
-    return too_large or ParseError("malformed svmlight file")
-
-
-def _is_regular(path) -> bool:
-    """Whether path is a regular file, which can be read more than once,
-    unlike a pipe."""
-    return stat.S_ISREG(os.stat(path).st_mode)
+                return ParseError(f"bad feature {token!r}", line=lineno)
+            if idx < 1:
+                return ParseError(f"feature index {idx} must be >= 1", line=lineno)
+            if idx > np.iinfo(np.int64).max:
+                return ParseError(f"feature index {idx} is too large", line=lineno)
+    return ParseError("malformed svmlight file")
 
 
 def _line_bound(path) -> int:
@@ -135,7 +125,7 @@ def _line_bound(path) -> int:
     data rows.  A lone '\r' also ends a line in text mode, so a file with
     such line ends can hold more.  0 for a pipe or any other file that can
     be read only once."""
-    if not _is_regular(path):
+    if not stat.S_ISREG(os.stat(path).st_mode):
         return 0
     lines, last, buf = 0, ord("\n"), bytearray(1 << 16)
     with open(path, "rb") as fh:
@@ -201,7 +191,7 @@ def _svmlight_blocks(path):
             try:
                 block = _svmlight_block(lines)
             except (ValueError, OverflowError):
-                raise _svmlight_error(path, lines, first) from None
+                raise _svmlight_error(lines, first) from None
             first += len(lines)
             del lines
             yield block
@@ -286,35 +276,24 @@ def _csv_block(lines, n_columns):
     return data
 
 
-def _csv_error(path, lines, first, n_columns, reason) -> Exception:
-    """Find the first malformed data row, record by record as the csv module
-    reads them, and return its error; only called once the C reader failed
-    on the block of lines whose first is line number first.  A regular file
-    is read again from its first data row; a pipe, whose earlier rows are
-    gone, is scanned in the failed block alone, its records numbered from
-    first."""
-    with contextlib.ExitStack() as stack:
-        if _is_regular(path):
-            reader = csv.reader(stack.enter_context(
-                open(path, "r", encoding="utf-8", newline="")))
-            next(reader, None)
-            first = 2
-        else:
-            reader = csv.reader(lines)
-        for lineno, row in enumerate(reader, start=first):
-            if not row:
-                continue
-            if len(row) != n_columns:
-                return ParseError(f"expected {n_columns} columns, got {len(row)}", line=lineno)
-            try:
-                [float(cell) for cell in row]
-            except ValueError:
-                return ParseError("non-numeric value", line=lineno)
-            for cell in row:
-                if _NOT_PLAIN.search(cell):
-                    return ParseError(
-                        f"{cell.strip()!r}: digit-group underscores and non-ASCII "
-                        "digits are not accepted", line=lineno)
+def _csv_error(lines, first, n_columns, reason) -> Exception:
+    """Find the first malformed data row of a block of lines the C reader
+    failed on, record by record as the csv module reads them, numbered from
+    first, the number of the block's first line, and return its error."""
+    for lineno, row in enumerate(csv.reader(lines), start=first):
+        if not row:
+            continue
+        if len(row) != n_columns:
+            return ParseError(f"expected {n_columns} columns, got {len(row)}", line=lineno)
+        try:
+            [float(cell) for cell in row]
+        except ValueError:
+            return ParseError("non-numeric value", line=lineno)
+        for cell in row:
+            if _NOT_PLAIN.search(cell):
+                return ParseError(
+                    f"{cell.strip()!r}: digit-group underscores and non-ASCII "
+                    "digits are not accepted", line=lineno)
     return ParseError(f"malformed CSV file: {reason}")
 
 
@@ -358,7 +337,7 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
                 rows = end
                 first += len(lines)
         except ValueError as exc:
-            raise _csv_error(path, lines, first, len(header), str(exc)) from None
+            raise _csv_error(lines, first, len(header), str(exc)) from None
     if not rows:
         raise ParseError("no data rows")
     _resize(X, (rows, X.shape[1]))

@@ -11,8 +11,9 @@ Its value and (sub)gradient over weighted rows, the ``Rows`` that
 one place, ``weighted_objective_grad``; the solver and ``full_objective``
 call it.  No pass over X allocates an n x d temporary:
 ``check_rows`` refuses bad rows and takes R in one pass over blocks of
-ROW_TILE rows, and the full-data margins and losses are taken in leaves
-of ROW_BLOCK rows, whose sums ``blocked_sum`` adds.
+ROW_TILE rows, and the margins and losses are taken in leaves, whose sums
+``blocked_sum`` adds: leaves of ROW_BLOCK rows on all rows, one leaf of
+every row when the rows are weighted.
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
 from the same loss and regularizer terms, in cache-sized tiles of X, each
@@ -83,11 +84,10 @@ def loss_in_place(kind: LossKind, z: np.ndarray, e: Optional[np.ndarray]) -> np.
     return np.maximum(0.0, z, out=z)
 
 
-def softplus(z, e=None):
+def softplus(z):
     """Numerically stable log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|));
-    works on scalars (a 0-d array comes back) and arrays.  e, when given, is
-    exp(-|z|) and is overwritten with the result."""
-    return loss_eval(LossKind.LOGISTIC, z, e)
+    works on scalars (a 0-d array comes back) and arrays."""
+    return loss_eval(LossKind.LOGISTIC, z)
 
 
 def loss_eval(kind: LossKind, z, e=None):
@@ -126,7 +126,7 @@ def reg_eval(kind: RegularizerKind, v) -> float:
     return float(np.dot(v.ravel(), v.ravel()))
 
 
-def reg_grad(kind: RegularizerKind, v, scale: float = 1.0) -> np.ndarray:
+def reg_grad(kind: RegularizerKind, v, scale: float) -> np.ndarray:
     """(Sub)gradient of scale * r(v), with scale applied before the division
     by the norm for the 2-norm."""
     v = np.asarray(v, dtype=float)
@@ -362,33 +362,31 @@ def weighted_objective_grad(
     grad=False zbuf holds them, to be passed back as z.  A gradient call
     consumes its margins, writing the gradient's weights over them.
 
-    On all rows at weight 1 the margins and losses are taken ROW_BLOCK rows
-    at a time, each leaf's margins just before its losses, and added by
-    blocked_sum, the order of the H pass, so no n-sized array but the
-    margins, which the gradient's weights dz overwrite, is held; on at most
-    2**20 rows every float is the one whole arrays give (a margin is one
-    row's dot product, the same float in a leaf's gemv as in the whole
+    The margins and losses are taken in leaves, each leaf's margins just
+    before its losses, and added by blocked_sum, the order of the H pass.
+    On all rows at weight 1 a leaf has ROW_BLOCK rows, so no n-sized array
+    but the margins, which the gradient's weights dz overwrite, is held; on
+    at most 2**20 rows every float is the one whole arrays give (a margin is
+    one row's dot product, the same float in a leaf's gemv as in the whole
     one).  The gradient stays one gemv, -(dz @ X): BLAS's order of
     additions is its own, and a split of it would move the bits."""
     if rows is None:
         rows = objective_rows(inst)
-    X, y = rows.X, rows.y
+    X, y, u = rows.X, rows.y, rows.u
     margins = z is None
     if margins:
         z = np.empty(len(y)) if zbuf is None else zbuf
     dz = z if grad else None
-    if rows.u is None:
-        def leaf(lo, hi):
-            if margins:
-                row_margins(X[lo:hi], y[lo:hi], beta, out=z[lo:hi])
-            return loss_terms(inst.loss, z[lo:hi], y[lo:hi], None,
-                              None if dz is None else dz[lo:hi], value)
 
-        loss_sum = blocked_sum(leaf, len(z), ROW_BLOCK, 1)
-    else:
+    def leaf(lo, hi):
         if margins:
-            row_margins(X, y, beta, out=z)
-        loss_sum = loss_terms(inst.loss, z, y, rows.u, dz, value)
+            row_margins(X[lo:hi], y[lo:hi], beta, out=z[lo:hi])
+        return loss_terms(inst.loss, z[lo:hi], y[lo:hi], None if u is None else u[lo:hi],
+                          None if dz is None else dz[lo:hi], value)
+
+    # weighted rows are one leaf of all of them: their loss sum is one dot,
+    # u @ losses, whose order of additions is BLAS's, so a split moves F_C
+    loss_sum = blocked_sum(leaf, len(z), ROW_BLOCK if u is None else max(len(z), 1), 1)
     scale = inst.reg_scale
     f = loss_sum + rows.share * (scale * reg_eval(inst.reg, beta)) if value else None
     if not grad:

@@ -6,7 +6,10 @@ full-batch gradient descent with Armijo backtracking (subgradient steps with
 1/sqrt(t) decay when the objective is nonsmooth), and a seeded mini-batch
 SGD baseline for timing comparisons.  An Armijo trial whose regularizer
 term alone exceeds the sufficient-decrease bound is refused before the
-kernel evaluates it, an exact test since no loss is negative.
+kernel evaluates it, an exact test since no loss is negative.  GD keeps
+the full objective F at its iterates in one lookup keyed by beta's bytes,
+filled by the kernel's own values on full data and by a pass over all rows,
+off the clock, on a coreset; the trace and final_objective read it.
 Every run starts from beta = 0 and is fully determined by (input, config).
 """
 
@@ -134,40 +137,40 @@ def _kink_bound(inst, rows) -> float:
 def _train_gd(inst, rows, cfg, full_trace):
     beta = np.zeros(inst.d)
     trace = TrainTrace()
-    # on full data every value computed on rows is the full objective the
-    # trace records, so the trace reuses it instead of evaluating again
+    # F over all rows at each beta it is known for, keyed by beta's bytes:
+    # on full data every value computed on rows is F, and fills it
     full = rows.u is None
+    F = {}
     smooth = _is_smooth(inst)
     kink = _kink_bound(inst, rows) if smooth else 0.0
     clock = 0.0
-    # the best iterate, its value on rows and its F, once known
-    best_beta, best_f, best_full = beta, np.inf, None
+    # the best iterate and its value on rows
+    best_beta, best_f = beta, np.inf
     step = STEP_INIT
     # the margins at beta of the Armijo trial accepted last, whose value f
     # is known: the gradient is computed from them, consuming them.  Every
     # kernel call on rows that takes margins writes them into zbuf
     z, zbuf = None, np.empty(rows.size)
-    f_full = None  # F at beta, once known
     for it in range(cfg.max_iters):
         # from iteration 1 on beta is new: its F is recorded with the clock of
         # the step that made it, on a coreset from one pass off the clock
         if it and full_trace and not full:
-            f_full = _full_value(inst, beta)
+            F[beta.tobytes()] = _full_value(inst, beta)
         t0 = time.perf_counter()
         if z is None:
             f, g = weighted_objective_grad(inst, rows, beta, zbuf=zbuf)
+            if full:
+                F[beta.tobytes()] = f
         else:
             _, g = weighted_objective_grad(inst, rows, beta, z=z, value=False)
             z = None
-        if full:
-            f_full = f
         if it and full_trace:
-            trace.append(clock, f_full)
+            trace.append(clock, F[beta.tobytes()])
         gnorm = float(np.linalg.norm(g))
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             raise NonFiniteError(f"non-finite objective/gradient at iter {it}")
         if f < best_f:
-            best_f, best_beta, best_full = f, beta, f_full
+            best_f, best_beta = f, beta
         # at iteration 0 beta = 0 and the regularizer's gradient there is 0,
         # so g is the loss gradient and the kink test is the optimality test
         if gnorm <= cfg.grad_tol or (it == 0 and gnorm <= kink):
@@ -200,6 +203,8 @@ def _train_gd(inst, rows, cfg, full_trace):
             if backtracked and cand.tobytes() == beta.tobytes():
                 trace.stop_reason = "stalled"
             beta, f = cand, f_new
+            if full:
+                F[beta.tobytes()] = f
         else:
             beta = beta - STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
         clock += time.perf_counter() - t0
@@ -207,21 +212,18 @@ def _train_gd(inst, rows, cfg, full_trace):
             break
     # a pass over all rows holds no coreset rows or margins beside its own
     del rows, z, zbuf
-    # converged and stalled end at the bytes of f_full's beta; a run out of
-    # budget ends at a new beta, whose F on full data is its trial's value
-    if trace.stop_reason == "max_iters":
-        f_full = f if full and smooth else None
-    if f_full is None:
-        f_full = _full_value(inst, beta)
-    trace.append(clock, f_full)
-    if smooth:
-        trace.final_objective = f_full
-        return beta, trace
-    # F of the best iterate is unknown only for beta_0 on a coreset
-    if best_full is None:
-        best_full = f_full if best_beta is beta else _full_value(inst, best_beta)
-    trace.final_objective = best_full
-    return best_beta, trace
+
+    def full_value(b):
+        key = b.tobytes()
+        if key not in F:
+            F[key] = _full_value(inst, b)
+        return F[key]
+
+    trace.append(clock, full_value(beta))
+    if not smooth:  # nonsmooth GD returns its best iterate
+        beta = best_beta
+    trace.final_objective = full_value(beta)
+    return beta, trace
 
 
 def _train_sgd(inst, rows, cfg, full_trace):

@@ -175,6 +175,7 @@ class TestBetasFile:
         {"betas": [[1.0, None, 3.0]]},
         {"betas": [[[1.0], [2.0], [3.0]]]},
         {"betas": [[True, False, True]]},
+        {"betas": [[True, 0.5, 1.0]]},            # numpy would read the bool as 1.0
     ])
     def test_malformed_document_exits_2(self, tmp_path, coreset, capsys, doc):
         bfile = tmp_path / "betas.json"

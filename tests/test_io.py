@@ -494,6 +494,17 @@ class TestMalformed:
         load = {"csv": data_io.load_csv, "svmlight": data_io.load_svmlight}[fmt]
         assert outcome_through_a_pipe(load, text) == outcome(load, f)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_first_bad_line_of_the_failed_block_from_a_file_and_a_pipe(self, tmp_path):
+        # not in MALFORMED: the line-by-line oracle reports an index past
+        # int64 only when no later line breaks the format, and names line 411
+        text = "1 1:1\n" * 9 + "1 99999999999999999999:1\n" + "1 1:1\n" * 400 + "x 1:1\n"
+        f = tmp_path / "bad"
+        f.write_bytes(text.encode("utf-8"))
+        want = (ParseError, "line 10: feature index 99999999999999999999 is too large")
+        assert outcome(data_io.load_svmlight, f) == want
+        assert outcome_through_a_pipe(data_io.load_svmlight, text) == want
+
 
 class TestNewlyRefused:
     """Cells float() accepts but the C reader does not; the oracle reads them."""

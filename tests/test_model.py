@@ -353,7 +353,12 @@ class TestBlockedKernel:
         rng = np.random.default_rng(n)
         weighted = WeightedCoreset(indices=rng.integers(0, n, size=3000),
                                    weights=rng.uniform(0.1, 5.0, size=3000))
-        for cs in (None, weighted):
+        # weighted rows past one leaf's ROW_BLOCK: F_C is still one u @ losses
+        q = 2 * model.ROW_BLOCK + 5
+        wide_rng = np.random.default_rng([n, 1])
+        wide = WeightedCoreset(indices=wide_rng.integers(0, n, size=q),
+                               weights=wide_rng.uniform(0.1, 5.0, size=q))
+        for cs in (None, weighted, wide):
             rows = objective_rows(inst, cs)
             # beta = 0 puts every margin at a signed zero
             for beta in (np.zeros(inst.d), 0.7 * rng.standard_normal(inst.d)):
