@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -483,6 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A library warning, such as RlmInstance's for points all at the
+    origin, as one stderr line in the form of the command's own warnings."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -491,7 +498,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise InvalidParameterError(f"--seed must be non-negative, got {args.seed}")
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except RlmError as exc:
         print(f"{PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code

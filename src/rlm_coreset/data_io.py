@@ -3,7 +3,9 @@ serialization of coresets and reports.
 
 The loaders read a file once, in blocks of lines.  When a block fails, its
 own lines are scanned one by one, numbered from the block's first line,
-and the first bad line is named: from a regular file as from a pipe.
+and the first bad line is named: from a regular file as from a pipe.  A
+byte that is not UTF-8 is read as a lone surrogate, which no block
+accepts, so it is refused with its line's number too.
 
 All JSON documents carry the schema tag "rlm-coreset/1"; numbers go through
 json's repr-based float formatting, which round-trips doubles exactly.
@@ -65,15 +67,32 @@ _MOVE_BYTES = 1 << 16
 # and a file whose widest index rises block after block widens X a bounded
 # number of times.
 _HELD_SHARE = 16
+# The loaders decode bytes that are not UTF-8 to the lone surrogates
+# U+DC80..U+DCFF, which str.encode refuses, instead of failing at whatever
+# read decodes them; _utf8_error names the line that holds one.
+_DECODE_ERRORS = "surrogateescape"
+_SURROGATE = re.compile("[\udc80-\udcff]")
 # Every byte except the ASCII separator controls \x1c-\x1f, which the C
 # reader strips as whitespace and float() refuses.
 _NOT_SEPARATOR_CONTROL = bytes(b for b in range(256) if not 0x1C <= b <= 0x1F)
+
+
+def _utf8_error(text, first) -> Optional[ParseError]:
+    """The error for the first byte of text that is not UTF-8, on its line
+    counted from first, the number of text's first line; None when every
+    byte is UTF-8.  Lines end at '\n', '\r' or '\r\n'."""
+    bad = _SURROGATE.search(text)
+    if bad is None:
+        return None
+    line = first + len(re.findall("\r\n?|\n", text[:bad.start()]))
+    return ParseError(f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8", line=line)
 
 
 def _svmlight_block(lines):
     """Labels, per-row feature counts, indices and values of one block of
     lines, each converted by one numpy call; ValueError or OverflowError when
     a line is malformed (which one is left to `_svmlight_error`)."""
+    "".join(lines).encode()  # a byte that is not UTF-8, in a comment too, fails here
     parts = [line.split("#", 1)[0].split(None, 1) for line in lines]
     parts = [p for p in parts if p]
     rests = [p[1] if len(p) > 1 else "" for p in parts]
@@ -97,6 +116,8 @@ def _svmlight_error(lines, first) -> Exception:
     first is line number first, line by line the way the format is defined,
     and return its error."""
     for lineno, line in enumerate(lines, start=first):
+        if error := _utf8_error(line, lineno):
+            return error
         parts = line.split("#", 1)[0].split()
         if not parts:
             continue
@@ -186,7 +207,7 @@ def _svmlight_blocks(path):
     """The labels, the rows' feature counts, indices and values of each block
     of lines."""
     first = 1  # the number of the block's first line
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors=_DECODE_ERRORS) as fh:
         while lines := list(islice(fh, _BLOCK_LINES)):
             try:
                 block = _svmlight_block(lines)
@@ -281,6 +302,8 @@ def _csv_error(lines, first, n_columns, reason) -> Exception:
     failed on, record by record as the csv module reads them, numbered from
     first, the number of the block's first line, and return its error."""
     for lineno, row in enumerate(csv.reader(lines), start=first):
+        if error := _utf8_error(",".join(row), lineno):
+            return error
         if not row:
             continue
         if len(row) != n_columns:
@@ -309,12 +332,16 @@ def load_csv(path, label_column: Optional[str] = None) -> Tuple[np.ndarray, np.n
     needs more, and has its unused rows cut off in place, so it is returned
     exactly n x d."""
     bound = max(_line_bound(path) - 1, 0)  # less the header's line
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors=_DECODE_ERRORS, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration as exc:
             raise ParseError("empty file") from exc
+        # a quoted name keeps its line ends, and only they end the header's
+        # lines: the names, joined, count its lines
+        if error := _utf8_error(",".join(header), 1):
+            raise error
         if not header:
             raise ParseError("empty header", line=1)
         if label_column is None:

@@ -11,9 +11,10 @@ Its value and (sub)gradient over weighted rows, the ``Rows`` that
 one place, ``weighted_objective_grad``; the solver and ``full_objective``
 call it.  No pass over X allocates an n x d temporary:
 ``check_rows`` refuses bad rows and takes R in one pass over blocks of
-ROW_TILE rows, and the margins and losses are taken in leaves, whose sums
-``blocked_sum`` adds: leaves of ROW_BLOCK rows on all rows, one leaf of
-every row when the rows are weighted.
+ROW_TILE rows, and the margins, losses and gradient are taken in leaves,
+whose sums ``blocked_sum`` adds: leaves of ``leaf_rows(d)`` rows on all
+rows, so that the kernel holds nothing of n rows, and one leaf of every row
+when the rows are weighted.
 
 H has one path: ``block_objectives`` evaluates a block of probes at once
 from the same loss and regularizer terms, in cache-sized tiles of X, each
@@ -138,15 +139,24 @@ def reg_grad(kind: RegularizerKind, v, scale: float) -> np.ndarray:
     return scale * np.sign(v)
 
 
-# rows of X per leaf of the full-data loss sum: each leaf's temporaries are
-# ROW_BLOCK long, never n (at least numpy's pairwise block of 128, below
-# which np.sum stops halving)
-ROW_BLOCK = 1 << 13
+# rows x d of a leaf of the full-data kernel: its margins, losses and slopes
+# are leaf-sized, never n, and its gemvs small enough that their bytes do
+# not depend on the BLAS thread count (with OpenBLAS 0.3.31 on 2 CPUs, a
+# gemv of 10 columns gave other bytes at two threads from 46080 rows on,
+# one of 700 columns from about 1024 rows on)
+LEAF_VALUES = 1 << 17
 # tile of the block evaluator: ROW_TILE rows of X against PROBE_TILE probes,
 # a (PROBE_TILE, ROW_TILE) block of margins that stays in cache; the row
 # check reads X ROW_TILE rows at a time too
 ROW_TILE = 1024
 PROBE_TILE = 64
+
+
+def leaf_rows(d: int) -> int:
+    """Rows of a leaf of the full-data kernel at d columns: the largest power
+    of two with rows x d at most LEAF_VALUES, and at least 128, numpy's
+    smallest halved length, below which np.sum stops halving."""
+    return max(128, 1 << (LEAF_VALUES // max(d, 1)).bit_length() - 1)
 
 
 def check_rows(X: np.ndarray, y: np.ndarray) -> float:
@@ -155,7 +165,8 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> float:
     {-1, +1}.  X is read once, ROW_TILE rows at a time, their squares taken
     in one reused buffer and reduced as np.linalg.norm(axis=1) reduces them
     on real input; a max of those norms is exact, so R is the float the
-    whole array gives.  y is read after X, ROW_BLOCK labels at a time."""
+    whole array gives.  y is read after X, eight tiles of labels at a time
+    (one test per 8192 labels took a third of the time of one per 1024)."""
     R = 0.0
     squares = np.empty((min(X.shape[0], ROW_TILE), X.shape[1]))
     # a finite row whose squares overflow has norm inf, refused below
@@ -169,9 +180,10 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> float:
             R = max(R, np.max(np.sqrt(norms, out=norms)))
     if not np.isfinite(R):
         raise ValueError("a point's 2-norm is not finite")
-    for lo in range(0, len(y), ROW_BLOCK):
+    labels = 8 * ROW_TILE
+    for lo in range(0, len(y), labels):
         # |t| == 1 refuses what (t == 1) | (t == -1) refuses, NaN included
-        if not (np.abs(y[lo:lo + ROW_BLOCK]) == 1.0).all():
+        if not (np.abs(y[lo:lo + labels]) == 1.0).all():
             raise ValueError("labels must be in {-1, +1}")
     return float(R)
 
@@ -319,13 +331,11 @@ def _checked_indices(inst: RlmInstance, cs: WeightedCoreset) -> np.ndarray:
     return idx
 
 
-def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The margins z = -y * (X @ beta) on the rows X, y, in out when given,
-    else in one new array."""
+def row_margins(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The margins z = -y * (X @ beta) on the rows X, y, in one new array."""
     # one gemv, the product with y and its sign taken in place: rounding is
     # symmetric, so -(y * p) is the float (-y) * p
-    z = np.matmul(X, beta, out=out)
+    z = X @ beta
     z *= y
     return np.negative(z, out=z)
 
@@ -347,51 +357,55 @@ def loss_terms(loss: LossKind, z, y, u, dz, value: bool) -> float:
 
 
 def weighted_objective_grad(
-    inst: RlmInstance, rows: Optional[Rows], beta: np.ndarray,
-    grad: bool = True, z: Optional[np.ndarray] = None, value: bool = True,
-    zbuf: Optional[np.ndarray] = None,
-) -> Tuple[Optional[float], Optional[np.ndarray]]:
+    inst: RlmInstance, rows: Optional[Rows], beta: np.ndarray, grad: bool = True,
+) -> Tuple[float, Optional[np.ndarray]]:
     """Objective sum_i u_i f_i(beta) over rows and its (sub)gradient; rows
     None means all rows of inst, and gives F(beta).  Of inst only the loss,
     regularizer and reg_scale are read.  With grad=False the gradient is
-    not computed and None is returned in its place, with value=False the
-    same holds for the objective; each is the same float either way.  z,
-    when given, holds the margins on rows, which are not recomputed.
-    Otherwise the margins are computed into zbuf, an array of rows.size
-    floats, when it is given, else into one new array; after a call with
-    grad=False zbuf holds them, to be passed back as z.  A gradient call
-    consumes its margins, writing the gradient's weights over them.
+    not computed and None is returned in its place; the objective is the
+    same float either way.
 
-    The margins and losses are taken in leaves, each leaf's margins just
-    before its losses, and added by blocked_sum, the order of the H pass.
-    On all rows at weight 1 a leaf has ROW_BLOCK rows, so no n-sized array
-    but the margins, which the gradient's weights dz overwrite, is held; on
-    at most 2**20 rows every float is the one whole arrays give (a margin is
-    one row's dot product, the same float in a leaf's gemv as in the whole
-    one).  The gradient stays one gemv, -(dz @ X): BLAS's order of
-    additions is its own, and a split of it would move the bits."""
+    The rows are taken in leaves, added by blocked_sum, the order of the H
+    pass.  A leaf takes its margins into an array of its own rows, then
+    their losses, and with grad its slopes and its share of the gradient,
+    one gemv dz_leaf @ X_leaf; it returns the loss sum, or with grad the
+    (1 + d)-vector of the loss sum and that share.  On all rows at weight 1
+    a leaf has leaf_rows(d) rows, so nothing the kernel holds grows with n;
+    on at most 2**20 rows the loss sum is the float np.sum of all losses
+    gives at one BLAS thread, where a leaf's gemv gives each margin the
+    whole gemv's float.  A leaf's gemvs are small enough that their bytes,
+    and so F and its gradient on all rows, do not depend on the BLAS thread
+    count; one gemv over all rows split them between threads, which moved
+    margins and the gradient's last bits.  Weighted rows, one leaf, do
+    depend on it once BLAS splits their dot and gemv (above 10000 rows)."""
     if rows is None:
         rows = objective_rows(inst)
     X, y, u = rows.X, rows.y, rows.u
-    margins = z is None
-    if margins:
-        z = np.empty(len(y)) if zbuf is None else zbuf
-    dz = z if grad else None
 
     def leaf(lo, hi):
-        if margins:
-            row_margins(X[lo:hi], y[lo:hi], beta, out=z[lo:hi])
-        return loss_terms(inst.loss, z[lo:hi], y[lo:hi], None if u is None else u[lo:hi],
-                          None if dz is None else dz[lo:hi], value)
+        X_leaf, y_leaf = X[lo:hi], y[lo:hi]
+        z = row_margins(X_leaf, y_leaf, beta)
+        total = loss_terms(inst.loss, z, y_leaf, None if u is None else u[lo:hi],
+                           z if grad else None, True)
+        if not grad:
+            return total
+        sums = np.empty(1 + len(beta))
+        sums[0] = total
+        np.matmul(z, X_leaf, out=sums[1:])
+        return sums
 
     # weighted rows are one leaf of all of them: their loss sum is one dot,
-    # u @ losses, whose order of additions is BLAS's, so a split moves F_C
-    loss_sum = blocked_sum(leaf, len(z), ROW_BLOCK if u is None else max(len(z), 1), 1)
+    # u @ losses, and their gradient one gemv, whose orders of additions are
+    # BLAS's, so a split moves F_C and the coreset gradient.  Blocks are
+    # sized for width 1 whatever a leaf returns, so that the loss sum is
+    # added in the H pass's blocks with or without the gradient
+    n = rows.size
+    sums = blocked_sum(leaf, n, leaf_rows(X.shape[1]) if u is None else max(n, 1), 1)
     scale = inst.reg_scale
-    f = loss_sum + rows.share * (scale * reg_eval(inst.reg, beta)) if value else None
+    reg = rows.share * (scale * reg_eval(inst.reg, beta))
     if not grad:
-        return f, None
-    return f, -(dz @ X) + rows.share * reg_grad(inst.reg, beta, scale)
+        return sums + reg, None
+    return float(sums[0]) + reg, -sums[1:] + rows.share * reg_grad(inst.reg, beta, scale)
 
 
 def full_objective(inst: RlmInstance, beta: np.ndarray) -> float:

@@ -6,7 +6,10 @@ full-batch gradient descent with Armijo backtracking (subgradient steps with
 1/sqrt(t) decay when the objective is nonsmooth), and a seeded mini-batch
 SGD baseline for timing comparisons.  An Armijo trial whose regularizer
 term alone exceeds the sufficient-decrease bound is refused before the
-kernel evaluates it, an exact test since no loss is negative.  GD keeps
+kernel evaluates it, an exact test since no loss is negative; every trial
+the kernel evaluates takes the value and the gradient, so the accepted
+trial's gradient is the next iteration's, and GD holds no array of n rows
+beside X and y.  GD keeps
 the full objective F at its iterates in one lookup keyed by beta's bytes,
 filled by the kernel's own values on full data and by a pass over all rows,
 off the clock, on a coreset; the trace and final_objective read it.
@@ -147,23 +150,20 @@ def _train_gd(inst, rows, cfg, full_trace):
     # the best iterate and its value on rows
     best_beta, best_f = beta, np.inf
     step = STEP_INIT
-    # the margins at beta of the Armijo trial accepted last, whose value f
-    # is known: the gradient is computed from them, consuming them.  Every
-    # kernel call on rows that takes margins writes them into zbuf
-    z, zbuf = None, np.empty(rows.size)
+    # the value and gradient at beta: every kernel call takes both, so after
+    # an accepted Armijo trial they are the trial's, and g is None only when
+    # beta has not been evaluated yet
+    f, g = None, None
     for it in range(cfg.max_iters):
         # from iteration 1 on beta is new: its F is recorded with the clock of
         # the step that made it, on a coreset from one pass off the clock
         if it and full_trace and not full:
             F[beta.tobytes()] = _full_value(inst, beta)
         t0 = time.perf_counter()
-        if z is None:
-            f, g = weighted_objective_grad(inst, rows, beta, zbuf=zbuf)
+        if g is None:
+            f, g = weighted_objective_grad(inst, rows, beta)
             if full:
                 F[beta.tobytes()] = f
-        else:
-            _, g = weighted_objective_grad(inst, rows, beta, z=z, value=False)
-            z = None
         if it and full_trace:
             trace.append(clock, F[beta.tobytes()])
         gnorm = float(np.linalg.norm(g))
@@ -189,10 +189,8 @@ def _train_gd(inst, rows, cfg, full_trace):
                 # pass over the rows, and is refused without one
                 reg = rows.share * (inst.reg_scale * reg_eval(inst.reg, cand))
                 if not reg > bound:
-                    f_new, _ = weighted_objective_grad(inst, rows, cand, grad=False,
-                                                       zbuf=zbuf)
+                    f_new, g_new = weighted_objective_grad(inst, rows, cand)
                     if f_new <= bound:
-                        z = zbuf
                         break
                 step *= ARMIJO_SHRINK
                 backtracked = True
@@ -202,16 +200,17 @@ def _train_gd(inst, rows, cfg, full_trace):
             # same doubled step and accept this one again, forever
             if backtracked and cand.tobytes() == beta.tobytes():
                 trace.stop_reason = "stalled"
-            beta, f = cand, f_new
+            beta, f, g = cand, f_new, g_new
             if full:
                 F[beta.tobytes()] = f
         else:
             beta = beta - STEP_INIT / np.sqrt(it + 1.0) * g / max(gnorm, 1e-30)
+            g = None
         clock += time.perf_counter() - t0
         if trace.stop_reason != "max_iters":
             break
-    # a pass over all rows holds no coreset rows or margins beside its own
-    del rows, z, zbuf
+    # a pass over all rows holds no coreset rows beside its own
+    del rows
 
     def full_value(b):
         key = b.tobytes()
@@ -249,8 +248,12 @@ def _sgd_epoch(inst, cfg, rng, rows, beta):
     go unweighted and sum(u) is the batch size.  A batch of weight sum 0
     carries no part of the objective and takes no step."""
     X, y, u = rows.X, rows.y, rows.u
-    order = rng.permutation(len(y))
-    for lo in range(0, len(y), cfg.batch_size):
+    # rng.shuffle of an arange is rng.permutation's order and leaves rng in
+    # the same state; int32 indices take half the bytes
+    n = len(y)
+    order = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    rng.shuffle(order)
+    for lo in range(0, n, cfg.batch_size):
         batch = order[lo : lo + cfg.batch_size]
         ub = None if u is None else u.take(batch)
         count = float(len(batch)) if ub is None else float(np.sum(ub))

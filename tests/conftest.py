@@ -154,12 +154,35 @@ def oracle_sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def oracle_leaf_sum(dz, X):
+    """sum_i dz_i x_i as the kernel adds it on all rows: dz[a:b] @ X[a:b] on
+    leaves of model.leaf_rows(d) rows, found by halving as numpy's pairwise
+    sum halves (the first half rounded down to a multiple of 8), inside
+    blocks of the smallest power of two of leaves that holds
+    model.TASK_MARGINS rows, whose sums are added in block order."""
+    leaf = model.leaf_rows(X.shape[1])
+    block = leaf * 2 ** math.ceil(math.log2(math.ceil(model.TASK_MARGINS / leaf)))
+
+    def pairwise(lo, hi):
+        if hi - lo <= leaf:
+            return dz[lo:hi] @ X[lo:hi]
+        half = (hi - lo) // 2 // 8 * 8
+        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+
+    total = pairwise(0, min(block, len(dz)))
+    for lo in range(block, len(dz), block):
+        total = total + pairwise(lo, min(lo + block, len(dz)))
+    return total
+
+
 def oracle_objective_grad(inst, cs, beta, grad=True):
     """weighted_objective_grad as one formula over whole arrays: every
-    margin, loss and slope held at once, one np.sum (or u @ losses) and one
-    gemv.  The reference the blocked kernel must match bit for bit."""
+    margin, loss and slope held at once, one np.sum (or u @ losses), and the
+    gradient as one gemv on weighted rows and by oracle_leaf_sum on all rows.
+    The reference the blocked kernel must match bit for bit."""
     if is_full(inst, cs):
-        X, y, u, share = inst.X, inst.y, None, 1.0
+        X, y, u = inst.X, inst.y, None
+        share = 1.0
     else:
         X, y, u = inst.X[cs.indices], inst.y[cs.indices], cs.weights
         share = math.fsum(cs.weights) / inst.n
@@ -173,8 +196,8 @@ def oracle_objective_grad(inst, cs, beta, grad=True):
     f = loss_sum + share * (scale * reg_eval(inst.reg, beta))
     if not grad:
         return f, None
-    dz = slope * y if u is None else u * slope * y
-    return f, -(dz @ X) + share * model.reg_grad(inst.reg, beta, scale)
+    loss_grad = oracle_leaf_sum(slope * y, X) if u is None else u * slope * y @ X
+    return f, -loss_grad + share * model.reg_grad(inst.reg, beta, scale)
 
 
 def oracle_train_gd(inst, cfg, cs=None):

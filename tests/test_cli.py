@@ -337,6 +337,54 @@ class TestEmptyInputs:
         assert "Warning" not in proc.stderr
 
 
+def stdout_at_blas_threads(threads, args):
+    """The stdout of `python args` in a subprocess that imports this
+    checkout's package, with BLAS and OpenMP at the given thread count."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rlm_coreset.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    return proc.stdout
+
+
+class TestBlasThreads:
+    """Full-data training adds its gradient leaf by leaf, each leaf's gemv
+    small enough for one BLAS thread, so its bytes do not depend on the
+    thread count.  The benchmark pins one thread and the suite runs at the
+    default, so only these tests compare the two."""
+
+    def test_full_data_train_prints_the_same_bytes(self):
+        # one gemv over all rows printed beta_norm=0.6607796511249836 at one
+        # thread and 0.6607796513574578 at two
+        args = ["-m", "rlm_coreset.cli", "train", "--format", "synthetic",
+                "--input", "n=100000,d=10,noise=0.1,seed=1", "--seed", "1"]
+        one, two = (stdout_at_blas_threads(t, args) for t in (1, 2))
+        assert "beta_norm=" in one and one == two
+
+    @pytest.mark.parametrize("d", [64, 700])
+    def test_wide_rows_keep_the_oracle_s_bytes(self, d):
+        # leaves of 2048 and 128 rows.  At one thread a leaf's margins are
+        # the whole gemv's, so the kernel gives the oracle's bytes; at two
+        # that gemv splits its rows between threads, which moved a few
+        # margins, while the kernel's bytes stay those of one thread
+        script = (
+            "import sys; import numpy as np; sys.path.insert(0, sys.argv[2])\n"
+            "from conftest import oracle_objective_grad\n"
+            "from rlm_coreset import model\n"
+            "d = int(sys.argv[1]); n = 5 * model.leaf_rows(d) + 3\n"
+            "rng = np.random.default_rng(d)\n"
+            "inst = model.RlmInstance(X=rng.standard_normal((n, d)),\n"
+            "    y=rng.choice([-1.0, 1.0], size=n), loss=model.LossKind.LOGISTIC,\n"
+            "    reg=model.RegularizerKind.L2, kappa=0.5)\n"
+            "beta = rng.standard_normal(d) / d ** 0.5\n"
+            "for f, g in (model.weighted_objective_grad(inst, None, beta),\n"
+            "             oracle_objective_grad(inst, None, beta)):\n"
+            "    print(f.hex(), g.tobytes().hex())\n")
+        args = ["-c", script, str(d), str(Path(__file__).parent)]
+        one, two = (stdout_at_blas_threads(t, args).splitlines() for t in (1, 2))
+        assert one[0] == one[1] and two[0] == one[0]
+
+
 class TestNewlyRefusedCells:
     @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
     def test_csv_cell_exits_2_with_its_line(self, tmp_path, capsys, cell):
@@ -772,6 +820,10 @@ _FUZZ_COMMANDS = [
     ["sweep", "--sizes", "5,10", "--trials", "1", "--report", "{tmp}/s.csv"],
     ["bench"],
 ]
+# the bytes of fuzzed CSV and svmlight files: digits, separators, number
+# signs and exponents, quotes, line ends and a byte that is not UTF-8
+_FILE_BYTES = st.lists(st.sampled_from([*b"0123456789", *b",:.-+ eE", *b"\"\r\n\xff"]),
+                       max_size=80).map(bytes)
 _EDGE = [1e-310, 1e-300, 1e-9, 1.0, 5e10, 1e200, 1e300, 1e305]
 
 
@@ -894,6 +946,20 @@ class TestFuzz:
                 json.loads(report.read_text(), parse_constant=_refuse_constant)
             else:
                 assert not report.exists(), argv
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(fmt=st.sampled_from(["csv", "svmlight"]), data=_FILE_BYTES)
+    # bytes that are not UTF-8: in the first lines, past the first blocks
+    # and in svmlight, once three different refusals
+    @example(fmt="csv", data=b"f,label\n1,0\n\xff,1\n")
+    @example(fmt="csv", data=b"f,label\n" + b"1,0\n" * 100_000 + b"\xff,1\n")
+    @example(fmt="svmlight", data=b"1 1:1\n" * 10 + b"1 1:\xff\n")
+    def test_file_inputs(self, fmt, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data"
+            path.write_bytes(data)
+            _run_under_contract(["sample", "--format", fmt, "--input", str(path),
+                                 "--size", "2", "--output", str(Path(tmp) / "cs.json")])
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(command=st.sampled_from([["train"], ["train", "--method", "sgd"],

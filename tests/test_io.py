@@ -121,14 +121,15 @@ def outcome(load, path, **kwargs):
 
 
 def outcome_through_a_pipe(load, text):
-    """outcome() of load on text read through a pipe, as /dev/fd/N; a thread
-    writes it, so text may exceed what a pipe holds."""
+    """outcome() of load on text, a str written as UTF-8 or bytes, read
+    through a pipe, as /dev/fd/N; a thread writes it, so text may exceed
+    what a pipe holds."""
     r, w = os.pipe()
 
     def write():
         try:
             with open(w, "wb") as fh:
-                fh.write(text.encode("utf-8"))
+                fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
         except BrokenPipeError:  # the loader stopped reading early
             pass
 
@@ -504,6 +505,38 @@ class TestMalformed:
         want = (ParseError, "line 10: feature index 99999999999999999999 is too large")
         assert outcome(data_io.load_svmlight, f) == want
         assert outcome_through_a_pipe(data_io.load_svmlight, text) == want
+
+
+INVALID_UTF8 = [
+    ("csv", b"f,label\n1,0\n\xff,1\n", 3, 0xFF),                      # in the first lines
+    ("csv", b"f,label\n" + b"1,0\n" * 100_000 + b"\xff,1\n", 100_002, 0xFF),  # a later block
+    ("csv", b"f\xff,label\n1,0\n", 1, 0xFF),                          # in the header
+    ("csv", b'"f\r\nx\xe9",label\n1,0\n', 2, 0xE9),                  # a quoted name's line 2
+    ("csv", b"f,label\n1,0\n\"2\n\xc3\",1\n", 4, 0xC3),              # a quoted cell's line 2
+    ("svmlight", b"1 1:1\n" * 10 + b"1 1:\xff\n", 11, 0xFF),
+    ("svmlight", b"\xff 1:1\n", 1, 0xFF),                              # the label
+    ("svmlight", b"1 1:1\n" * 600 + b"1 1:1 # caf\xe9\n", 601, 0xE9),   # a comment, later
+]
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is refused with its line, in a CSV header
+    and body and in svmlight, from a regular file as from a pipe."""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("fmt, data, line, byte", INVALID_UTF8)
+    def test_refused_with_its_line(self, tmp_path, fmt, data, line, byte):
+        f = tmp_path / "bad"
+        f.write_bytes(data)
+        load = {"csv": data_io.load_csv, "svmlight": data_io.load_svmlight}[fmt]
+        want = (ParseError, f"line {line}: byte 0x{byte:02x} is not UTF-8")
+        assert outcome(load, f) == want
+        assert outcome_through_a_pipe(load, data) == want
+
+    def test_an_earlier_bad_line_is_named_first(self, tmp_path):
+        f = tmp_path / "bad"
+        f.write_bytes(b"f,label\n1,0\n2\n\xff,1\n")
+        assert outcome(data_io.load_csv, f) == (ParseError, "line 3: expected 2 columns, got 1")
 
 
 class TestNewlyRefused:

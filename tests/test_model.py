@@ -36,7 +36,6 @@ from rlm_coreset.model import (
     loss_slope,
     objective_rows,
     reg_eval,
-    row_margins,
     weighted_objective_grad,
 )
 
@@ -341,20 +340,25 @@ def assert_same_bits(got, expect):
         assert g.tobytes() == g_ref.tobytes()
 
 
-class TestBlockedKernel:
-    """The kernel's leaf sums and margin reuse give the floats of the
-    one-array formula, oracle_objective_grad."""
+# rows of one leaf of the kernel at leaf_instance's d = 4
+LEAF = model.leaf_rows(4)
+# eight of check_rows' tiles of rows: one block of its labels
+TILES = 8 * model.ROW_TILE
 
-    @pytest.mark.parametrize("n", [model.ROW_BLOCK - 1, model.ROW_BLOCK, model.ROW_BLOCK + 1,
-                                   2 * model.ROW_BLOCK + 5, 100_000])
+
+class TestBlockedKernel:
+    """The kernel's leaf sums give the floats of the one-array formula,
+    oracle_objective_grad, whose gradient is added over the same leaves."""
+
+    @pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 5, 100_000])
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_bytes_equal_to_the_oracle(self, loss, reg, n):
         inst = leaf_instance(n, loss, reg)
         rng = np.random.default_rng(n)
         weighted = WeightedCoreset(indices=rng.integers(0, n, size=3000),
                                    weights=rng.uniform(0.1, 5.0, size=3000))
-        # weighted rows past one leaf's ROW_BLOCK: F_C is still one u @ losses
-        q = 2 * model.ROW_BLOCK + 5
+        # weighted rows past one leaf: F_C is still one u @ losses
+        q = 2 * LEAF + 5
         wide_rng = np.random.default_rng([n, 1])
         wide = WeightedCoreset(indices=wide_rng.integers(0, n, size=q),
                                weights=wide_rng.uniform(0.1, 5.0, size=q))
@@ -362,26 +366,19 @@ class TestBlockedKernel:
             rows = objective_rows(inst, cs)
             # beta = 0 puts every margin at a signed zero
             for beta in (np.zeros(inst.d), 0.7 * rng.standard_normal(inst.d)):
-                z = row_margins(rows.X, rows.y, beta)
-                f, g = oracle_objective_grad(inst, cs, beta)
-                # a gradient call consumes the z it is given
-                for got in (weighted_objective_grad(inst, rows, beta),
-                            weighted_objective_grad(inst, rows, beta, z=z.copy()),
-                            weighted_objective_grad(inst, rows, beta,
-                                                    zbuf=np.empty(rows.size))):
-                    assert_same_bits(got, (f, g))
-                # a value call leaves the margins it took in a lent buffer,
-                # each leaf's the bytes of the whole gemv's
-                zbuf = np.full(rows.size, np.nan)
-                for got in (weighted_objective_grad(inst, rows, beta, grad=False),
-                            weighted_objective_grad(inst, rows, beta, grad=False, z=z),
-                            weighted_objective_grad(inst, rows, beta, grad=False,
-                                                    zbuf=zbuf)):
-                    assert_same_bits(got, oracle_objective_grad(inst, cs, beta, grad=False))
-                assert zbuf.tobytes() == z.tobytes()
-                assert_same_bits(weighted_objective_grad(inst, rows, beta, z=z.copy(),
-                                                         value=False),
-                                 (None, g))
+                assert_same_bits(weighted_objective_grad(inst, rows, beta),
+                                 oracle_objective_grad(inst, cs, beta))
+                assert_same_bits(weighted_objective_grad(inst, rows, beta, grad=False),
+                                 oracle_objective_grad(inst, cs, beta, grad=False))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 64, 100, 700, 1024, 1025, 5000])
+    def test_leaf_rows_rule(self, d):
+        # the largest power of two of at least 128 rows with rows x d <= 2**17
+        rows = model.leaf_rows(d)
+        assert rows >= 128 and rows & (rows - 1) == 0
+        assert rows * d <= model.LEAF_VALUES or rows == 128
+        assert rows == 128 or 2 * rows * d > model.LEAF_VALUES
+        assert {10: 8192, 700: 128, 64: 2048, 1: 1 << 17}.get(d, rows) == rows
 
     @pytest.mark.parametrize("leaf", [128, 1000])
     def test_pairwise_sum_is_np_sum(self, rng, leaf):
@@ -391,7 +388,7 @@ class TestBlockedKernel:
             assert got.hex() == float(np.sum(values)).hex()
 
     @pytest.mark.parametrize("d", [1, 10, 129])
-    @pytest.mark.parametrize("n", [model.ROW_BLOCK - 1, model.ROW_BLOCK, model.ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [TILES - 1, TILES, TILES + 1])
     def test_blocked_max_row_norm(self, rng, n, d):
         X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
         y = np.ones(n)
@@ -403,26 +400,26 @@ class TestBlockedKernel:
         assert model.check_rows(X, y).hex() == expect.hex()
         assert model.check_rows(X[:0], y[:0]) == 0.0
 
-    @pytest.mark.parametrize("row", [0, model.ROW_BLOCK + 3])
+    @pytest.mark.parametrize("row", [0, TILES + 3])
     def test_finite_point_whose_norm_overflows_is_refused(self, row):
         # finite entries whose squares, and so whose 2-norm, overflow
-        X = np.ones((model.ROW_BLOCK + 5, 2))
+        X = np.ones((TILES + 5, 2))
         X[row] = 1e200
         with pytest.raises(ValueError, match="2-norm is not finite"):
             model.check_rows(X, np.ones(len(X)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_in_the_last_block(self, bad):
-        X = np.ones((model.ROW_BLOCK + 1, 2))
+        X = np.ones((TILES + 1, 2))
         X[-1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             RlmInstance(X=X, y=np.ones(len(X)), loss=LossKind.LOGISTIC,
                         reg=RegularizerKind.L2, kappa=0.5)
 
-    @pytest.mark.parametrize("n", [3 * model.ROW_BLOCK + 5, 100_000])
+    @pytest.mark.parametrize("n", [3 * TILES + 5, 100_000])
     def test_instance_allocates_a_tile_of_squares(self, n):
         # the squares of ROW_TILE rows in one buffer, and the labels checked
-        # ROW_TILE at a time; ROW_BLOCK rows' norms by np.linalg.norm took
+        # 8192 at a time; 8192 rows' norms by np.linalg.norm took
         # 0.79 MB, and three n-byte masks over all labels 0.3 MB at n = 1e5
         rng = np.random.default_rng(6)
         X = rng.standard_normal((n, 10))
@@ -443,32 +440,13 @@ class TestBlockedKernel:
         assert peak < X.nbytes / 2
 
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
-    def test_one_evaluation_holds_one_n_vector(self, loss, reg):
-        # the gradient's weights overwrite the margins: a second n-vector
-        # for them would fail this bound
-        inst = leaf_instance(200_000, loss, reg)
+    def test_one_evaluation_holds_no_n_vector(self, loss, reg):
+        # each leaf's margins, losses and slopes are leaf-sized, about a
+        # fifth of an n-vector here; one n-vector for them would fail
+        inst = leaf_instance(200_000, loss, reg, d=10)
         beta = np.random.default_rng(5).standard_normal(inst.d)
         _, peak = traced_peak(lambda: weighted_objective_grad(inst, None, beta))
-        assert peak < 1.25 * inst.y.nbytes
-
-    @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
-    def test_a_given_z_is_consumed_for_the_same_bytes(self, loss, reg):
-        # on full data and on a coreset
-        inst = leaf_instance(2 * model.ROW_BLOCK + 5, loss, reg)
-        rng = np.random.default_rng(8)
-        cs = WeightedCoreset(indices=rng.integers(0, inst.n, size=500),
-                             weights=rng.uniform(0.1, 5.0, size=500))
-        beta = 0.7 * rng.standard_normal(inst.d)
-        for c in (None, cs):
-            rows = objective_rows(inst, c)
-            want = weighted_objective_grad(inst, rows, beta)
-            z = row_margins(rows.X, rows.y, beta)
-            assert_same_bits(weighted_objective_grad(inst, rows, beta, z=z), want)
-            # the gradient's weights were written over the margins
-            assert z.tobytes() != row_margins(rows.X, rows.y, beta).tobytes()
-            z = row_margins(rows.X, rows.y, beta, out=z)
-            assert_same_bits(weighted_objective_grad(inst, rows, beta, z=z, value=False),
-                             (None, want[1]))
+        assert peak < 0.5 * inst.y.nbytes
 
 
 class TestCoresetObjective:
@@ -771,8 +749,8 @@ class TestPool:
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_kernel_f_is_the_one_probe_f(self, serial_and_pooled, loss, reg):
         # past one task the kernel adds its loss sum in the H pass's blocks, so
-        # one probe's F is full_objective's at every n; the gradient stays one
-        # gemv
+        # one probe's F is full_objective's at every n; its gradient is the
+        # leaves' shares, added in the same blocks
         n = 3 * block_rows(1) + 5
         inst = leaf_instance(n, loss, reg, d=2)
         cs = WeightedCoreset(indices=[0], weights=[1.0])
@@ -786,7 +764,7 @@ class TestPool:
 
     def test_kernel_tasks_under_thread_stress(self, monkeypatch):
         # four tasks on four threads, switching every microsecond: each task
-        # writes only its own rows of dz, so the bytes stay the serial ones
+        # holds only its own leaves' arrays, so the bytes stay the serial ones
         inst = leaf_instance(3 * block_rows(1) + 5, LossKind.LOGISTIC,
                              RegularizerKind.L2_SQUARED, d=2)
         beta = np.array([0.3, -0.7])

@@ -224,10 +224,10 @@ def kernel_with(monkeypatch, on_all_rows):
     computed over all rows."""
     kernel = solver.weighted_objective_grad
 
-    def wrapped(inst, rows, beta, grad=True, z=None, value=True, zbuf=None):
-        if value and rows.size == inst.n:
+    def wrapped(inst, rows, beta, grad=True):
+        if rows.size == inst.n:
             on_all_rows(beta)
-        return kernel(inst, rows, beta, grad, z, value, zbuf)
+        return kernel(inst, rows, beta, grad)
 
     monkeypatch.setattr(solver, "weighted_objective_grad", wrapped)
 
@@ -291,7 +291,7 @@ def floor_cases(tight=False):
     regularizer term above their bound.  With tight, the rows are separable
     and lambda_scale is 1e-3, so that the loss sum nearly vanishes and some
     trials' terms come within 10 % of their bound."""
-    X, y, _ = gen_synthetic(2 * model.ROW_BLOCK + 5, 3, noise=0.0 if tight else 0.1,
+    X, y, _ = gen_synthetic(2 * model.leaf_rows(3) + 5, 3, noise=0.0 if tight else 0.1,
                             margin=1.0 if tight else 0.0, seed=7)
     for reg in (RegularizerKind.L2, RegularizerKind.L2_SQUARED):
         inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC, reg=reg, kappa=0.5,
@@ -317,10 +317,10 @@ def armijo_trials():
                        f - solver.ARMIJO_C * step * gnorm * gnorm))
         return r
 
-    def spying_kernel(inst, rows, beta, grad=True, z=None, value=True, zbuf=None):
-        if not grad and zbuf is not None:
+    def spying_kernel(inst, rows, beta, grad=True):
+        if sys._getframe(1).f_locals.get("cand") is beta:
             evaluated.append(beta.tobytes())
-        return kernel(inst, rows, beta, grad, z, value, zbuf)
+        return kernel(inst, rows, beta, grad)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "reg_eval", spying_reg_eval)
@@ -370,12 +370,12 @@ def oracle_sgd_beta(inst, cfg):
 
 
 class TestBoundedMemory:
-    """Training holds X, y and one n-vector, and gives the floats of the
-    one-array kernel and of weighted SGD."""
+    """Training holds X, y and no more than one n-vector, and gives the
+    floats of the one-array kernel and of weighted SGD."""
 
     @pytest.mark.parametrize("loss, reg", ALL_PAIRS)
     def test_gd_past_one_leaf_matches_the_oracle(self, loss, reg):
-        X, y, _ = gen_synthetic(2 * model.ROW_BLOCK + 5, 3, noise=0.1, seed=7)
+        X, y, _ = gen_synthetic(2 * model.leaf_rows(3) + 5, 3, noise=0.1, seed=7)
         inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
         cfg = TrainConfig(max_iters=12, grad_tol=1e-12)
         beta_hat, trace = train(inst, cfg)
@@ -392,37 +392,36 @@ class TestBoundedMemory:
             beta_hat, _ = train(inst, cfg, cs)
             assert beta_hat.tobytes() == oracle_sgd_beta(inst, cfg).tobytes()
 
-    def test_gd_takes_the_accepted_trial_s_value_and_margins(self, monkeypatch):
+    def test_gd_takes_the_accepted_trial_s_value_and_gradient(self, monkeypatch):
+        # (beta GD holds, the gradient it holds, the kernel's beta and its
+        # value and gradient) at every kernel call
         calls = []
         kernel = solver.weighted_objective_grad
 
-        def recording(inst, rows, beta, grad=True, z=None, value=True, zbuf=None):
-            calls.append((grad, value, z, zbuf, beta.tobytes()))
-            return kernel(inst, rows, beta, grad, z, value, zbuf)
+        def recording(inst, rows, beta, grad=True):
+            assert grad
+            frame = sys._getframe(1).f_locals
+            f, g = kernel(inst, rows, beta)
+            calls.append((frame["beta"].tobytes(), frame["g"], beta.tobytes(), f, g))
+            return f, g
 
         monkeypatch.setattr(solver, "weighted_objective_grad", recording)
         X, y, _ = gen_synthetic(300, 3, noise=0.1, seed=7)
         inst = RlmInstance(X=X, y=y, loss=LossKind.LOGISTIC,
                            reg=RegularizerKind.L2_SQUARED, kappa=0.5)
-        _, trace = train(inst, TrainConfig(max_iters=20, grad_tol=1e-12))
-        shapes = [(grad, value, z is not None, zbuf is not None)
-                  for grad, value, z, zbuf, _ in calls]
-        grads = [i for i, (grad, *_) in enumerate(calls) if grad]
-        # one full evaluation at beta = 0; after it each gradient comes from
-        # the margins of the trial that was accepted, whose value is known
-        assert len(grads) == len(trace.objectives) == 20
-        assert shapes[grads[0]] == (True, True, False, True)
-        assert {shapes[i] for i in grads[1:]} == {(True, False, True, False)}
-        # every trial lends GD's one buffer, and the kernel takes the
-        # trial's margins into it
-        assert {shapes[i] for i in range(len(calls)) if i not in grads} == \
-            {(False, True, False, True)}
-        assert len({id(zbuf) for *_, zbuf, _ in calls if zbuf is not None}) == 1
-        for i in grads[1:]:
-            # the call before a gradient is the accepted trial, at its beta
-            _, _, z, _, beta = calls[i]
-            assert not calls[i - 1][0]
-            assert calls[i - 1][3] is z and calls[i - 1][4] == beta
+        with recorded_iterates() as iterates:
+            _, trace = train(inst, TrainConfig(max_iters=20, grad_tol=1e-12))
+        assert trace.stop_reason == "max_iters" and len(iterates) == 20
+        # one evaluation at beta = 0, before GD holds a gradient; every later
+        # call is an Armijo trial away from beta, stepping along the gradient
+        # of beta's own call: the accepted trial's, with no second pass
+        assert calls[0][1] is None and calls[0][0] == calls[0][2]
+        returned = {beta: (f, g) for _, _, beta, f, g in calls}
+        for beta, g, cand, _, _ in calls[1:]:
+            assert cand != beta and g is returned[beta][1]
+        # every iterate after beta = 0 is a trial, whose value is the trace's
+        for beta, f in zip(iterates, trace.objectives):
+            assert returned[beta.tobytes()][0] == f
 
     def test_coreset_gd_gathers_its_rows_once(self, monkeypatch):
         # every kernel call and every Armijo trial's margins read the rows
@@ -470,15 +469,43 @@ class TestBoundedMemory:
         (LossKind.LOGISTIC, RegularizerKind.L2_SQUARED, TrainConfig(max_iters=5), 8944),
     ], ids=["gd", "hinge-l1", "sgd", "coreset-gd"])
     def test_training_holds_one_n_vector(self, loss, reg, cfg, q):
-        # margins and gradient weights in one n-vector, the permutation and
-        # the coreset's rows dropped before a pass over all rows: two
-        # n-vectors, as the kernel held them, would fail this bound
+        # GD's leaves hold no n-vector, SGD's int32 permutation half of one,
+        # and the permutation and the coreset's rows are dropped before a
+        # pass over all rows: two n-vectors would fail this bound
         X, y, _ = gen_synthetic(200_000, 10, noise=0.1, seed=3)
         inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
         cs = None if q is None else uniform_sample(inst, q, seed=0)
         (_, trace), peak = traced_peak(lambda: train(inst, cfg, cs, full_trace=False))
         assert trace.stop_reason == "max_iters"
         assert peak < 1.25 * y.nbytes
+
+    @pytest.mark.parametrize("loss, reg", [(LossKind.LOGISTIC, RegularizerKind.L2_SQUARED),
+                                           (LossKind.HINGE, RegularizerKind.L1)],
+                             ids=["gd", "hinge-l1"])
+    def test_full_data_gd_holds_no_n_vector(self, loss, reg):
+        # beside X and y, GD holds one leaf's margins, exp(-|z|), slopes and
+        # a temporary of the sigmoid's division, four leaf-sized arrays at
+        # any n: about one n-vector at three leaves and a quarter of one at
+        # sixteen.  A margins buffer of n rows fails both bounds
+        leaf_bytes = 8 * model.leaf_rows(10)
+        for leaves in (3, 16):
+            X, y, _ = gen_synthetic(leaves * model.leaf_rows(10) + 5, 10, noise=0.1, seed=3)
+            inst = RlmInstance(X=X, y=y, loss=loss, reg=reg, kappa=0.5)
+            (_, trace), peak = traced_peak(
+                lambda: train(inst, TrainConfig(max_iters=5), full_trace=False))
+            assert trace.stop_reason == "max_iters"
+            assert peak < 4.5 * leaf_bytes
+        assert peak < y.nbytes / 2
+
+    def test_sgd_order_is_the_permutation_s(self):
+        # an int32 arange shuffled in place: rng.permutation's order, with
+        # the generator left in the same state
+        for n in (1, 5, 1000, 100_000, (1 << 17) + 3):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            order = np.arange(n, dtype=np.int32)
+            rng.shuffle(order)
+            assert np.array_equal(order, ref.permutation(n))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestTrainConfig:
