@@ -26,6 +26,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .model import (
+    ORIGIN_WARNING,
     LossKind,
     RegularizerKind,
     RlmInstance,
@@ -89,10 +90,20 @@ def _load_instance(args) -> RlmInstance:
         X, y, _ = data_io.load_svmlight(args.input)
     else:
         X, y, _ = data_io.load_csv(args.input, label_column=args.label_column)
-    return RlmInstance(
-        X=X, y=y, loss=_LOSSES[args.loss], reg=_REGS[args.reg],
-        kappa=args.kappa, lambda_scale=args.lambda_scale,
-    )
+    # RlmInstance's warning for points all at the origin is printed as one
+    # line, as the commands print their own; any other warning goes on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = RlmInstance(
+            X=X, y=y, loss=_LOSSES[args.loss], reg=_REGS[args.reg],
+            kappa=args.kappa, lambda_scale=args.lambda_scale,
+        )
+    for w in caught:
+        if str(w.message) == ORIGIN_WARNING:
+            print(f"warning: {ORIGIN_WARNING}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return inst
 
 
 def _settings(inst) -> dict:
@@ -484,12 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    """A library warning, such as RlmInstance's for points all at the
-    origin, as one stderr line in the form of the command's own warnings."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -498,9 +503,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise InvalidParameterError(f"--seed must be non-negative, got {args.seed}")
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
-            return args.func(args)
+        return args.func(args)
     except RlmError as exc:
         print(f"{PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code

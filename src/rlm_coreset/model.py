@@ -140,10 +140,12 @@ def reg_grad(kind: RegularizerKind, v, scale: float) -> np.ndarray:
 
 
 # rows x d of a leaf of the full-data kernel: its margins, losses and slopes
-# are leaf-sized, never n, and its gemvs small enough that their bytes do
-# not depend on the BLAS thread count (with OpenBLAS 0.3.31 on 2 CPUs, a
+# are leaf-sized, never n, and its gemvs small enough that their bytes did
+# not move between one and two BLAS threads (OpenBLAS 0.3.31 on 2 CPUs: a
 # gemv of 10 columns gave other bytes at two threads from 46080 rows on,
-# one of 700 columns from about 1024 rows on)
+# one of 700 columns from about 1024 rows on).  A leaf keeps 128 rows past
+# 1024 columns; its bytes matched at one and two threads up to d = 4096
+# and moved at d = 8192
 LEAF_VALUES = 1 << 17
 # tile of the block evaluator: ROW_TILE rows of X against PROBE_TILE probes,
 # a (PROBE_TILE, ROW_TILE) block of margins that stays in cache; the row
@@ -156,7 +158,8 @@ def leaf_rows(d: int) -> int:
     """Rows of a leaf of the full-data kernel at d columns: the largest power
     of two with rows x d at most LEAF_VALUES, and at least 128, numpy's
     smallest halved length, below which np.sum stops halving."""
-    return max(128, 1 << (LEAF_VALUES // max(d, 1)).bit_length() - 1)
+    # past LEAF_VALUES columns the quotient is 0, and 1 is its power of two
+    return max(128, 1 << max(LEAF_VALUES // max(d, 1), 1).bit_length() - 1)
 
 
 def check_rows(X: np.ndarray, y: np.ndarray) -> float:
@@ -236,6 +239,10 @@ class WeightedCoreset:
         return self._weight_sum
 
 
+# the warning of an instance whose points all lie at the origin, R = 0
+ORIGIN_WARNING = "all points at the origin: regularizer has no effect"
+
+
 @dataclass(frozen=True)
 class RlmInstance:
     """Immutable dataset plus loss/regularizer configuration.
@@ -267,7 +274,7 @@ class RlmInstance:
         X.setflags(write=False)
         y.setflags(write=False)
         if R == 0.0 and X.shape[0]:
-            warnings.warn("all points at the origin: regularizer has no effect")
+            warnings.warn(ORIGIN_WARNING)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "lam", lam)
@@ -374,10 +381,11 @@ def weighted_objective_grad(
     on at most 2**20 rows the loss sum is the float np.sum of all losses
     gives at one BLAS thread, where a leaf's gemv gives each margin the
     whole gemv's float.  A leaf's gemvs are small enough that their bytes,
-    and so F and its gradient on all rows, do not depend on the BLAS thread
-    count; one gemv over all rows split them between threads, which moved
-    margins and the gradient's last bits.  Weighted rows, one leaf, do
-    depend on it once BLAS splits their dot and gemv (above 10000 rows)."""
+    and so F and its gradient on all rows, were the same at one and two
+    BLAS threads for d up to 4096 (see LEAF_VALUES); one gemv over all rows
+    split them between threads, which moved margins and the gradient's last
+    bits.  Weighted rows, one leaf, depend on the thread count once BLAS
+    splits their dot and gemv (above 10000 rows)."""
     if rows is None:
         rows = objective_rows(inst)
     X, y, u = rows.X, rows.y, rows.u

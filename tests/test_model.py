@@ -371,7 +371,8 @@ class TestBlockedKernel:
                 assert_same_bits(weighted_objective_grad(inst, rows, beta, grad=False),
                                  oracle_objective_grad(inst, cs, beta, grad=False))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 10, 64, 100, 700, 1024, 1025, 5000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 64, 100, 700, 1024, 1025, 5000,
+                                   1 << 17, (1 << 17) + 1, 10 ** 6])
     def test_leaf_rows_rule(self, d):
         # the largest power of two of at least 128 rows with rows x d <= 2**17
         rows = model.leaf_rows(d)
@@ -379,6 +380,15 @@ class TestBlockedKernel:
         assert rows * d <= model.LEAF_VALUES or rows == 128
         assert rows == 128 or 2 * rows * d > model.LEAF_VALUES
         assert {10: 8192, 700: 128, 64: 2048, 1: 1 << 17}.get(d, rows) == rows
+
+    def test_rows_wider_than_a_leaf(self, rng):
+        # past LEAF_VALUES columns a leaf keeps 128 rows
+        d = model.LEAF_VALUES + 1
+        inst = RlmInstance(X=rng.standard_normal((2, d)), y=np.array([1.0, -1.0]),
+                           loss=LossKind.LOGISTIC, reg=RegularizerKind.L2, kappa=0.5)
+        beta = rng.standard_normal(d) / d
+        assert_same_bits(weighted_objective_grad(inst, None, beta),
+                         oracle_objective_grad(inst, None, beta))
 
     @pytest.mark.parametrize("leaf", [128, 1000])
     def test_pairwise_sum_is_np_sum(self, rng, leaf):
